@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABELS, Dataset, EmptyCorpusError, HeadlineRecord, SentimentLabel
+from .corpus import (LABELS, Dataset, EmptyCorpusError, HeadlineRecord, SentimentLabel,
+                     class_counts)
 from .features import tokenize
 
 
@@ -21,12 +22,8 @@ def class_distribution(dataset: Dataset) -> tuple[dict[SentimentLabel, int],
     """Counts and proportions per class (proportions sum to 1)."""
     if len(dataset) == 0:
         raise EmptyCorpusError("empty dataset")
-    counts = {lab: 0 for lab in LABELS}
-    for rec in dataset:
-        counts[rec.label] += 1
-    total = len(dataset)
-    proportions = {lab: counts[lab] / total for lab in LABELS}
-    return counts, proportions
+    counts = class_counts(dataset)
+    return counts, {lab: c / len(dataset) for lab, c in counts.items()}
 
 
 @dataclass(frozen=True)

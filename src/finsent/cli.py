@@ -1,10 +1,20 @@
 """Command-line pipeline: ingest, split, upsample, augment, analyze, featurize,
 train-linear, train-encoder, predict, evaluate, compare.
 
-Every subcommand reads an optional YAML config (flags win over config
-values), writes its artifacts into the output directory, and drops a
-`manifest_<command>.json` recording inputs, seeds, parameters and content
-hashes.  Exit codes: 0 success, 2 invalid config/usage, 3 data errors,
+`STAGES` is the table of subcommands: the help text of each, and its flags
+with the dotted config key each one overrides or the default input file
+under `--out`.  `main` drives every stage alike: it fills each unset flag
+from its config key or with its default file (a flag given on the command
+line wins over the config), creates the output directory, calls
+`cmd_<stage>(args, cfg, out)`, writes the `(params, inputs, outputs,
+message)` it returns to `manifest_<command>.json` with content hashes, and
+prints the message.
+
+Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown keys,
+mistyped values, values that the encoder, training, augmentation,
+generation or adapter settings reject, a missing corpus or encoder
+checkpoint); 3 data errors (input that does not parse or cannot be read, a
+split the corpus cannot fill, prediction and gold counts that differ);
 4 backend errors.
 """
 from __future__ import annotations
@@ -12,11 +22,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -121,9 +132,15 @@ def load_config(path: str | None) -> dict:
 
 
 def _require(cfg: dict, dotted: str, kind, positive: bool = False):
-    node = cfg
+    """The value at `dotted`, checked to be a `kind` (ints pass as floats).
+
+    Keys whose default is null (optional files, the backend URL) may stay null.
+    """
+    node, default = cfg, DEFAULT_CONFIG
     for part in dotted.split("."):
-        node = node[part]
+        node, default = node[part], default[part]
+    if node is None and default is None:
+        return None
     if kind is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
     if not isinstance(node, kind) or isinstance(node, bool):
@@ -131,6 +148,14 @@ def _require(cfg: dict, dotted: str, kind, positive: bool = False):
     if positive and node <= 0:
         raise ConfigError(f"config key {dotted} must be positive")
     return node
+
+
+def _build(section: str, factory, *args, **kwargs):
+    """`factory(*args, **kwargs)`, reporting a value it rejects as a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
 def bundled_sample_path() -> Path:
@@ -157,24 +182,27 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
     return path
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(args.out or cfg["paths"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _load_canonical(path) -> Dataset:
+    return load_corpus(Path(path), format="csv_headered", encoding="utf8")
 
 
-def _load_canonical(path: Path) -> Dataset:
-    return load_corpus(path, format="csv_headered", encoding="utf8")
+def _write_csv(path: Path, header, rows) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
-def _resolve_lexicon(args, cfg):
-    path = getattr(args, "lexicon", None) or cfg["paths"]["lexicon"]
-    return augment_mod.load_lexicon(path) if path else augment_mod.bundled_lexicon()
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
-def _resolve_stopwords(args, cfg):
-    path = getattr(args, "stopwords", None) or cfg["paths"]["stopwords"]
-    return analysis_mod.load_stopwords(path) if path else analysis_mod.bundled_stopwords()
+def _vocabulary(cfg, train_ds: Dataset) -> features_mod.Vocabulary:
+    return features_mod.build_vocabulary(
+        train_ds, min_df=_require(cfg, "features.min_df", int, positive=True),
+        max_size=_require(cfg, "features.max_vocab", int, positive=True))
 
 
 def _load_template(cfg) -> promptkit.PromptTemplate:
@@ -188,335 +216,232 @@ def _load_template(cfg) -> promptkit.PromptTemplate:
             answer_marker=doc["answer_marker"],
             allowed_labels=tuple(doc.get("allowed_labels",
                                          [lab.value for lab in LABELS])))
-    except (OSError, KeyError, TypeError, yaml.YAMLError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"invalid prompt template file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each returns (params, inputs, outputs, message)
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    data = args.data or cfg["paths"]["data"]
-    fmt = args.format or cfg["paths"]["format"]
-    encoding = args.encoding or cfg["paths"]["encoding"]
-    source = Path(data) if data else bundled_sample_path()
+def cmd_ingest(args, cfg, out):
+    source = Path(args.data) if args.data else bundled_sample_path()
     if not source.exists():
         raise ConfigError(f"data file not found: {source}")
-    ds = load_corpus(source, format=fmt, encoding=encoding)
+    ds = load_corpus(source, format=args.format, encoding=args.encoding)
     target = out / "dataset.csv"
     write_corpus(ds, target)
-    counts = class_counts(ds)
-    _write_manifest(out, "ingest",
-                    {"format": fmt, "encoding": encoding,
-                     "counts": {lab.value: c for lab, c in counts.items()}},
-                    {"data": source}, {"dataset": target})
-    print(f"ingested {len(ds)} records "
-          f"({', '.join(f'{lab.value}={c}' for lab, c in counts.items())}) "
-          f"-> {target}")
-    return EXIT_OK
+    counts = {lab.value: c for lab, c in class_counts(ds).items()}
+    return ({"format": args.format, "encoding": args.encoding, "counts": counts},
+            {"data": source}, {"dataset": target},
+            f"ingested {len(ds)} records "
+            f"({', '.join(f'{lab}={c}' for lab, c in counts.items())}) -> {target}")
 
 
-def cmd_split(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else cfg["seeds"]["master"]
-    train_total = args.train_total if args.train_total is not None \
-        else _require(cfg, "split.train_total", int)
-    test_total = args.test_total if args.test_total is not None \
-        else _require(cfg, "split.test_total", int)
-    source = Path(args.input) if args.input else out / "dataset.csv"
-    ds = _load_canonical(source)
-    train, test = stratified_split(ds, train_total, test_total, seed)
+def cmd_split(args, cfg, out):
+    ds = _load_canonical(args.input)
+    train, test = stratified_split(ds, args.train_total, args.test_total, args.seed)
     train_path, test_path = out / "train.csv", out / "test.csv"
     write_corpus(train, train_path)
     write_corpus(test, test_path)
-    _write_manifest(out, "split",
-                    {"seed": seed, "train_total": train_total,
-                     "test_total": test_total},
-                    {"dataset": source}, {"train": train_path, "test": test_path})
-    print(f"split {len(ds)} records into train={len(train)} test={len(test)}")
-    return EXIT_OK
+    return ({"seed": args.seed, "train_total": args.train_total,
+             "test_total": args.test_total},
+            {"dataset": Path(args.input)}, {"train": train_path, "test": test_path},
+            f"split {len(ds)} records into train={len(train)} test={len(test)}")
 
 
-def cmd_upsample(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else cfg["seeds"]["master"]
-    target = args.target if args.target is not None \
-        else _require(cfg, "upsample.target_per_class", int)
-    source = Path(args.input) if args.input else out / "train.csv"
-    ds = _load_canonical(source)
-    up = upsample(ds, target, seed)
+def cmd_upsample(args, cfg, out):
+    up = upsample(_load_canonical(args.input), args.target, args.seed)
     target_path = out / "train_upsampled.csv"
     write_corpus(up, target_path)
-    _write_manifest(out, "upsample", {"seed": seed, "target_per_class": target},
-                    {"train": source}, {"train_upsampled": target_path})
-    print(f"upsampled to {len(up)} records ({target} per class)")
-    return EXIT_OK
+    return ({"seed": args.seed, "target_per_class": args.target},
+            {"train": Path(args.input)}, {"train_upsampled": target_path},
+            f"upsampled to {len(up)} records ({args.target} per class)")
 
 
-def cmd_augment(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else cfg["seeds"]["master"]
+def cmd_augment(args, cfg, out):
     a = cfg["augment"]
-    config = augment_mod.AugmentConfig(
-        n_replace=a["n_replace"], n_insert=a["n_insert"],
-        p_delete=a["p_delete"], n_swap=a["n_swap"],
-        copies_per_record=args.copies if args.copies is not None
-        else a["copies_per_record"],
-        seed=seed)
-    lexicon = _resolve_lexicon(args, cfg)
-    source = Path(args.input) if args.input else out / "train.csv"
-    ds = _load_canonical(source)
+    config = _build("augment", augment_mod.AugmentConfig,
+                    n_replace=a["n_replace"], n_insert=a["n_insert"],
+                    p_delete=a["p_delete"], n_swap=a["n_swap"],
+                    copies_per_record=args.copies, seed=args.seed)
+    lexicon = (augment_mod.load_lexicon(args.lexicon) if args.lexicon
+               else augment_mod.bundled_lexicon())
+    ds = _load_canonical(args.input)
     augmented = augment_mod.augment_dataset(ds, config, lexicon)
     target = out / "train_augmented.csv"
     write_corpus(augmented, target)
-    _write_manifest(out, "augment",
-                    {"seed": seed, "n_replace": config.n_replace,
-                     "n_insert": config.n_insert, "p_delete": config.p_delete,
-                     "n_swap": config.n_swap,
-                     "copies_per_record": config.copies_per_record},
-                    {"train": source}, {"train_augmented": target})
-    print(f"augmented {len(ds)} -> {len(augmented)} records")
-    return EXIT_OK
+    return (asdict(config), {"train": Path(args.input)}, {"train_augmented": target},
+            f"augmented {len(ds)} -> {len(augmented)} records")
 
 
-def cmd_analyze(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    top_k = args.top_k if args.top_k is not None else _require(cfg, "analyze.top_k", int)
-    source = Path(args.input) if args.input else out / "dataset.csv"
-    ds = _load_canonical(source)
-    stopwords = _resolve_stopwords(args, cfg)
-
+def cmd_analyze(args, cfg, out):
+    ds = _load_canonical(args.input)
+    stopwords = (analysis_mod.load_stopwords(args.stopwords) if args.stopwords
+                 else analysis_mod.bundled_stopwords())
     counts, proportions = analysis_mod.class_distribution(ds)
-    dist_path = out / "class_distribution.json"
-    dist_path.write_text(json.dumps(
+    dist_path = _write_text(out / "class_distribution.json", json.dumps(
         {"counts": {lab.value: counts[lab] for lab in LABELS},
          "proportions": {lab.value: proportions[lab] for lab in LABELS}},
-        indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        indent=2, sort_keys=True) + "\n")
 
+    names = analysis_mod.DerivedFeatures.FIELD_NAMES
     matrix = analysis_mod.feature_matrix(ds)
-    feats_path = out / "derived_features.csv"
-    with open(feats_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("label",) + analysis_mod.DerivedFeatures.FIELD_NAMES)
-        for rec, row in zip(ds, matrix):
-            writer.writerow([rec.label.value] + [repr(float(v)) for v in row])
-
+    feats_path = _write_csv(
+        out / "derived_features.csv", ("label",) + names,
+        ([rec.label.value] + [repr(float(v)) for v in row]
+         for rec, row in zip(ds, matrix)))
     corr = analysis_mod.correlation_matrix(matrix)
-    corr_path = out / "correlation_matrix.csv"
-    with open(corr_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        names = analysis_mod.DerivedFeatures.FIELD_NAMES
-        writer.writerow(("feature",) + names)
-        for name, row in zip(names, corr.matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    corr_path = _write_csv(
+        out / "correlation_matrix.csv", ("feature",) + names,
+        ([name] + [repr(float(v)) for v in row] for name, row in zip(names, corr.matrix)))
+    keywords = analysis_mod.keyword_frequencies(ds, args.top_k, stopwords)
+    kw_path = _write_csv(
+        out / "keyword_frequencies.csv", ["label", "rank", "token", "count"],
+        ([lab.value, rank, token, count] for lab in LABELS
+         for rank, (token, count) in enumerate(keywords[lab], start=1)))
 
-    keywords = analysis_mod.keyword_frequencies(ds, top_k, stopwords)
-    kw_path = out / "keyword_frequencies.csv"
-    with open(kw_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "rank", "token", "count"])
-        for lab in LABELS:
-            for rank, (token, count) in enumerate(keywords[lab], start=1):
-                writer.writerow([lab.value, rank, token, count])
-
-    _write_manifest(out, "analyze", {"top_k": top_k}, {"dataset": source},
-                    {"class_distribution": dist_path, "derived_features": feats_path,
-                     "correlation_matrix": corr_path, "keyword_frequencies": kw_path})
-    print(f"analysis artifacts written to {out}")
-    return EXIT_OK
+    return ({"top_k": args.top_k}, {"dataset": Path(args.input)},
+            {"class_distribution": dist_path, "derived_features": feats_path,
+             "correlation_matrix": corr_path, "keyword_frequencies": kw_path},
+            f"analysis artifacts written to {out}")
 
 
-def _write_vocab(vocab: features_mod.Vocabulary, path: Path) -> None:
-    doc = {"tokens": vocab.tokens,
-           "document_frequency": [vocab.document_frequency[t] for t in vocab.tokens],
-           "n_documents": vocab.n_documents}
-    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-
-
-def cmd_featurize(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    min_df = _require(cfg, "features.min_df", int, positive=True)
-    max_vocab = _require(cfg, "features.max_vocab", int, positive=True)
-    train_path = Path(args.train) if args.train else out / "train.csv"
-    train_ds = _load_canonical(train_path)
-    vocab = features_mod.build_vocabulary(train_ds, min_df=min_df, max_size=max_vocab)
-
-    vocab_path = out / "vocabulary.json"
-    _write_vocab(vocab, vocab_path)
-    train_mat = features_mod.tfidf(train_ds, vocab)
-    train_mat_path = out / "tfidf_train.csv"
-    train_mat_path.write_text(train_mat.to_triplet_csv(), encoding="utf-8")
-
-    inputs = {"train": train_path}
-    outputs = {"vocabulary": vocab_path, "tfidf_train": train_mat_path}
+def cmd_featurize(args, cfg, out):
+    train_ds = _load_canonical(args.train)
+    vocab = _vocabulary(cfg, train_ds)
+    inputs = {"train": Path(args.train)}
+    outputs = {"vocabulary": _write_text(out / "vocabulary.json",
+                                         json.dumps(vocab.to_dict()) + "\n"),
+               "tfidf_train": _write_text(out / "tfidf_train.csv", features_mod.tfidf(
+                   train_ds, vocab).to_triplet_csv())}
     if args.eval:
-        eval_path = Path(args.eval)
-        eval_ds = _load_canonical(eval_path)
-        eval_mat = features_mod.tfidf(eval_ds, vocab)
-        eval_mat_path = out / "tfidf_eval.csv"
-        eval_mat_path.write_text(eval_mat.to_triplet_csv(), encoding="utf-8")
-        inputs["eval"] = eval_path
-        outputs["tfidf_eval"] = eval_mat_path
+        inputs["eval"] = Path(args.eval)
+        outputs["tfidf_eval"] = _write_text(out / "tfidf_eval.csv", features_mod.tfidf(
+            _load_canonical(args.eval), vocab).to_triplet_csv())
 
-    emb_path = args.embeddings or cfg["paths"]["embeddings"]
-    if emb_path:
-        table = features_mod.load_embeddings(emb_path)
-        means_path = out / "embedding_means_train.csv"
-        with open(means_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"v{i}" for i in range(table.dim)] + ["coverage"])
-            for rec in train_ds:
-                vec, cov = features_mod.embed_mean(features_mod.tokenize(rec.text), table)
-                writer.writerow([repr(float(v)) for v in vec] + [repr(cov)])
-        inputs["embeddings"] = Path(emb_path)
-        outputs["embedding_means_train"] = means_path
+    if args.embeddings:
+        table = features_mod.load_embeddings(args.embeddings)
 
-    _write_manifest(out, "featurize", {"min_df": min_df, "max_vocab": max_vocab},
-                    inputs, outputs)
-    print(f"vocabulary of {len(vocab)} tokens; features written to {out}")
-    return EXIT_OK
+        def mean_row(rec):
+            vec, cov = features_mod.embed_mean(features_mod.tokenize(rec.text), table)
+            return [repr(float(v)) for v in vec] + [repr(cov)]
+
+        inputs["embeddings"] = Path(args.embeddings)
+        outputs["embedding_means_train"] = _write_csv(
+            out / "embedding_means_train.csv",
+            [f"v{i}" for i in range(table.dim)] + ["coverage"], map(mean_row, train_ds))
+
+    return ({"min_df": cfg["features"]["min_df"],
+             "max_vocab": cfg["features"]["max_vocab"]}, inputs, outputs,
+            f"vocabulary of {len(vocab)} tokens; features written to {out}")
 
 
 def _labels_to_indices(ds: Dataset) -> np.ndarray:
     return np.array([rec.label.index for rec in ds], dtype=np.int64)
 
 
-def _write_predictions(path: Path, predictions) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["prediction"])
-        for pred in predictions:
-            writer.writerow([pred.value if pred is not None else "nolabel"])
+def _write_predictions(path: Path, predictions) -> Path:
+    return _write_csv(path, ["prediction"],
+                      ([pred.value if pred is not None else "nolabel"]
+                       for pred in predictions))
 
 
 def _read_predictions(path: Path) -> list[SentimentLabel | None]:
-    preds: list[SentimentLabel | None] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["prediction"]:
-            raise CorpusError(f"{path}: expected a 'prediction' CSV header")
-        for row in reader:
-            if not row:
-                continue
-            word = row[0].strip().lower()
-            preds.append(None if word == "nolabel" else SentimentLabel.parse(word))
-    return preds
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["prediction"]:
+        raise CorpusError(f"{path}: expected a 'prediction' CSV header")
+    words = (row[0].strip().lower() for row in rows[1:] if row)
+    return [None if word == "nolabel" else SentimentLabel.parse(word) for word in words]
 
 
-def cmd_train_linear(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else cfg["seeds"]["master"]
+def cmd_train_linear(args, cfg, out):
     hyper = linear_mod.LinearTrainConfig(
         lr=_require(cfg, "linear.lr", float, positive=True),
         epochs=_require(cfg, "linear.epochs", int),
         batch_size=_require(cfg, "linear.batch_size", int),
         l2=_require(cfg, "linear.l2", float),
-        seed=seed)
-    train_path = Path(args.train) if args.train else out / "train.csv"
-    train_ds = _load_canonical(train_path)
-    vocab = features_mod.build_vocabulary(
-        train_ds, min_df=_require(cfg, "features.min_df", int, positive=True),
-        max_size=_require(cfg, "features.max_vocab", int, positive=True))
+        seed=args.seed)
+    train_ds = _load_canonical(args.train)
+    vocab = _vocabulary(cfg, train_ds)
     X = features_mod.tfidf(train_ds, vocab).matrix
-    y = _labels_to_indices(train_ds)
-    params, trace = linear_mod.train(X, y, hyper)
+    params, trace = linear_mod.train(X, _labels_to_indices(train_ds), hyper)
 
     model_path = out / "linear.json"
     linear_mod.save_checkpoint(params, model_path)
-    vocab_path = out / "linear_vocab.json"
-    _write_vocab(vocab, vocab_path)
-    trace_path = out / "linear_trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, repr(loss)])
-
-    inputs = {"train": train_path}
-    outputs = {"model": model_path, "vocabulary": vocab_path, "trace": trace_path}
+    inputs = {"train": Path(args.train)}
+    outputs = {"model": model_path,
+               "vocabulary": _write_text(out / "linear_vocab.json",
+                                         json.dumps(vocab.to_dict()) + "\n"),
+               "trace": _write_csv(out / "linear_trace.csv", ["epoch", "loss"],
+                                   ([epoch, repr(loss)]
+                                    for epoch, loss in enumerate(trace)))}
+    messages = []
     if args.test:
-        test_path = Path(args.test)
-        test_ds = _load_canonical(test_path)
-        X_test = features_mod.tfidf(test_ds, vocab).matrix
-        pred_idx = linear_mod.predict(params, X_test)
-        preds_path = out / "linear_predictions.csv"
-        _write_predictions(preds_path, [LABELS[i] for i in pred_idx])
-        inputs["test"] = test_path
-        outputs["predictions"] = preds_path
+        test_ds = _load_canonical(args.test)
+        pred_idx = linear_mod.predict(params, features_mod.tfidf(test_ds, vocab).matrix)
+        inputs["test"] = Path(args.test)
+        outputs["predictions"] = _write_predictions(
+            out / "linear_predictions.csv", [LABELS[i] for i in pred_idx])
         acc = float(np.mean(pred_idx == _labels_to_indices(test_ds)))
-        print(f"linear test accuracy: {acc:.3f}")
-
-    _write_manifest(out, "train-linear",
-                    {"seed": seed, "lr": hyper.lr, "epochs": hyper.epochs,
-                     "batch_size": hyper.batch_size, "l2": hyper.l2},
-                    inputs, outputs)
-    print(f"linear model trained on {len(train_ds)} records; "
-          f"final loss {trace[-1]:.4f}" if trace else "linear model written")
-    return EXIT_OK
+        messages.append(f"linear test accuracy: {acc:.3f}")
+    messages.append(f"linear model trained on {len(train_ds)} records; "
+                    f"final loss {trace[-1]:.4f}" if trace else "linear model written")
+    return ({"seed": args.seed, "lr": hyper.lr, "epochs": hyper.epochs,
+             "batch_size": hyper.batch_size, "l2": hyper.l2},
+            inputs, outputs, "\n".join(messages))
 
 
-def _encoder_config_from(cfg, vocab) -> enc.EncoderConfig:
-    e = cfg["encoder"]
-    return enc.EncoderConfig(
+def cmd_train_encoder(args, cfg, out):
+    train_config = _build(
+        "encoder.train", enc.TrainConfig,
+        epochs=args.epochs,
+        per_device_batch=_require(cfg, "encoder.train.per_device_batch", int),
+        grad_accum_steps=_require(cfg, "encoder.train.grad_accum_steps", int),
+        base_lr=_require(cfg, "encoder.train.base_lr", float),
+        warmup_ratio=_require(cfg, "encoder.train.warmup_ratio", float),
+        seed=args.seed)
+    adamw = _build("encoder.adamw", enc.AdamWConfig, lr=train_config.base_lr,
+                   weight_decay=_require(cfg, "encoder.adamw.weight_decay", float))
+
+    train_ds = _load_canonical(args.train)
+    vocab = _vocabulary(cfg, train_ds)
+    config = _build(
+        "encoder", enc.EncoderConfig,
         vocab_size=enc.encoder_vocab_size(vocab),
         d_model=_require(cfg, "encoder.d_model", int, positive=True),
         n_heads=_require(cfg, "encoder.n_heads", int, positive=True),
         d_ff=_require(cfg, "encoder.d_ff", int, positive=True),
         n_layers=_require(cfg, "encoder.n_layers", int),
         max_seq_len=_require(cfg, "features.max_seq_len", int, positive=True),
-        layernorm_eps=float(e["layernorm_eps"]))
-
-
-def cmd_train_encoder(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else cfg["seeds"]["master"]
-    t = cfg["encoder"]["train"]
-    train_config = enc.TrainConfig(
-        epochs=args.epochs if args.epochs is not None else t["epochs"],
-        per_device_batch=t["per_device_batch"],
-        grad_accum_steps=t["grad_accum_steps"],
-        base_lr=float(t["base_lr"]),
-        warmup_ratio=float(t["warmup_ratio"]),
-        seed=seed)
-    adamw = enc.AdamWConfig(lr=train_config.base_lr,
-                            weight_decay=float(cfg["encoder"]["adamw"]["weight_decay"]))
-
-    train_path = Path(args.train) if args.train else out / "train.csv"
-    train_ds = _load_canonical(train_path)
-    vocab = features_mod.build_vocabulary(
-        train_ds, min_df=_require(cfg, "features.min_df", int, positive=True),
-        max_size=_require(cfg, "features.max_vocab", int, positive=True))
-    config = _encoder_config_from(cfg, vocab)
-    params = enc.init_params(config, seed)
+        layernorm_eps=_require(cfg, "encoder.layernorm_eps", float))
+    params = enc.init_params(config, args.seed)
 
     adapters = None
     if args.peft:
-        p = cfg["encoder"]["peft"]
-        adapters = enc.init_adapters(config, targets=tuple(p["targets"]),
-                                     rank=int(p["rank"]), alpha=float(p["alpha"]),
-                                     seed=seed)
+        adapters = _build("encoder.peft", enc.init_adapters, config,
+                          targets=tuple(cfg["encoder"]["peft"]["targets"]),
+                          rank=_require(cfg, "encoder.peft.rank", int),
+                          alpha=_require(cfg, "encoder.peft.alpha", float),
+                          seed=args.seed)
     clf = enc.EncoderTextClassifier(
         config=config, params=params, vocab=vocab,
         max_len=config.max_seq_len, adapters=adapters)
     examples = [clf.example(rec.text, rec.label) for rec in train_ds]
 
-    test_ds = _load_canonical(Path(args.test)) if args.test else None
+    test_ds = _load_canonical(args.test) if args.test else None
+
+    def accuracy(ds):
+        return sum(clf.predict_index(rec.text) == rec.label.index for rec in ds) / len(ds)
 
     def eval_hook(epoch, params_, adapters_):
-        metrics: dict[str, float] = {}
-        train_hits = sum(clf.predict_index(rec.text) == rec.label.index
-                         for rec in train_ds)
-        metrics["train_acc"] = train_hits / len(train_ds)
+        metrics = {"train_acc": accuracy(train_ds)}
         if test_ds is not None:
             test_examples = [clf.example(rec.text, rec.label) for rec in test_ds]
             metrics["val_loss"] = enc.batch_loss(params_, test_examples, config,
                                                  adapters_)
-            hits = sum(clf.predict_index(rec.text) == rec.label.index
-                       for rec in test_ds)
-            metrics["val_acc"] = hits / len(test_ds)
+            metrics["val_acc"] = accuracy(test_ds)
         return metrics
 
     trace = enc.train_loop(examples, params, config, train_config,
@@ -525,120 +450,88 @@ def cmd_train_encoder(args, cfg) -> int:
 
     ckpt_path = out / "encoder.npz"
     enc.save_checkpoint(clf, ckpt_path, merged=args.merge)
-    trace_path = out / "encoder_trace.csv"
-    trace_path.write_text(enc.trace_to_csv(trace), encoding="utf-8")
+    trace_path = _write_text(out / "encoder_trace.csv", enc.trace_to_csv(trace))
 
-    inputs = {"train": train_path}
+    inputs = {"train": Path(args.train)}
     if args.test:
         inputs["test"] = Path(args.test)
-    _write_manifest(out, "train-encoder",
-                    {"seed": seed, "peft": bool(args.peft), "merged": bool(args.merge),
-                     "epochs": train_config.epochs,
-                     "per_device_batch": train_config.per_device_batch,
-                     "grad_accum_steps": train_config.grad_accum_steps,
-                     "base_lr": train_config.base_lr,
-                     "warmup_ratio": train_config.warmup_ratio,
-                     "d_model": config.d_model, "n_heads": config.n_heads,
-                     "d_ff": config.d_ff, "n_layers": config.n_layers},
-                    inputs, {"checkpoint": ckpt_path, "trace": trace_path})
     last = trace[-1] if trace else None
-    if last is not None and last.train_acc is not None:
-        print(f"encoder trained: final loss {last.loss:.4f}, "
-              f"train acc {last.train_acc:.3f}")
-    else:
-        print("encoder trained")
-    return EXIT_OK
+    message = (f"encoder trained: final loss {last.loss:.4f}, "
+               f"train acc {last.train_acc:.3f}"
+               if last is not None and last.train_acc is not None else "encoder trained")
+    return ({**asdict(train_config), "peft": args.peft, "merged": args.merge,
+             "d_model": config.d_model, "n_heads": config.n_heads,
+             "d_ff": config.d_ff, "n_layers": config.n_layers},
+            inputs, {"checkpoint": ckpt_path, "trace": trace_path}, message)
 
 
-def _make_backend(args, cfg, template):
-    kind = args.backend or cfg["backend"]["kind"]
-    if kind == "encoder":
-        ckpt = args.checkpoint or str(Path(args.out or cfg["paths"]["output_dir"])
-                                      / "encoder.npz")
-        if not Path(ckpt).exists():
-            raise ConfigError(f"encoder checkpoint not found: {ckpt}")
-        clf = enc.load_checkpoint(ckpt)
-        return promptkit.EncoderBackend(clf, template), {"checkpoint": Path(ckpt)}
-    if kind == "http":
-        url = args.url or cfg["backend"]["url"]
-        if not url:
+def _prompt_backend(args, cfg) -> promptkit.GenerationBackend:
+    if args.backend == "http":
+        if not args.url:
             raise ConfigError("http backend requires backend.url")
         return promptkit.HttpBackend(
-            url, text_path=cfg["backend"]["text_path"],
-            timeout=float(cfg["backend"]["timeout"]),
-            auth_env=cfg["backend"]["auth_env"]), {}
-    if kind == "fixed":
-        return promptkit.FixedResponseBackend(
-            args.fixed_text or cfg["backend"]["fixed_text"]), {}
-    raise ConfigError(f"unknown backend kind: {kind!r}")
+            args.url, text_path=_require(cfg, "backend.text_path", str),
+            timeout=_require(cfg, "backend.timeout", float, positive=True),
+            auth_env=cfg["backend"]["auth_env"])
+    if args.backend == "fixed":
+        return promptkit.FixedResponseBackend(args.fixed_text)
+    raise ConfigError(f"unknown backend kind: {args.backend!r}")
 
 
 def _nolabel_policy(cfg) -> promptkit.NoLabelPolicy:
-    policy = cfg["metrics"]["nolabel_policy"]
+    policy = _require(cfg, "metrics.nolabel_policy", str)
     if policy == "count_as_error":
         return promptkit.NoLabelPolicy()
-    try:
-        return promptkit.NoLabelPolicy(mode="map_to",
-                                       map_to=SentimentLabel.parse(policy))
-    except ValueError as exc:
-        raise ConfigError(f"invalid metrics.nolabel_policy: {policy!r}") from exc
+    return _build("metrics.nolabel_policy", lambda: promptkit.NoLabelPolicy(
+        mode="map_to", map_to=SentimentLabel.parse(policy)))
 
 
-def cmd_predict(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    template = _load_template(cfg)
-    gen_config = promptkit.GenConfig(
+def cmd_predict(args, cfg, out):
+    gen_config = _build(
+        "prompt", promptkit.GenConfig,
         max_new_tokens=_require(cfg, "prompt.max_new_tokens", int, positive=True),
         temperature=_require(cfg, "prompt.temperature", float))
-    source = Path(args.input) if args.input else out / "test.csv"
-    ds = _load_canonical(source)
-    backend, extra_inputs = _make_backend(args, cfg, template)
-    predictions, nolabel = promptkit.predict_sentiments(
-        ds, backend, template=template, config=gen_config,
-        nolabel_policy=_nolabel_policy(cfg),
-        max_in_flight=int(cfg["backend"]["max_in_flight"]),
-        retries=int(cfg["backend"]["retries"]))
-    preds_path = out / "predictions.csv"
-    _write_predictions(preds_path, predictions)
-    _write_manifest(out, "predict",
-                    {"backend": args.backend or cfg["backend"]["kind"],
-                     "max_new_tokens": gen_config.max_new_tokens,
-                     "temperature": gen_config.temperature,
-                     "nolabel": nolabel},
-                    {"input": source, **extra_inputs}, {"predictions": preds_path})
-    print(f"predicted {len(predictions)} records ({nolabel} without label)")
-    return EXIT_OK
+    ds = _load_canonical(args.input)
+    inputs = {"input": Path(args.input)}
+    if args.backend == "encoder":
+        # An in-process classifier answers with a label: no prompt, pool or retries.
+        inputs["checkpoint"] = Path(args.checkpoint)
+        if not inputs["checkpoint"].exists():
+            raise ConfigError(f"encoder checkpoint not found: {args.checkpoint}")
+        clf = enc.load_checkpoint(args.checkpoint)
+        predictions, nolabel = [clf.predict_label(rec.text) for rec in ds], 0
+    else:
+        template = _load_template(cfg)
+        predictions, nolabel = promptkit.predict_sentiments(
+            ds, _prompt_backend(args, cfg), template=template, config=gen_config,
+            nolabel_policy=_nolabel_policy(cfg),
+            max_in_flight=_require(cfg, "backend.max_in_flight", int, positive=True),
+            retries=_require(cfg, "backend.retries", int, positive=True))
+    return ({"backend": args.backend, "max_new_tokens": gen_config.max_new_tokens,
+             "temperature": gen_config.temperature, "nolabel": nolabel},
+            inputs, {"predictions": _write_predictions(out / "predictions.csv",
+                                                       predictions)},
+            f"predicted {len(predictions)} records ({nolabel} without label)")
 
 
-def cmd_evaluate(args, cfg) -> int:
-    out = _out_dir(args, cfg)
-    gold_path = Path(args.gold) if args.gold else out / "test.csv"
-    pred_path = Path(args.pred) if args.pred else out / "predictions.csv"
-    gold = _load_canonical(gold_path)
-    preds = _read_predictions(pred_path)
+def cmd_evaluate(args, cfg, out):
+    gold = _load_canonical(args.gold)
+    preds = _read_predictions(Path(args.pred))
     if len(preds) != len(gold):
         raise CorpusError(f"{len(preds)} predictions vs {len(gold)} gold records")
     cm, nolabel = metrics_mod.confusion([rec.label for rec in gold], preds)
     rep = metrics_mod.report(cm, nolabel)
 
-    name = args.name or "model"
-    report_json = out / f"report_{name}.json"
-    report_json.write_text(rep.to_json() + "\n", encoding="utf-8")
-    report_txt = out / f"report_{name}.txt"
-    report_txt.write_text(metrics_mod.render_table(rep) + "\n", encoding="utf-8")
-    cm_csv = out / f"confusion_{name}.csv"
-    cm_csv.write_text(cm.to_csv(), encoding="utf-8")
-
-    _write_manifest(out, f"evaluate-{name}", {"name": name},
-                    {"gold": gold_path, "predictions": pred_path},
-                    {"report_json": report_json, "report_txt": report_txt,
-                     "confusion": cm_csv})
-    print(rep.to_json() if args.json else metrics_mod.render_table(rep))
-    return EXIT_OK
+    table = metrics_mod.render_table(rep)
+    return ({"name": args.name}, {"gold": Path(args.gold), "predictions": Path(args.pred)},
+            {"report_json": _write_text(out / f"report_{args.name}.json",
+                                        rep.to_json() + "\n"),
+             "report_txt": _write_text(out / f"report_{args.name}.txt", table + "\n"),
+             "confusion": _write_text(out / f"confusion_{args.name}.csv", cm.to_csv())},
+            rep.to_json() if args.json else table)
 
 
-def cmd_compare(args, cfg) -> int:
-    out = _out_dir(args, cfg)
+def cmd_compare(args, cfg, out):
     pairs = []
     inputs = {}
     for spec in args.reports:
@@ -649,22 +542,108 @@ def cmd_compare(args, cfg) -> int:
         pairs.append((name, rep))
         inputs[name] = Path(path)
     table = metrics_mod.compare(pairs)
-    cmp_path = out / "comparison.txt"
-    cmp_path.write_text(table + "\n", encoding="utf-8")
-    _write_manifest(out, "compare", {"models": [n for n, _ in pairs]},
-                    inputs, {"comparison": cmp_path})
-    if args.json:
-        doc = {name: {"precision": rep.macro_precision, "recall": rep.macro_recall,
-                      "f1": rep.macro_f1} for name, rep in pairs}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(table)
-    return EXIT_OK
+    cmp_path = _write_text(out / "comparison.txt", table + "\n")
+    doc = {name: {"precision": rep.macro_precision, "recall": rep.macro_recall,
+                  "f1": rep.macro_f1} for name, rep in pairs}
+    return ({"models": [n for n, _ in pairs]}, inputs, {"comparison": cmp_path},
+            json.dumps(doc, indent=2, sort_keys=True) if args.json else table)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the stage table and its driver
 # ---------------------------------------------------------------------------
+
+class Flag(NamedTuple):
+    name: str                     # e.g. "--train-total"
+    config: str | None            # dotted config key that an unset flag takes
+    out_file: str | None          # file under --out that an unset flag names
+    options: dict                 # further keywords of add_argument
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+def _flag(name, help=None, config=None, out_file=None, **options) -> Flag:
+    if out_file:
+        help = f"{help} (default: <out>/{out_file})"
+    return Flag(name, config, out_file, dict(options, help=help))
+
+
+class Stage(NamedTuple):
+    help: str
+    flags: tuple[Flag, ...]
+    manifest: str = "{command}"   # manifest name, formatted with the flags
+
+
+_SEED = _flag("--seed", type=int, config="seeds.master")
+_JSON = _flag("--json", "print machine-readable JSON", action="store_true")
+_COMMON = (_flag("--config", "YAML run configuration"),
+           _flag("--out", "output directory (default: config paths.output_dir)",
+                 config="paths.output_dir"))
+
+STAGES: dict[str, Stage] = {
+    "ingest": Stage("parse a raw corpus into canonical CSV", (
+        _flag("--data", "corpus file (default: bundled sample)", config="paths.data"),
+        _flag("--format", config="paths.format",
+              choices=("csv_label_first", "csv_headered", "at_separated")),
+        _flag("--encoding", config="paths.encoding", choices=("utf8", "latin1")))),
+    "split": Stage("deterministic stratified train/test split", (
+        _flag("--input", "canonical CSV", out_file="dataset.csv"),
+        _flag("--train-total", type=int, config="split.train_total"),
+        _flag("--test-total", type=int, config="split.test_total"),
+        _SEED)),
+    "upsample": Stage("equalize class counts", (
+        _flag("--input", "canonical CSV", out_file="train.csv"),
+        _flag("--target", "records per class", type=int,
+              config="upsample.target_per_class"),
+        _SEED)),
+    "augment": Stage("append augmented copies of each record", (
+        _flag("--input", "canonical CSV", out_file="train.csv"),
+        _flag("--lexicon", "synonym lexicon file (default: bundled)",
+              config="paths.lexicon"),
+        _flag("--copies", "augmented copies per record", type=int,
+              config="augment.copies_per_record"),
+        _SEED)),
+    "analyze": Stage("class balance, features, keywords", (
+        _flag("--input", "canonical CSV", out_file="dataset.csv"),
+        _flag("--stopwords", "stopword file (default: bundled)",
+              config="paths.stopwords"),
+        _flag("--top-k", type=int, config="analyze.top_k"))),
+    "featurize": Stage("vocabulary + TF-IDF (and embeddings)", (
+        _flag("--train", "fit corpus", out_file="train.csv"),
+        _flag("--eval", "extra corpus transformed with the same vocabulary"),
+        _flag("--embeddings", "pretrained embedding text file",
+              config="paths.embeddings"))),
+    "train-linear": Stage("TF-IDF logistic-regression baseline", (
+        _flag("--train", "training CSV", out_file="train.csv"),
+        _flag("--test", "if given, also write test predictions"),
+        _SEED)),
+    "train-encoder": Stage("train the transformer encoder", (
+        _flag("--train", "training CSV", out_file="train.csv"),
+        _flag("--test", "validation CSV for the per-epoch trace"),
+        _flag("--peft", "train low-rank adapters only, freezing the base",
+              action="store_true"),
+        _flag("--merge", "export adapter-merged dense weights", action="store_true"),
+        _flag("--epochs", type=int, config="encoder.train.epochs"),
+        _SEED)),
+    "predict": Stage("label records with the encoder or a generation backend", (
+        _flag("--input", "canonical CSV", out_file="test.csv"),
+        _flag("--backend", choices=("encoder", "http", "fixed"), config="backend.kind"),
+        _flag("--checkpoint", "encoder checkpoint (.npz)", out_file="encoder.npz"),
+        _flag("--url", "http backend endpoint", config="backend.url"),
+        _flag("--fixed-text", "response of the fixed stub backend",
+              config="backend.fixed_text"))),
+    "evaluate": Stage("score predictions against gold labels", (
+        _flag("--gold", "gold CSV", out_file="test.csv"),
+        _flag("--pred", "predictions CSV", out_file="predictions.csv"),
+        _flag("--name", "report name suffix", default="model"),
+        _JSON), manifest="evaluate-{name}"),
+    "compare": Stage("side-by-side macro metrics of reports", (
+        _flag("--reports", nargs="+", required=True, metavar="NAME=PATH"),
+        _JSON)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -672,108 +651,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Financial headline sentiment pipeline.")
     parser.add_argument("--version", action="version", version="finsent 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output where applicable")
-
-    p = sub.add_parser("ingest", help="parse a raw corpus into canonical CSV")
-    common(p)
-    p.add_argument("--data", help="corpus file (default: bundled sample)")
-    p.add_argument("--format", choices=("csv_label_first", "csv_headered",
-                                        "at_separated"))
-    p.add_argument("--encoding", choices=("utf8", "latin1"))
-    p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("split", help="deterministic stratified train/test split")
-    common(p)
-    p.add_argument("--input", help="canonical CSV (default: <out>/dataset.csv)")
-    p.add_argument("--train-total", type=int, dest="train_total")
-    p.add_argument("--test-total", type=int, dest="test_total")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("upsample", help="equalize class counts")
-    common(p)
-    p.add_argument("--input", help="canonical CSV (default: <out>/train.csv)")
-    p.add_argument("--target", type=int, help="records per class")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_upsample)
-
-    p = sub.add_parser("augment", help="append augmented copies of each record")
-    common(p)
-    p.add_argument("--input", help="canonical CSV (default: <out>/train.csv)")
-    p.add_argument("--lexicon", help="synonym lexicon file (default: bundled)")
-    p.add_argument("--copies", type=int, help="augmented copies per record")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_augment)
-
-    p = sub.add_parser("analyze", help="class balance, features, keywords")
-    common(p)
-    p.add_argument("--input", help="canonical CSV (default: <out>/dataset.csv)")
-    p.add_argument("--stopwords", help="stopword file (default: bundled)")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("featurize", help="vocabulary + TF-IDF (and embeddings)")
-    common(p)
-    p.add_argument("--train", help="fit corpus (default: <out>/train.csv)")
-    p.add_argument("--eval", help="extra corpus transformed with the same vocabulary")
-    p.add_argument("--embeddings", help="pretrained embedding text file")
-    p.set_defaults(fn=cmd_featurize)
-
-    p = sub.add_parser("train-linear", help="TF-IDF logistic-regression baseline")
-    common(p)
-    p.add_argument("--train", help="training CSV (default: <out>/train.csv)")
-    p.add_argument("--test", help="if given, also write test predictions")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_train_linear)
-
-    p = sub.add_parser("train-encoder", help="train the transformer encoder")
-    common(p)
-    p.add_argument("--train", help="training CSV (default: <out>/train.csv)")
-    p.add_argument("--test", help="validation CSV for the per-epoch trace")
-    p.add_argument("--peft", action="store_true",
-                   help="train low-rank adapters only, freezing the base")
-    p.add_argument("--merge", action="store_true",
-                   help="export adapter-merged dense weights")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_train_encoder)
-
-    p = sub.add_parser("predict", help="prompt a generation backend for labels")
-    common(p)
-    p.add_argument("--input", help="canonical CSV (default: <out>/test.csv)")
-    p.add_argument("--backend", choices=("encoder", "http", "fixed"))
-    p.add_argument("--checkpoint", help="encoder checkpoint (.npz)")
-    p.add_argument("--url", help="http backend endpoint")
-    p.add_argument("--fixed-text", dest="fixed_text",
-                   help="response of the fixed stub backend")
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="score predictions against gold labels")
-    common(p)
-    p.add_argument("--gold", help="gold CSV (default: <out>/test.csv)")
-    p.add_argument("--pred", help="predictions CSV (default: <out>/predictions.csv)")
-    p.add_argument("--name", help="report name suffix (default: model)")
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="side-by-side macro metrics of reports")
-    common(p)
-    p.add_argument("--reports", nargs="+", required=True, metavar="NAME=PATH")
-    p.set_defaults(fn=cmd_compare)
-
+    for command, stage in STAGES.items():
+        p = sub.add_parser(command, help=stage.help)
+        for flag in _COMMON + stage.flags:
+            p.add_argument(flag.name, **flag.options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    stage = STAGES[args.command]
     try:
         cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        # --out comes first, so default files resolve under the filled value.
+        for flag in _COMMON + stage.flags:
+            if getattr(args, flag.dest) is not None:
+                continue
+            if flag.config:
+                setattr(args, flag.dest,
+                        _require(cfg, flag.config, flag.options.get("type", str)))
+            elif flag.out_file:
+                setattr(args, flag.dest, Path(args.out) / flag.out_file)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        # Looked up per call, so that wrappers set on this module take effect.
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        params, inputs, outputs, message = run(args, cfg, out)
+        _write_manifest(out, stage.manifest.format(**vars(args)), params, inputs,
+                        outputs)
+        print(message)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,9 +20,6 @@ from .lora import LoraAdapter
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-#: Weight-matrix names (per layer, plus the head) that may carry adapters.
-ADAPTABLE_FIELDS = ("W_Q", "W_K", "W_V", "W_O", "W1", "W2")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -383,12 +380,6 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
     return grads
 
 
-def _vec_softmax(z):
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
                   peft_mode: bool = False):
@@ -407,7 +398,7 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     for ids, mask, label in batch:
         logits, cache = encoder_forward(ids, mask, params, config, adapters,
                                         return_cache=True)
-        probs = _vec_softmax(logits)
+        probs = softmax_rows(logits)
         loss -= math.log(probs[label])
         dlogits = probs.copy()
         dlogits[label] -= 1.0
@@ -434,5 +425,5 @@ def batch_loss(params: EncoderParams, batch, config: EncoderConfig,
     loss = 0.0
     for ids, mask, label in batch:
         logits = encoder_forward(ids, mask, params, config, adapters)
-        loss -= math.log(_vec_softmax(logits)[label])
+        loss -= math.log(softmax_rows(logits)[label])
     return loss / len(batch)

@@ -78,12 +78,7 @@ def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> N
         "version": CHECKPOINT_VERSION,
         "config": asdict(clf.config),
         "max_len": clf.max_len,
-        "vocab": {
-            "tokens": clf.vocab.tokens,
-            "document_frequency": [clf.vocab.document_frequency[t]
-                                   for t in clf.vocab.tokens],
-            "n_documents": clf.vocab.n_documents,
-        },
+        "vocab": clf.vocab.to_dict(),
         "adapters": {target: {"rank": ad.rank, "alpha": ad.alpha}
                      for target, ad in adapters.items()},
     }
@@ -113,13 +108,7 @@ def load_checkpoint(path) -> EncoderTextClassifier:
                 A=npz[f"adapter::{target}::A"],
                 B=npz[f"adapter::{target}::B"],
                 rank=info["rank"], alpha=info["alpha"])
-    vocab_meta = meta["vocab"]
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(vocab_meta["tokens"])},
-        document_frequency=dict(zip(vocab_meta["tokens"],
-                                    vocab_meta["document_frequency"])),
-        n_documents=vocab_meta["n_documents"],
-    )
-    return EncoderTextClassifier(config=config, params=params, vocab=vocab,
+    return EncoderTextClassifier(config=config, params=params,
+                                 vocab=Vocabulary.from_dict(meta["vocab"]),
                                  max_len=meta["max_len"],
                                  adapters=adapters or None)

@@ -56,6 +56,19 @@ class Vocabulary:
         """Tokens in index order."""
         return list(self.index)
 
+    def to_dict(self) -> dict:
+        """JSON-ready form: tokens in index order with their frequencies."""
+        return {"tokens": self.tokens,
+                "document_frequency": [self.document_frequency[t] for t in self.index],
+                "n_documents": self.n_documents}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Vocabulary":
+        tokens = doc["tokens"]
+        return cls(index={t: i for i, t in enumerate(tokens)},
+                   document_frequency=dict(zip(tokens, doc["document_frequency"])),
+                   n_documents=doc["n_documents"])
+
 
 def build_vocabulary(corpus: Dataset, min_df: int = 1,
                      max_size: int | None = None) -> Vocabulary:

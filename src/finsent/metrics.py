@@ -133,11 +133,6 @@ class EvalReport:
     nolabel_count: int = 0
     zero_division_flags: tuple[str, ...] = ()
 
-    @property
-    def per_class_recall(self) -> dict[SentimentLabel, float]:
-        """Recall by class: the per-label hit rate of the three-way task."""
-        return {lab: m.recall for lab, m in self.per_class.items()}
-
     def to_json(self) -> str:
         doc = {
             "per_class": {

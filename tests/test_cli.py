@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import finsent
 from finsent.cli import (
     DEFAULT_CONFIG,
     EXIT_BACKEND,
@@ -67,6 +70,24 @@ class TestConfig:
         path.write_text("split: [unclosed\n")
         assert run_cli("ingest", "--config", path,
                        "--out", tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override, argv", [
+        ({"encoder": {"d_model": 30, "n_heads": 4}}, ["train-encoder"]),
+        ({"augment": {"p_delete": 1.5}}, ["augment"]),
+        ({"encoder": {"train": {"grad_accum_steps": 0}}}, ["train-encoder"]),
+        ({"seeds": {"master": "x"}}, ["split"]),
+        ({"encoder": {"peft": {"targets": ["W_X"]}}}, ["train-encoder", "--peft"]),
+    ])
+    def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
+                                                   override, argv):
+        """Values the run's configuration objects reject exit 2, not 3."""
+        out = tmp_path / "run"
+        assert run_cli("ingest", "--out", out) == EXIT_OK
+        assert run_cli("split", "--out", out) == EXIT_OK
+        capsys.readouterr()
+        cfg = tiny_config(tmp_path, **override)
+        assert run_cli(*argv, "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestIngest:
@@ -290,8 +311,60 @@ class TestMergedExport:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # The child imports finsent from where this process found it, also
+        # when only pytest's `pythonpath` setting put it on sys.path.
+        src = str(Path(finsent.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "finsent.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "finsent" in proc.stdout
+
+
+class TestWholeSurface:
+    def test_all_subcommands_rerun_identically_with_true_hashes(self, tmp_path):
+        """Every subcommand twice: manifests byte-identical across the runs,
+        each recorded sha256 matching its file, encoder predictions matching
+        the checkpoint's classifier."""
+        from finsent.corpus import load_corpus
+        from finsent.encoder import load_checkpoint
+
+        cfg = tiny_config(tmp_path)
+        runs = (tmp_path / "a", tmp_path / "b")
+        for out in runs:
+            for argv in (
+                ["ingest"],
+                ["split"],
+                ["upsample"],
+                ["augment", "--input", out / "train_upsampled.csv"],
+                ["analyze", "--top-k", "5"],
+                ["featurize", "--eval", out / "test.csv"],
+                ["train-linear", "--test", out / "test.csv"],
+                ["train-encoder", "--peft", "--test", out / "test.csv"],
+                ["predict", "--backend", "encoder"],
+                ["evaluate", "--name", "encoder"],
+                ["evaluate", "--name", "linear", "--pred", out / "linear_predictions.csv"],
+                ["compare", "--reports", f"encoder={out / 'report_encoder.json'}",
+                 f"linear={out / 'report_linear.json'}"],
+            ):
+                assert run_cli(*argv, "--config", cfg, "--out", out) == EXIT_OK, argv
+
+        out = runs[0]
+        names = sorted(p.name for p in out.glob("manifest_*.json"))
+        assert len(names) == 12
+        for name in names:
+            assert (out / name).read_bytes() == (runs[1] / name).read_bytes(), name
+            doc = json.loads((out / name).read_text())
+            for entry in [*doc["inputs"].values(), *doc["outputs"].values()]:
+                path = (bundled_sample_path() if entry["file"] == "sample_corpus.csv"
+                        else out / entry["file"])
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"], \
+                    (name, entry["file"])
+
+        clf = load_checkpoint(out / "encoder.npz")
+        test_ds = load_corpus(out / "test.csv", format="csv_headered", encoding="utf8")
+        preds = (out / "predictions.csv").read_text().splitlines()[1:]
+        assert len(preds) == len(test_ds) > 0
+        assert preds == [clf.predict_label(rec.text).value for rec in test_ds]

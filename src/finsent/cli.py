@@ -12,9 +12,10 @@ prints the message.
 
 Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown keys,
 mistyped values, values that the encoder, training, augmentation,
-generation or adapter settings reject, a missing corpus or encoder
-checkpoint); 3 data errors (input that does not parse or cannot be read, a
-split the corpus cannot fill, prediction and gold counts that differ);
+generation, adapter or linear-model settings reject, a missing corpus or
+encoder checkpoint); 3 data errors (input that does not parse or cannot be
+read, a split the corpus cannot fill, prediction and gold counts that
+differ, a corrupt encoder checkpoint, a non-finite training loss);
 4 backend errors.
 """
 from __future__ import annotations
@@ -260,10 +261,11 @@ def cmd_upsample(args, cfg, out):
 
 
 def cmd_augment(args, cfg, out):
-    a = cfg["augment"]
     config = _build("augment", augment_mod.AugmentConfig,
-                    n_replace=a["n_replace"], n_insert=a["n_insert"],
-                    p_delete=a["p_delete"], n_swap=a["n_swap"],
+                    n_replace=_require(cfg, "augment.n_replace", int),
+                    n_insert=_require(cfg, "augment.n_insert", int),
+                    p_delete=_require(cfg, "augment.p_delete", float),
+                    n_swap=_require(cfg, "augment.n_swap", int),
                     copies_per_record=args.copies, seed=args.seed)
     lexicon = (augment_mod.load_lexicon(args.lexicon) if args.lexicon
                else augment_mod.bundled_lexicon())
@@ -357,12 +359,12 @@ def _read_predictions(path: Path) -> list[SentimentLabel | None]:
 
 
 def cmd_train_linear(args, cfg, out):
-    hyper = linear_mod.LinearTrainConfig(
-        lr=_require(cfg, "linear.lr", float, positive=True),
-        epochs=_require(cfg, "linear.epochs", int),
-        batch_size=_require(cfg, "linear.batch_size", int),
-        l2=_require(cfg, "linear.l2", float),
-        seed=args.seed)
+    hyper = _build("linear", linear_mod.LinearTrainConfig,
+                   lr=_require(cfg, "linear.lr", float),
+                   epochs=_require(cfg, "linear.epochs", int),
+                   batch_size=_require(cfg, "linear.batch_size", int),
+                   l2=_require(cfg, "linear.l2", float),
+                   seed=args.seed)
     train_ds = _load_canonical(args.train)
     vocab = _vocabulary(cfg, train_ds)
     X = features_mod.tfidf(train_ds, vocab).matrix
@@ -421,7 +423,7 @@ def cmd_train_encoder(args, cfg, out):
     adapters = None
     if args.peft:
         adapters = _build("encoder.peft", enc.init_adapters, config,
-                          targets=tuple(cfg["encoder"]["peft"]["targets"]),
+                          targets=tuple(_require(cfg, "encoder.peft.targets", list)),
                           rank=_require(cfg, "encoder.peft.rank", int),
                           alpha=_require(cfg, "encoder.peft.alpha", float),
                           seed=args.seed)

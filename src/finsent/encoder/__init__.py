@@ -11,7 +11,6 @@ from .lora import (
 from .model import (
     EncoderConfig,
     EncoderParams,
-    LayerParams,
     attention,
     batch_loss,
     encoder_backward,
@@ -21,6 +20,7 @@ from .model import (
     layer_norm,
     loss_and_grad,
     multi_head_attention,
+    param_shapes,
 )
 from .optim import AdamWConfig, OptimizerState, adamw_step, lr_at
 from .textclf import (
@@ -33,10 +33,11 @@ from .train import TrainConfig, TraceRow, trace_to_csv, train_loop
 
 __all__ = [
     "AdamWConfig", "DEFAULT_TARGETS", "EncoderConfig", "EncoderParams",
-    "EncoderTextClassifier", "LayerParams", "LoraAdapter", "OptimizerState",
-    "TraceRow", "TrainConfig", "adamw_step", "adapters_to_dict", "attention",
-    "batch_loss", "encoder_backward", "encoder_forward", "encoder_vocab_size",
-    "gelu", "init_adapter", "init_adapters", "init_params", "layer_norm",
+    "EncoderTextClassifier", "LoraAdapter", "OptimizerState", "TraceRow",
+    "TrainConfig", "adamw_step", "adapters_to_dict", "attention", "batch_loss",
+    "encoder_backward", "encoder_forward", "encoder_vocab_size", "gelu",
+    "init_adapter", "init_adapters", "init_params", "layer_norm",
     "load_checkpoint", "loss_and_grad", "lr_at", "merge_adapter", "merge_all",
-    "multi_head_attention", "save_checkpoint", "trace_to_csv", "train_loop",
+    "multi_head_attention", "param_shapes", "save_checkpoint", "trace_to_csv",
+    "train_loop",
 ]

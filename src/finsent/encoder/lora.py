@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import OP_ADAPTER_INIT, substream
+from .model import EncoderParams, param_shapes
 
 #: Adapters attach to attention query/value projections unless configured.
 DEFAULT_TARGETS = ("W_Q", "W_V")
@@ -69,27 +70,15 @@ def init_adapters(config, targets=DEFAULT_TARGETS, rank: int = 4,
         if t not in VALID_TARGETS:
             raise ValueError(f"unknown adapter target {t!r} "
                              f"(expected one of {VALID_TARGETS})")
-    shapes = {
-        "W_Q": (config.d_model, config.d_model),
-        "W_K": (config.d_model, config.d_model),
-        "W_V": (config.d_model, config.d_model),
-        "W_O": (config.d_model, config.d_model),
-        "W1": (config.d_model, config.d_ff),
-        "W2": (config.d_ff, config.d_model),
-    }
-    adapters: dict[str, LoraAdapter] = {}
-    counter = 0
-    for li in range(config.n_layers):
-        for t in targets:
-            if t == "W_o":
-                continue
-            rng = substream(seed, OP_ADAPTER_INIT, counter)
-            adapters[f"layers.{li}.{t}"] = init_adapter(shapes[t], rank, alpha, rng)
-            counter += 1
+    shapes = param_shapes(config)
+    names = [f"layers.{li}.{t}" for li in range(config.n_layers)
+             for t in targets if t != "W_o"]
     if "W_o" in targets:
+        names.append("W_o")
+    adapters: dict[str, LoraAdapter] = {}
+    for counter, name in enumerate(names):
         rng = substream(seed, OP_ADAPTER_INIT, counter)
-        adapters["W_o"] = init_adapter((config.d_model, config.n_classes),
-                                       rank, alpha, rng)
+        adapters[name] = init_adapter(shapes[name], rank, alpha, rng)
     return adapters
 
 
@@ -102,10 +91,9 @@ def adapters_to_dict(adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
     return out
 
 
-def merge_all(params, adapters: dict[str, LoraAdapter]):
+def merge_all(params: EncoderParams, adapters: dict[str, LoraAdapter]) -> EncoderParams:
     """New EncoderParams with every adapter folded into its base weight."""
-    tensors = {k: v.copy() for k, v in params.to_dict().items()}
+    merged = params.copy()
     for target, ad in adapters.items():
-        tensors[target] = merge_adapter(tensors[target], ad)
-    from .model import EncoderParams
-    return EncoderParams.from_dict(tensors, len(params.layers))
+        merged[target] = merge_adapter(merged[target], ad)
+    return merged

@@ -5,17 +5,32 @@ blocks (multi-head self-attention, then a GELU feed-forward, each wrapped
 as LayerNorm(residual + sublayer)), masked mean-pooling over the final
 states, and a dense 3-class head.  Every weight matrix can carry a
 low-rank adapter; the forward then computes X@W + scale*((X@B)@A).
+
+Parameters live in one flat name->tensor store, `EncoderParams`: `W_e`
+(token embeddings), `P` (positions), `W_o` and `b_o` (the head), then
+`layers.<i>.<name>` for each block's W_Q, W_K, W_V, W_O, W1, b1, W2, b2,
+ln1_gain, ln1_bias, ln2_gain and ln2_bias.  `param_shapes(config)` lists
+every name with its shape in that order; gradients, AdamW, adapters and
+checkpoints all use these names.
+
+Attention runs on stacked heads: the (n, d_model) projections are viewed
+as (n_heads, n, d_k), and one `attention` call computes every head.
+`attention`, `_ln_fwd` (with `layer_norm` as its public view) and
+`multi_head_attention` are the kernels that `encoder_forward` runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import erf
 
 from .._rng import OP_ENCODER_INIT, substream
-from .lora import LoraAdapter
+
+if TYPE_CHECKING:
+    from .lora import LoraAdapter
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -47,80 +62,49 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
-class LayerParams:
-    W_Q: np.ndarray
-    W_K: np.ndarray
-    W_V: np.ndarray
-    W_O: np.ndarray
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter name with its shape, in store (and checkpoint) order."""
+    d, f = config.d_model, config.d_ff
+    shapes = {"W_e": (config.vocab_size, d), "P": (config.max_seq_len, d),
+              "W_o": (d, config.n_classes), "b_o": (config.n_classes,)}
+    block = {"W_Q": (d, d), "W_K": (d, d), "W_V": (d, d), "W_O": (d, d),
+             "W1": (d, f), "b1": (f,), "W2": (f, d), "b2": (d,),
+             "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,)}
+    for i in range(config.n_layers):
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in block.items()})
+    return shapes
 
 
-@dataclass
-class EncoderParams:
-    W_e: np.ndarray  # (vocab_size, d_model)
-    P: np.ndarray    # (max_seq_len, d_model)
-    layers: list[LayerParams]
-    W_o: np.ndarray  # (d_model, n_classes)
-    b_o: np.ndarray  # (n_classes,)
+class EncoderParams(dict):
+    """The flat name->tensor parameter store, keyed as `param_shapes` lists."""
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """Flat name->tensor view (references, not copies)."""
-        out = {"W_e": self.W_e, "P": self.P, "W_o": self.W_o, "b_o": self.b_o}
-        for i, layer in enumerate(self.layers):
-            for f in fields(LayerParams):
-                out[f"layers.{i}.{f.name}"] = getattr(layer, f.name)
-        return out
-
-    @classmethod
-    def from_dict(cls, tensors: dict[str, np.ndarray], n_layers: int) -> "EncoderParams":
-        layers = [
-            LayerParams(**{f.name: tensors[f"layers.{i}.{f.name}"]
-                           for f in fields(LayerParams)})
-            for i in range(n_layers)
-        ]
-        return cls(W_e=tensors["W_e"], P=tensors["P"], layers=layers,
-                   W_o=tensors["W_o"], b_o=tensors["b_o"])
+    def to_dict(self) -> "EncoderParams":
+        """The store itself (references, not copies)."""
+        return self
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams.from_dict(
-            {k: v.copy() for k, v in self.to_dict().items()}, len(self.layers))
+        """A deep copy: every tensor is copied."""
+        return EncoderParams((name, t.copy()) for name, t in self.items())
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     """uniform(+-1/sqrt(fan_in)) weights; embeddings use fan_in = d_model;
-    layernorm gains 1, all biases 0."""
+    layernorm gains 1, all biases 0.
+
+    Matrices are drawn block by block, then W_e, P and W_o.
+    """
     rng = substream(seed, OP_ENCODER_INIT)
-    d = config.d_model
-
-    def uni(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerParams(
-            W_Q=uni((d, d), d), W_K=uni((d, d), d),
-            W_V=uni((d, d), d), W_O=uni((d, d), d),
-            W1=uni((d, config.d_ff), d), b1=np.zeros(config.d_ff),
-            W2=uni((config.d_ff, d), config.d_ff), b2=np.zeros(d),
-            ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
-            ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
-        ))
-    return EncoderParams(
-        W_e=uni((config.vocab_size, d), d),
-        P=uni((config.max_seq_len, d), d),
-        layers=layers,
-        W_o=uni((d, config.n_classes), d),
-        b_o=np.zeros(config.n_classes),
-    )
+    shapes = param_shapes(config)
+    tensors = {}
+    for name in sorted(shapes, key=lambda k: not k.startswith("layers.")):
+        shape = shapes[name]
+        if len(shape) == 2:
+            fan_in = config.d_model if name in ("W_e", "P") else shape[0]
+            bound = 1.0 / math.sqrt(fan_in)
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
+    return EncoderParams((name, tensors[name]) for name in shapes)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -140,70 +124,6 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
-
-
-def attention(Q, K, V, mask=None, return_weights: bool = False):
-    """softmax(Q K^T / sqrt(d_k)) V with masked key positions at -inf.
-
-    `mask` is a length-n 0/1 vector over positions; at least one position
-    must be unmasked.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    K = np.asarray(K, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    scores = Q @ K.T / math.sqrt(Q.shape[1])
-    if mask is not None:
-        mask = np.asarray(mask)
-        if not mask.any():
-            raise ValueError("all positions are masked")
-        scores = np.where(mask[None, :] != 0, scores, -np.inf)
-    weights = softmax_rows(scores)
-    out = weights @ V
-    return (out, weights) if return_weights else out
-
-
-# -- linear layers with optional low-rank adapters ---------------------------
-
-def _lin_fwd(X, W, adapter: LoraAdapter | None):
-    if adapter is None:
-        return X @ W, None
-    U = X @ adapter.B
-    return X @ W + adapter.scale * (U @ adapter.A), U
-
-
-def _lin_bwd(X, W, adapter: LoraAdapter | None, U, dH):
-    dX = dH @ W.T
-    dW = X.T @ dH
-    if adapter is None:
-        return dX, dW, None, None
-    dHA = dH @ adapter.A.T
-    dX += adapter.scale * (dHA @ adapter.B.T)
-    dA = adapter.scale * (U.T @ dH)
-    dB = adapter.scale * (X.T @ dHA)
-    return dX, dW, dA, dB
-
-
-def multi_head_attention(X, layer: LayerParams, n_heads: int, mask=None) -> np.ndarray:
-    """Heads on column slices of the Q/K/V projections, concatenated, then W_O."""
-    X = np.asarray(X, dtype=np.float64)
-    d_model = X.shape[1]
-    if d_model % n_heads != 0:
-        raise ValueError("d_model not divisible by n_heads")
-    d_k = d_model // n_heads
-    Q, K, V = X @ layer.W_Q, X @ layer.W_K, X @ layer.W_V
-    out = np.empty_like(X)
-    for h in range(n_heads):
-        sl = slice(h * d_k, (h + 1) * d_k)
-        out[:, sl] = attention(Q[:, sl], K[:, sl], V[:, sl], mask)
-    return out @ layer.W_O
-
-
 def _ln_fwd(x, gain, bias, eps):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -221,6 +141,90 @@ def _ln_bwd(dy, gain, ln_cache):
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
     return dx, dgain, dbias
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    return _ln_fwd(np.asarray(x, dtype=np.float64), gain, bias, eps)[0]
+
+
+def attention(Q, K, V, mask=None, return_weights: bool = False):
+    """softmax(Q K^T / sqrt(d_k)) V with masked key positions at -inf.
+
+    Q, K, V are (n, d_k) for one head or (n_heads, n, d_k) for stacked
+    heads.  `mask` is a length-n 0/1 vector over key positions; at least
+    one position must be unmasked.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    K = np.asarray(K, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    scores = Q @ np.swapaxes(K, -1, -2) * (1.0 / math.sqrt(Q.shape[-1]))
+    if mask is not None:
+        mask = np.asarray(mask)
+        if not mask.any():
+            raise ValueError("all positions are masked")
+        scores = np.where(mask != 0, scores, -np.inf)
+    weights = softmax_rows(scores)
+    out = weights @ V
+    return (out, weights) if return_weights else out
+
+
+def _split_heads(X, n_heads: int) -> np.ndarray:
+    """(n, d_model) -> (n_heads, n, d_k) view; head h holds columns h*d_k:(h+1)*d_k."""
+    n, d = X.shape
+    return X.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(Y) -> np.ndarray:
+    """(n_heads, n, d_k) -> (n, d_model), the heads side by side."""
+    h, n, d_k = Y.shape
+    return Y.transpose(1, 0, 2).reshape(n, h * d_k)
+
+
+# -- linear layers with optional low-rank adapters ---------------------------
+
+def _lin_fwd(X, name: str, params, adapters, cache: dict):
+    """X @ params[name], plus scale * (X @ B) @ A if an adapter sits on it;
+    then cache[name] keeps X @ B for `_lin_bwd`."""
+    adapter = adapters.get(name)
+    if adapter is None:
+        return X @ params[name]
+    cache[name] = X @ adapter.B
+    return X @ params[name] + adapter.scale * (cache[name] @ adapter.A)
+
+
+def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict):
+    """Stores the gradients of `_lin_fwd`'s weight (and adapter) in grads; returns dX."""
+    adapter = adapters.get(name)
+    dX = dH @ params[name].T
+    grads[name] = X.T @ dH
+    if adapter is not None:
+        dHA = dH @ adapter.A.T
+        dX += adapter.scale * (dHA @ adapter.B.T)
+        grads[f"adapters.{name}.A"] = adapter.scale * (cache[name].T @ dH)
+        grads[f"adapters.{name}.B"] = adapter.scale * (X.T @ dHA)
+    return dX
+
+
+def multi_head_attention(X, params: EncoderParams, layer: int, n_heads: int,
+                         mask=None, adapters: dict[str, LoraAdapter] | None = None,
+                         cache: dict | None = None) -> np.ndarray:
+    """The attention sublayer of block `layer`: every head at once on the
+    Q/K/V projections, the heads concatenated, then W_O.
+
+    `cache`, when given, receives the activations `encoder_backward` needs.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] % n_heads != 0:
+        raise ValueError("d_model not divisible by n_heads")
+    adapters = adapters or {}
+    cache = {} if cache is None else cache
+    p = f"layers.{layer}."
+    Qh, Kh, Vh = (_split_heads(_lin_fwd(X, p + name, params, adapters, cache), n_heads)
+                  for name in ("W_Q", "W_K", "W_V"))
+    Oh, Pw = attention(Qh, Kh, Vh, mask, return_weights=True)
+    cache.update(Qh=Qh, Kh=Kh, Vh=Vh, Pw=Pw, O=_merge_heads(Oh))
+    return _lin_fwd(cache["O"], p + "W_O", params, adapters, cache)
 
 
 def _check_inputs(ids, mask, config: EncoderConfig):
@@ -244,49 +248,29 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
     """Class logits for one sequence; optionally the activation cache."""
     ids, mask = _check_inputs(ids, mask, config)
     adapters = adapters or {}
-    n = ids.size
-    scale = 1.0 / math.sqrt(config.d_k)
+    eps = config.layernorm_eps
     fmask = mask.astype(np.float64)
 
-    X = params.W_e[ids] + params.P[:n]
-    cache = {"ids": ids, "mask": mask, "X0": X, "layers": []}
-
-    for li, layer in enumerate(params.layers):
-        pref = f"layers.{li}."
+    X = params["W_e"][ids] + params["P"][:ids.size]
+    cache = {"ids": ids, "layers": []}
+    for li in range(config.n_layers):
+        p = f"layers.{li}."
         lc: dict = {"X_in": X}
-        Q, lc["UQ"] = _lin_fwd(X, layer.W_Q, adapters.get(pref + "W_Q"))
-        K, lc["UK"] = _lin_fwd(X, layer.W_K, adapters.get(pref + "W_K"))
-        V, lc["UV"] = _lin_fwd(X, layer.W_V, adapters.get(pref + "W_V"))
-        Pw = np.empty((config.n_heads, n, n))
-        O = np.empty_like(X)
-        for h in range(config.n_heads):
-            sl = slice(h * config.d_k, (h + 1) * config.d_k)
-            S = Q[:, sl] @ K[:, sl].T * scale
-            S = np.where(mask[None, :] != 0, S, -np.inf)
-            Pw[h] = softmax_rows(S)
-            O[:, sl] = Pw[h] @ V[:, sl]
-        M, lc["UO"] = _lin_fwd(O, layer.W_O, adapters.get(pref + "W_O"))
-        A1 = X + M
-        Z, lc["ln1"] = _ln_fwd(A1, layer.ln1_gain, layer.ln1_bias, config.layernorm_eps)
-        U1, lc["UW1"] = _lin_fwd(Z, layer.W1, adapters.get(pref + "W1"))
-        U1 = U1 + layer.b1
+        A1 = X + multi_head_attention(X, params, li, config.n_heads, mask, adapters, lc)
+        Z, lc["ln1"] = _ln_fwd(A1, params[p + "ln1_gain"], params[p + "ln1_bias"], eps)
+        U1 = _lin_fwd(Z, p + "W1", params, adapters, lc) + params[p + "b1"]
         G = gelu(U1)
-        F, lc["UW2"] = _lin_fwd(G, layer.W2, adapters.get(pref + "W2"))
-        F = F + layer.b2
-        A2 = Z + F
-        Xn, lc["ln2"] = _ln_fwd(A2, layer.ln2_gain, layer.ln2_bias, config.layernorm_eps)
-        lc.update(Q=Q, K=K, V=V, Pw=Pw, O=O, Z=Z, U1=U1, G=G)
+        A2 = Z + (_lin_fwd(G, p + "W2", params, adapters, lc) + params[p + "b2"])
+        X, lc["ln2"] = _ln_fwd(A2, params[p + "ln2_gain"], params[p + "ln2_bias"], eps)
+        lc.update(Z=Z, U1=U1, G=G)
         cache["layers"].append(lc)
-        X = Xn
 
     denom = fmask.sum()
     pooled = (X * fmask[:, None]).sum(axis=0) / denom
-    head_out, Uo = _lin_fwd(pooled[None, :], params.W_o, adapters.get("W_o"))
-    logits = head_out[0] + params.b_o
-
+    logits = _lin_fwd(pooled[None, :], "W_o", params, adapters, cache)[0] + params["b_o"]
     if not return_cache:
         return logits
-    cache.update(X_final=X, pooled=pooled, Uo=Uo, denom=denom, fmask=fmask)
+    cache.update(pooled=pooled, denom=denom, fmask=fmask)
     return logits, cache
 
 
@@ -298,86 +282,49 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
     tensors under 'adapters.<target>.A' / '.B'.
     """
     adapters = adapters or {}
-    grads: dict[str, np.ndarray] = {}
     scale = 1.0 / math.sqrt(config.d_k)
-
-    def put_adapter(target, dA, dB):
-        if dA is not None:
-            grads[f"adapters.{target}.A"] = dA
-            grads[f"adapters.{target}.B"] = dB
-
-    # head and pooling
-    grads["b_o"] = np.asarray(dlogits, dtype=np.float64).copy()
-    dhead = grads["b_o"][None, :]
-    dpooled, dW_o, dA, dB = _lin_bwd(cache["pooled"][None, :], params.W_o,
-                                     adapters.get("W_o"), cache["Uo"], dhead)
-    grads["W_o"] = dW_o
-    put_adapter("W_o", dA, dB)
+    grads = {"b_o": np.asarray(dlogits, dtype=np.float64).copy()}
+    dpooled = _lin_bwd(cache["pooled"][None, :], "W_o", params, adapters, cache,
+                       grads["b_o"][None, :], grads)
     dX = np.outer(cache["fmask"] / cache["denom"], dpooled[0])
 
-    for li in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[li]
+    for li in range(config.n_layers - 1, -1, -1):
         lc = cache["layers"][li]
-        pref = f"layers.{li}."
-
-        dA2, dg2, dc2 = _ln_bwd(dX, layer.ln2_gain, lc["ln2"])
-        grads[pref + "ln2_gain"] = dg2
-        grads[pref + "ln2_bias"] = dc2
-        dZ = dA2.copy()
-        dF = dA2
-        grads[pref + "b2"] = dF.sum(axis=0)
-        dG, dW2, dA, dB = _lin_bwd(lc["G"], layer.W2,
-                                   adapters.get(pref + "W2"), lc["UW2"], dF)
-        grads[pref + "W2"] = dW2
-        put_adapter(pref + "W2", dA, dB)
+        p = f"layers.{li}."
+        dA2, grads[p + "ln2_gain"], grads[p + "ln2_bias"] = _ln_bwd(
+            dX, params[p + "ln2_gain"], lc["ln2"])
+        grads[p + "b2"] = dA2.sum(axis=0)
+        dG = _lin_bwd(lc["G"], p + "W2", params, adapters, lc, dA2, grads)
         dU1 = dG * gelu_grad(lc["U1"])
-        grads[pref + "b1"] = dU1.sum(axis=0)
-        dZ2, dW1, dA, dB = _lin_bwd(lc["Z"], layer.W1,
-                                    adapters.get(pref + "W1"), lc["UW1"], dU1)
-        grads[pref + "W1"] = dW1
-        put_adapter(pref + "W1", dA, dB)
-        dZ += dZ2
+        grads[p + "b1"] = dU1.sum(axis=0)
+        dZ = dA2 + _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads)
+        dA1, grads[p + "ln1_gain"], grads[p + "ln1_bias"] = _ln_bwd(
+            dZ, params[p + "ln1_gain"], lc["ln1"])
 
-        dA1, dg1, dc1 = _ln_bwd(dZ, layer.ln1_gain, lc["ln1"])
-        grads[pref + "ln1_gain"] = dg1
-        grads[pref + "ln1_bias"] = dc1
-        dX = dA1.copy()
-        dM = dA1
-        dO, dW_O, dA, dB = _lin_bwd(lc["O"], layer.W_O,
-                                    adapters.get(pref + "W_O"), lc["UO"], dM)
-        grads[pref + "W_O"] = dW_O
-        put_adapter(pref + "W_O", dA, dB)
+        dOh = _split_heads(_lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1, grads),
+                           config.n_heads)
+        Qh, Kh, Vh, Pw = lc["Qh"], lc["Kh"], lc["Vh"], lc["Pw"]
+        dPw = dOh @ np.swapaxes(Vh, -1, -2)
+        dS = Pw * (dPw - (dPw * Pw).sum(axis=-1, keepdims=True))
+        dX = dA1
+        for name, dH in (("W_Q", dS @ Kh * scale),
+                         ("W_K", np.swapaxes(dS, -1, -2) @ Qh * scale),
+                         ("W_V", np.swapaxes(Pw, -1, -2) @ dOh)):
+            dX = dX + _lin_bwd(lc["X_in"], p + name, params, adapters, lc,
+                               _merge_heads(dH), grads)
 
-        Q, K, V, Pw = lc["Q"], lc["K"], lc["V"], lc["Pw"]
-        dQ = np.empty_like(Q)
-        dK = np.empty_like(K)
-        dV = np.empty_like(V)
-        for h in range(config.n_heads):
-            sl = slice(h * config.d_k, (h + 1) * config.d_k)
-            dO_h = dO[:, sl]
-            dPw = dO_h @ V[:, sl].T
-            dS = Pw[h] * (dPw - (dPw * Pw[h]).sum(axis=-1, keepdims=True))
-            dQ[:, sl] = dS @ K[:, sl] * scale
-            dK[:, sl] = dS.T @ Q[:, sl] * scale
-            dV[:, sl] = Pw[h].T @ dO_h
-
-        X_in = lc["X_in"]
-        for name, dH, U in (("W_Q", dQ, lc["UQ"]), ("W_K", dK, lc["UK"]),
-                            ("W_V", dV, lc["UV"])):
-            dXp, dW, dA, dB = _lin_bwd(X_in, getattr(layer, name),
-                                       adapters.get(pref + name), U, dH)
-            grads[pref + name] = dW
-            put_adapter(pref + name, dA, dB)
-            dX += dXp
-
-    ids, n = cache["ids"], cache["ids"].size
-    dW_e = np.zeros_like(params.W_e)
-    np.add.at(dW_e, ids, dX)
+    dW_e = np.zeros_like(params["W_e"])
+    np.add.at(dW_e, cache["ids"], dX)
     grads["W_e"] = dW_e
-    dP = np.zeros_like(params.P)
-    dP[:n] = dX
-    grads["P"] = dP
+    grads["P"] = np.zeros_like(params["P"])
+    grads["P"][:cache["ids"].size] = dX
     return grads
+
+
+def _nll(probs, label: int) -> float:
+    """-log(probs[label]), or inf where that probability underflows to 0."""
+    p = probs[label]
+    return -math.log(p) if p > 0 else math.inf
 
 
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
@@ -399,7 +346,7 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
         logits, cache = encoder_forward(ids, mask, params, config, adapters,
                                         return_cache=True)
         probs = softmax_rows(logits)
-        loss -= math.log(probs[label])
+        loss += _nll(probs, label)
         dlogits = probs.copy()
         dlogits[label] -= 1.0
         grads = encoder_backward(dlogits, cache, params, config, adapters)
@@ -425,5 +372,5 @@ def batch_loss(params: EncoderParams, batch, config: EncoderConfig,
     loss = 0.0
     for ids, mask, label in batch:
         logits = encoder_forward(ids, mask, params, config, adapters)
-        loss -= math.log(softmax_rows(logits)[label])
+        loss += _nll(softmax_rows(logits), label)
     return loss / len(batch)

@@ -16,7 +16,7 @@ import numpy as np
 from ..corpus import LABELS, SentimentLabel
 from ..features import Vocabulary, pad_or_truncate, tokenize
 from .lora import LoraAdapter, merge_all
-from .model import EncoderConfig, EncoderParams, encoder_forward
+from .model import EncoderConfig, EncoderParams, encoder_forward, param_shapes
 
 CHECKPOINT_FORMAT = "finsent-encoder"
 CHECKPOINT_VERSION = 1
@@ -82,7 +82,7 @@ def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> N
         "adapters": {target: {"rank": ad.rank, "alpha": ad.alpha}
                      for target, ad in adapters.items()},
     }
-    arrays = {f"param::{k}": v for k, v in params.to_dict().items()}
+    arrays = {f"param::{k}": v for k, v in params.items()}
     for target, ad in adapters.items():
         arrays[f"adapter::{target}::A"] = ad.A
         arrays[f"adapter::{target}::B"] = ad.B
@@ -92,6 +92,11 @@ def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> N
 
 
 def load_checkpoint(path) -> EncoderTextClassifier:
+    """Read a `save_checkpoint` file, checking every tensor against the config.
+
+    A member set, tensor shape, adapter shape, vocabulary size or `max_len`
+    that does not fit raises a ValueError naming it.
+    """
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
@@ -99,16 +104,35 @@ def load_checkpoint(path) -> EncoderTextClassifier:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
         config = EncoderConfig(**meta["config"])
-        tensors = {name[len("param::"):]: npz[name] for name in npz.files
-                   if name.startswith("param::")}
-        params = EncoderParams.from_dict(tensors, config.n_layers)
+        shapes = param_shapes(config)
+        expected = [f"param::{name}" for name in shapes] + [
+            f"adapter::{target}::{part}" for target in meta["adapters"] for part in "AB"]
+        missing = sorted(set(expected) - set(npz.files))
+        unexpected = sorted(set(npz.files) - set(expected) - {"__meta__"})
+        if missing or unexpected:
+            raise ValueError(f"checkpoint {path}: missing tensors {missing}, "
+                             f"unexpected tensors {unexpected}")
+        params = EncoderParams()
+        for name, shape in shapes.items():
+            params[name] = npz[f"param::{name}"]
+            if params[name].shape != shape:
+                raise ValueError(f"checkpoint tensor {name} has shape "
+                                 f"{params[name].shape}, expected {shape}")
         adapters = {}
         for target, info in meta["adapters"].items():
-            adapters[target] = LoraAdapter(
-                A=npz[f"adapter::{target}::A"],
-                B=npz[f"adapter::{target}::B"],
-                rank=info["rank"], alpha=info["alpha"])
-    return EncoderTextClassifier(config=config, params=params,
-                                 vocab=Vocabulary.from_dict(meta["vocab"]),
-                                 max_len=meta["max_len"],
-                                 adapters=adapters or None)
+            A, B = npz[f"adapter::{target}::A"], npz[f"adapter::{target}::B"]
+            rank, base = info["rank"], shapes.get(target, ())
+            if len(base) != 2 or A.shape != (rank, base[1]) or B.shape != (base[0], rank):
+                raise ValueError(f"checkpoint adapter {target}: A {A.shape} and B "
+                                 f"{B.shape} do not fit rank {rank} and base weight "
+                                 f"{base or None}")
+            adapters[target] = LoraAdapter(A=A, B=B, rank=rank, alpha=info["alpha"])
+    vocab = Vocabulary.from_dict(meta["vocab"])
+    if config.vocab_size != encoder_vocab_size(vocab):
+        raise ValueError(f"checkpoint config.vocab_size {config.vocab_size} does not "
+                         f"match its vocabulary of {len(vocab)} tokens plus UNK and PAD")
+    if meta["max_len"] > config.max_seq_len:
+        raise ValueError(f"checkpoint max_len {meta['max_len']} exceeds "
+                         f"config.max_seq_len {config.max_seq_len}")
+    return EncoderTextClassifier(config=config, params=params, vocab=vocab,
+                                 max_len=meta["max_len"], adapters=adapters or None)

@@ -89,9 +89,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     steps_per_epoch = math.ceil(micro_per_epoch / train_config.grad_accum_steps)
     total_steps = train_config.epochs * steps_per_epoch
 
-    tensors = dict(params.to_dict())
-    if adapters:
-        tensors.update(adapters_to_dict(adapters))
+    tensors = {**params, **adapters_to_dict(adapters or {})}
     state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
     trace: list[TraceRow] = []
@@ -116,11 +114,14 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
             for name in acc:
                 acc[name] /= len(group)
             step += 1
+            loss = float(np.mean(losses))
+            if not math.isfinite(loss):
+                raise ValueError(f"non-finite training loss {loss} at optimizer "
+                                 f"step {step} (epoch {epoch})")
             lr = lr_at(step, total_steps, train_config.base_lr,
                        train_config.warmup_ratio)
             adamw_step(tensors, acc, state, lr=lr)
-            trace.append(TraceRow(step=step, epoch=epoch, lr=lr,
-                                  loss=float(np.mean(losses))))
+            trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
         if eval_hook is not None and trace:
             metrics = eval_hook(epoch, params, adapters) or {}
             last = trace[-1]

@@ -104,6 +104,12 @@ class LinearTrainConfig:
     l2: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if min(self.epochs, self.batch_size, self.l2) < 0:
+            raise ValueError("epochs, batch_size and l2 must be non-negative")
+
 
 def train(X, y, hyper: LinearTrainConfig) -> tuple[LinearParams, list[float]]:
     """Mini-batch gradient descent from zero init.
@@ -111,8 +117,6 @@ def train(X, y, hyper: LinearTrainConfig) -> tuple[LinearParams, list[float]]:
     Returns the trained parameters and the full-training-set loss recorded
     at the end of every epoch.  Deterministic for a fixed seed.
     """
-    if hyper.lr <= 0:
-        raise ValueError("learning rate must be positive")
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]

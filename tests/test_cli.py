@@ -77,6 +77,11 @@ class TestConfig:
         ({"encoder": {"train": {"grad_accum_steps": 0}}}, ["train-encoder"]),
         ({"seeds": {"master": "x"}}, ["split"]),
         ({"encoder": {"peft": {"targets": ["W_X"]}}}, ["train-encoder", "--peft"]),
+        ({"encoder": {"peft": {"targets": 5}}}, ["train-encoder", "--peft"]),
+        ({"augment": {"n_replace": "x"}}, ["augment"]),
+        ({"linear": {"epochs": -1}}, ["train-linear"]),
+        ({"linear": {"l2": -1.0}}, ["train-linear"]),
+        ({"linear": {"batch_size": -5}}, ["train-linear"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):
@@ -221,6 +226,18 @@ class TestTrainPredictEvaluate:
         assert len(preds) == 10
         assert run_cli("evaluate", "--config", cfg, "--out", out,
                        "--name", "encoder") == EXIT_OK
+
+    def test_non_finite_encoder_loss_names_the_step(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tiny_config(tmp_path, encoder={"train": {"epochs": 2,
+                                                       "base_lr": 1000000.0}})
+        run_cli("ingest", "--out", out)
+        run_cli("split", "--config", cfg, "--out", out)
+        capsys.readouterr()
+        assert run_cli("train-encoder", "--config", cfg, "--out", out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: non-finite training loss")
+        assert "optimizer step 2 (epoch 0)" in err
 
     def test_evaluate_gold_equals_pred_accuracy_one(self, tmp_path, capsys):
         out = tmp_path / "run"

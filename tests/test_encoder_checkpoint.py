@@ -1,0 +1,144 @@
+"""Encoder checkpoints: the npz member layout, save/load round trips, and
+load-time checks that name the tensor or field a corrupt file gets wrong."""
+import json
+
+import numpy as np
+import pytest
+
+from finsent.cli import EXIT_DATA, main
+from finsent.encoder import (
+    EncoderConfig,
+    EncoderTextClassifier,
+    encoder_vocab_size,
+    init_adapters,
+    init_params,
+    load_checkpoint,
+    merge_all,
+    save_checkpoint,
+)
+from finsent.features import build_vocabulary
+
+from conftest import NEG, NEU, POS, make_dataset
+
+BLOCK = ["W_Q", "W_K", "W_V", "W_O", "W1", "b1", "W2", "b2",
+         "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"]
+PARAM_MEMBERS = (["param::W_e", "param::P", "param::W_o", "param::b_o"]
+                 + [f"param::layers.{i}.{name}" for i in range(2) for name in BLOCK])
+ADAPTER_MEMBERS = [f"adapter::{target}::{part}"
+                   for target in ("layers.0.W_Q", "layers.0.W_V", "layers.1.W_Q",
+                                  "layers.1.W_V", "W_o")
+                   for part in "AB"]
+TEXTS = ["profit rose sharply", "sales fell", "report due on monday", "unseen words"]
+
+
+def make_classifier(peft: bool) -> EncoderTextClassifier:
+    ds = make_dataset([("profit rose sharply", POS), ("sales fell", NEG),
+                       ("report due on monday", NEU)])
+    vocab = build_vocabulary(ds, min_df=1)
+    config = EncoderConfig(vocab_size=encoder_vocab_size(vocab), d_model=8,
+                           n_heads=2, d_ff=16, n_layers=2, max_seq_len=8)
+    adapters = None
+    if peft:
+        adapters = init_adapters(config, targets=("W_Q", "W_V", "W_o"), rank=2,
+                                 alpha=4.0, seed=1)
+        rng = np.random.default_rng(2)
+        for ad in adapters.values():
+            ad.B[:] = rng.uniform(-0.2, 0.2, ad.B.shape)
+    return EncoderTextClassifier(config=config, params=init_params(config, seed=0),
+                                 vocab=vocab, max_len=6, adapters=adapters)
+
+
+class TestFormat:
+    def test_peft_member_names_and_order(self, tmp_path):
+        path = tmp_path / "peft.npz"
+        save_checkpoint(make_classifier(peft=True), path)
+        with np.load(path) as npz:
+            assert npz.files == PARAM_MEMBERS + ADAPTER_MEMBERS + ["__meta__"]
+
+    def test_merged_member_names_and_order(self, tmp_path):
+        path = tmp_path / "merged.npz"
+        save_checkpoint(make_classifier(peft=True), path, merged=True)
+        with np.load(path) as npz:
+            assert npz.files == PARAM_MEMBERS + ["__meta__"]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("kind", ["peft", "full", "merged"])
+    def test_tensors_and_predictions_bit_identical(self, tmp_path, kind):
+        clf = make_classifier(peft=kind != "full")
+        path = tmp_path / f"{kind}.npz"
+        save_checkpoint(clf, path, merged=kind == "merged")
+        loaded = load_checkpoint(path)
+        if kind == "merged":
+            clf = EncoderTextClassifier(config=clf.config,
+                                        params=merge_all(clf.params, clf.adapters),
+                                        vocab=clf.vocab, max_len=clf.max_len)
+        assert loaded.config == clf.config
+        assert loaded.max_len == clf.max_len
+        assert loaded.vocab == clf.vocab
+        assert list(loaded.params) == list(clf.params)
+        for name, tensor in clf.params.items():
+            assert loaded.params[name].tobytes() == tensor.tobytes(), name
+        assert list(loaded.adapters or {}) == list(clf.adapters or {})
+        for target, ad in (clf.adapters or {}).items():
+            got = loaded.adapters[target]
+            assert (got.rank, got.alpha) == (ad.rank, ad.alpha)
+            assert got.A.tobytes() == ad.A.tobytes()
+            assert got.B.tobytes() == ad.B.tobytes()
+        for text in TEXTS:
+            assert loaded.logits(text).tobytes() == clf.logits(text).tobytes()
+
+
+def _rewrite(path, edit):
+    """Re-save the checkpoint at `path` after `edit(arrays, meta)`."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    edit(arrays, meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _drop_w_q(arrays, meta):
+    del arrays["param::layers.0.W_Q"]
+
+
+def _narrow_w_k(arrays, meta):
+    arrays["param::layers.0.W_K"] = arrays["param::layers.0.W_K"][:, :-1]
+
+
+def _widen_adapter_a(arrays, meta):
+    A = arrays["adapter::layers.1.W_V::A"]
+    arrays["adapter::layers.1.W_V::A"] = np.zeros((A.shape[0], A.shape[1] + 1))
+
+
+def _drop_vocab_token(arrays, meta):
+    meta["vocab"]["tokens"].pop()
+    meta["vocab"]["document_frequency"].pop()
+
+
+def _long_max_len(arrays, meta):
+    meta["max_len"] = meta["config"]["max_seq_len"] + 5
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("edit, named", [
+        (_drop_w_q, "layers.0.W_Q"),
+        (_narrow_w_k, "layers.0.W_K"),
+        (_widen_adapter_a, "layers.1.W_V"),
+        (_drop_vocab_token, "vocab_size"),
+        (_long_max_len, "max_len"),
+    ])
+    def test_fails_at_load_naming_the_tensor(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "encoder.npz"
+        save_checkpoint(make_classifier(peft=True), path)
+        _rewrite(path, edit)
+        with pytest.raises(ValueError, match=named):
+            load_checkpoint(path)
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n")
+        assert main(["predict", "--out", str(out), "--backend", "encoder"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from finsent._rng import OP_ENCODER_INIT, substream
 from finsent.encoder import (
     EncoderConfig,
-    EncoderParams,
     LoraAdapter,
     adapters_to_dict,
     attention,
     batch_loss,
     encoder_forward,
+    gelu,
     init_adapter,
     init_adapters,
     init_params,
@@ -19,7 +20,9 @@ from finsent.encoder import (
     merge_adapter,
     merge_all,
     multi_head_attention,
+    param_shapes,
 )
+from finsent.encoder.lora import VALID_TARGETS
 
 from oracles import encoder_forward_dense, fd_gradients, tensor_rel_error
 
@@ -111,30 +114,29 @@ class TestAttention:
 class TestMultiHeadAttention:
     def test_single_head_reduction(self):
         params, _ = tiny_setup(seed=5)
-        layer = params.layers[0]
         rng = np.random.default_rng(6)
         X = rng.normal(size=(4, 8))
-        got = multi_head_attention(X, layer, n_heads=1)
-        want = attention(X @ layer.W_Q, X @ layer.W_K, X @ layer.W_V) @ layer.W_O
+        got = multi_head_attention(X, params, 0, n_heads=1)
+        want = attention(X @ params["layers.0.W_Q"], X @ params["layers.0.W_K"],
+                         X @ params["layers.0.W_V"]) @ params["layers.0.W_O"]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_wo_gives_zero(self):
         params, _ = tiny_setup(seed=7)
-        layer = params.layers[0]
-        layer.W_O[:] = 0.0
+        params["layers.0.W_O"][:] = 0.0
         X = np.random.default_rng(8).normal(size=(3, 8))
-        np.testing.assert_allclose(multi_head_attention(X, layer, 2), 0.0)
+        np.testing.assert_allclose(multi_head_attention(X, params, 0, 2), 0.0)
 
     def test_matches_bruteforce_on_random_input(self):
         params, _ = tiny_setup(seed=9)
-        layer = params.layers[0]
         rng = np.random.default_rng(10)
         X = rng.normal(size=(4, 8))
-        got = multi_head_attention(X, layer, n_heads=2)
+        got = multi_head_attention(X, params, 0, n_heads=2)
         # brute force: loop positions and heads directly
         d_k = 4
         want = np.zeros((4, 8))
-        Q, K, V = X @ layer.W_Q, X @ layer.W_K, X @ layer.W_V
+        Q, K, V = (X @ params["layers.0.W_Q"], X @ params["layers.0.W_K"],
+                   X @ params["layers.0.W_V"])
         concat = np.zeros((4, 8))
         for h in range(2):
             sl = slice(h * d_k, (h + 1) * d_k)
@@ -145,7 +147,7 @@ class TestMultiHeadAttention:
                 z = sum(exps)
                 for j in range(4):
                     concat[i, sl] += exps[j] / z * V[j, sl]
-        want = concat @ layer.W_O
+        want = concat @ params["layers.0.W_O"]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -187,8 +189,8 @@ class TestEncoderForward:
         ids = np.array([1, 4, 9])
         mask = np.array([1, 1, 0])
         logits = encoder_forward(ids, mask, params, config)
-        pooled = (params.W_e[ids] + params.P[:3])[:2].mean(axis=0)
-        want = pooled @ params.W_o + params.b_o
+        pooled = (params["W_e"][ids] + params["P"][:3])[:2].mean(axis=0)
+        want = pooled @ params["W_o"] + params["b_o"]
         np.testing.assert_allclose(logits, want, atol=1e-12)
 
     def test_all_pad_mask_rejected(self):
@@ -228,11 +230,33 @@ class TestEncoderForward:
         losses = []
         for seed in range(10):
             params, _ = tiny_setup(seed=seed)
-            params.W_o *= 0.1  # small output scale keeps logits near zero
+            params["W_o"] *= 0.1  # small output scale keeps logits near zero
             batch = random_batch(rng, size=4)
             losses.append(batch_loss(params, batch, TINY))
         assert all(abs(l - math.log(3)) <= 0.2 for l in losses)
 
+
+    def test_one_layer_is_composed_of_the_public_kernels(self):
+        rng = np.random.default_rng(24)
+        eps = TINY.layernorm_eps
+        for seed in range(10):
+            params, _ = tiny_setup(seed=seed)
+            n = int(rng.integers(2, 7))
+            ids = rng.integers(0, TINY.vocab_size, size=n)
+            mask = np.ones(n, dtype=np.int64)
+            if n > 2:
+                mask[-1] = 0
+            X = params["W_e"][ids] + params["P"][:n]
+            M = multi_head_attention(X, params, 0, TINY.n_heads, mask)
+            Z = layer_norm(X + M, params["layers.0.ln1_gain"],
+                           params["layers.0.ln1_bias"], eps)
+            F = (gelu(Z @ params["layers.0.W1"] + params["layers.0.b1"])
+                 @ params["layers.0.W2"] + params["layers.0.b2"])
+            H = layer_norm(Z + F, params["layers.0.ln2_gain"],
+                           params["layers.0.ln2_bias"], eps)
+            want = H[mask == 1].mean(axis=0) @ params["W_o"] + params["b_o"]
+            got = encoder_forward(ids, mask, params, TINY)
+            assert float(np.max(np.abs(got - want))) <= 1e-12
 
 class TestGradients:
     def test_every_tensor_matches_finite_differences(self):
@@ -327,22 +351,40 @@ class TestLora:
 
 
 class TestParamsContainer:
-    def test_to_from_dict_round_trip(self):
-        params, _ = tiny_setup(seed=10)
-        rebuilt = EncoderParams.from_dict(params.to_dict(), TINY.n_layers)
-        for name, tensor in params.to_dict().items():
-            np.testing.assert_array_equal(rebuilt.to_dict()[name], tensor)
-
     def test_to_dict_returns_references(self):
         params, _ = tiny_setup(seed=11)
         params.to_dict()["W_e"][0, 0] = 123.0
-        assert params.W_e[0, 0] == 123.0
+        assert params["W_e"][0, 0] == 123.0
 
     def test_copy_is_deep(self):
         params, _ = tiny_setup(seed=12)
         clone = params.copy()
-        clone.W_e[0, 0] += 1.0
-        assert params.W_e[0, 0] != clone.W_e[0, 0]
+        clone["W_e"][0, 0] += 1.0
+        assert params["W_e"][0, 0] != clone["W_e"][0, 0]
+
+    def test_param_shapes_match_init_params_and_adapters(self):
+        config = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=16,
+                               n_layers=2, max_seq_len=6)
+        shapes = param_shapes(config)
+        params = init_params(config, seed=0)
+        assert list(params) == list(shapes)
+        assert {name: t.shape for name, t in params.items()} == shapes
+        ads = init_adapters(config, targets=VALID_TARGETS, rank=2, alpha=4.0)
+        assert len(ads) == 2 * 6 + 1
+        assert {name: (ad.B.shape[0], ad.A.shape[1]) for name, ad in ads.items()} \
+            == {name: shapes[name] for name in ads}
+
+    def test_init_draws_blocks_first_then_embeddings_and_head(self):
+        config = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=16,
+                               n_layers=2, max_seq_len=6)
+        params = init_params(config, seed=3)
+        rng = substream(3, OP_ENCODER_INIT)
+        order = [f"layers.{i}.{name}" for i in range(2)
+                 for name in ("W_Q", "W_K", "W_V", "W_O", "W1", "W2")]
+        for name in order + ["W_e", "P", "W_o"]:
+            bound = 1.0 / math.sqrt(16 if name.endswith("W2") else 8)
+            want = rng.uniform(-bound, bound, size=params[name].shape)
+            np.testing.assert_array_equal(params[name], want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -430,20 +430,25 @@ def cmd_train_encoder(args, cfg, out):
     clf = enc.EncoderTextClassifier(
         config=config, params=params, vocab=vocab,
         max_len=config.max_seq_len, adapters=adapters)
-    examples = [clf.example(rec.text, rec.label) for rec in train_ds]
 
-    test_ds = _load_canonical(args.test) if args.test else None
+    def encoded(ds):
+        ids, mask = clf.encode([rec.text for rec in ds])
+        return ids, mask, np.array([rec.label.index for rec in ds])
 
-    def accuracy(ds):
-        return sum(clf.predict_index(rec.text) == rec.label.index for rec in ds) / len(ds)
+    # Tokenized once; each epoch's eval is one batched pass over each set.
+    eval_sets = {"train": encoded(train_ds)}
+    if args.test:
+        eval_sets["val"] = encoded(_load_canonical(args.test))
+    examples = list(zip(*eval_sets["train"]))
 
     def eval_hook(epoch, params_, adapters_):
-        metrics = {"train_acc": accuracy(train_ds)}
-        if test_ds is not None:
-            test_examples = [clf.example(rec.text, rec.label) for rec in test_ds]
-            metrics["val_loss"] = enc.batch_loss(params_, test_examples, config,
-                                                 adapters_)
-            metrics["val_acc"] = accuracy(test_ds)
+        metrics = {}
+        for name, (ids, mask, labels) in eval_sets.items():
+            logits = enc.batch_logits(ids, mask, params_, config, adapters_)
+            hits = int(np.sum(logits.argmax(axis=1) == labels))
+            metrics[f"{name}_acc"] = hits / len(labels)
+            if name == "val":
+                metrics["val_loss"] = enc.mean_nll(logits, labels)
         return metrics
 
     trace = enc.train_loop(examples, params, config, train_config,
@@ -501,7 +506,7 @@ def cmd_predict(args, cfg, out):
         if not inputs["checkpoint"].exists():
             raise ConfigError(f"encoder checkpoint not found: {args.checkpoint}")
         clf = enc.load_checkpoint(args.checkpoint)
-        predictions, nolabel = [clf.predict_label(rec.text) for rec in ds], 0
+        predictions, nolabel = clf.predict_labels([rec.text for rec in ds]), 0
     else:
         template = _load_template(cfg)
         predictions, nolabel = promptkit.predict_sentiments(

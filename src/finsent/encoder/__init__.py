@@ -12,6 +12,7 @@ from .model import (
     EncoderConfig,
     EncoderParams,
     attention,
+    batch_logits,
     batch_loss,
     encoder_backward,
     encoder_forward,
@@ -19,6 +20,7 @@ from .model import (
     init_params,
     layer_norm,
     loss_and_grad,
+    mean_nll,
     multi_head_attention,
     param_shapes,
 )
@@ -34,10 +36,10 @@ from .train import TrainConfig, TraceRow, trace_to_csv, train_loop
 __all__ = [
     "AdamWConfig", "DEFAULT_TARGETS", "EncoderConfig", "EncoderParams",
     "EncoderTextClassifier", "LoraAdapter", "OptimizerState", "TraceRow",
-    "TrainConfig", "adamw_step", "adapters_to_dict", "attention", "batch_loss",
-    "encoder_backward", "encoder_forward", "encoder_vocab_size", "gelu",
-    "init_adapter", "init_adapters", "init_params", "layer_norm",
-    "load_checkpoint", "loss_and_grad", "lr_at", "merge_adapter", "merge_all",
-    "multi_head_attention", "param_shapes", "save_checkpoint", "trace_to_csv",
-    "train_loop",
+    "TrainConfig", "adamw_step", "adapters_to_dict", "attention", "batch_logits",
+    "batch_loss", "encoder_backward", "encoder_forward", "encoder_vocab_size",
+    "gelu", "init_adapter", "init_adapters", "init_params", "layer_norm",
+    "load_checkpoint", "loss_and_grad", "lr_at", "mean_nll", "merge_adapter",
+    "merge_all", "multi_head_attention", "param_shapes", "save_checkpoint",
+    "trace_to_csv", "train_loop",
 ]

@@ -13,8 +13,16 @@ ln1_gain, ln1_bias, ln2_gain and ln2_bias.  `param_shapes(config)` lists
 every name with its shape in that order; gradients, AdamW, adapters and
 checkpoints all use these names.
 
-Attention runs on stacked heads: the (n, d_model) projections are viewed
-as (n_heads, n, d_k), and one `attention` call computes every head.
+`encoder_forward` runs a (B, n) batch of ids and 0/1 masks (1-D ones
+are the B = 1 case): linear layers act on (B, n, d_model) activations and
+attention on (B, n_heads, n, d_k), with the key mask broadcast per row.
+The batch is first trimmed to the last column any row's mask uses, which
+is exact: masked keys get softmax weight 0 and padded positions pooling
+weight 0, so their gradient is 0 in every layer.  `loss_and_grad`,
+`batch_loss` and `batch_logits` run batches of any size in sub-batches of
+rows sorted by real length, each within rows x trimmed length x d_model
+<= SUB_BATCH_BUDGET (8192), which bounds a backward pass's activation cache.
+
 `attention`, `_ln_fwd` (with `layer_norm` as its public view) and
 `multi_head_attention` are the kernels that `encoder_forward` runs.
 """
@@ -34,6 +42,9 @@ if TYPE_CHECKING:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+#: Most activations (rows x trimmed length x d_model) one sub-batch holds.
+SUB_BATCH_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -133,9 +144,10 @@ def _ln_fwd(x, gain, bias, eps):
 
 
 def _ln_bwd(dy, gain, ln_cache):
+    """dx, and the gain and bias gradients summed over every row, for (B, n, d) dy."""
     xhat, inv = ln_cache
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    dgain = (dy * xhat).sum(axis=(0, 1))
+    dbias = dy.sum(axis=(0, 1))
     dxhat = dy * gain
     dx = inv * (dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
@@ -151,9 +163,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
 def attention(Q, K, V, mask=None, return_weights: bool = False):
     """softmax(Q K^T / sqrt(d_k)) V with masked key positions at -inf.
 
-    Q, K, V are (n, d_k) for one head or (n_heads, n, d_k) for stacked
-    heads.  `mask` is a length-n 0/1 vector over key positions; at least
-    one position must be unmasked.
+    Q, K, V are (n, d_k) for one head, with any leading axes, such as
+    (B, n_heads, n, d_k) for a batch of stacked heads.  `mask` is a 0/1
+    array over key positions that broadcasts against the (..., n, n)
+    scores, e.g. (n,) or (B, 1, 1, n); each row needs an unmasked key.
     """
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
@@ -161,7 +174,7 @@ def attention(Q, K, V, mask=None, return_weights: bool = False):
     scores = Q @ np.swapaxes(K, -1, -2) * (1.0 / math.sqrt(Q.shape[-1]))
     if mask is not None:
         mask = np.asarray(mask)
-        if not mask.any():
+        if not np.any(mask != 0, axis=-1).all():
             raise ValueError("all positions are masked")
         scores = np.where(mask != 0, scores, -np.inf)
     weights = softmax_rows(scores)
@@ -170,15 +183,15 @@ def attention(Q, K, V, mask=None, return_weights: bool = False):
 
 
 def _split_heads(X, n_heads: int) -> np.ndarray:
-    """(n, d_model) -> (n_heads, n, d_k) view; head h holds columns h*d_k:(h+1)*d_k."""
-    n, d = X.shape
-    return X.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+    """(B, n, d_model) -> (B, n_heads, n, d_k) view; head h holds columns h*d_k:(h+1)*d_k."""
+    B, n, d = X.shape
+    return X.reshape(B, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(Y) -> np.ndarray:
-    """(n_heads, n, d_k) -> (n, d_model), the heads side by side."""
-    h, n, d_k = Y.shape
-    return Y.transpose(1, 0, 2).reshape(n, h * d_k)
+    """(B, n_heads, n, d_k) -> (B, n, d_model), the heads side by side."""
+    B, h, n, d_k = Y.shape
+    return Y.transpose(0, 2, 1, 3).reshape(B, n, h * d_k)
 
 
 # -- linear layers with optional low-rank adapters ---------------------------
@@ -193,16 +206,22 @@ def _lin_fwd(X, name: str, params, adapters, cache: dict):
     return X @ params[name] + adapter.scale * (cache[name] @ adapter.A)
 
 
-def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict):
-    """Stores the gradients of `_lin_fwd`'s weight (and adapter) in grads; returns dX."""
+def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict,
+             base: bool = True):
+    """Stores the gradients of `_lin_fwd`'s adapter, and of its weight if
+    `base`, summed over every row of X, in grads; returns dX."""
     adapter = adapters.get(name)
     dX = dH @ params[name].T
-    grads[name] = X.T @ dH
+    rows, dH_rows = X.reshape(-1, X.shape[-1]), dH.reshape(-1, dH.shape[-1])
+    if base:
+        grads[name] = rows.T @ dH_rows
     if adapter is not None:
         dHA = dH @ adapter.A.T
         dX += adapter.scale * (dHA @ adapter.B.T)
-        grads[f"adapters.{name}.A"] = adapter.scale * (cache[name].T @ dH)
-        grads[f"adapters.{name}.B"] = adapter.scale * (X.T @ dHA)
+        grads[f"adapters.{name}.A"] = adapter.scale * (
+            cache[name].reshape(-1, adapter.rank).T @ dH_rows)
+        grads[f"adapters.{name}.B"] = adapter.scale * (
+            rows.T @ dHA.reshape(-1, adapter.rank))
     return dX
 
 
@@ -212,46 +231,60 @@ def multi_head_attention(X, params: EncoderParams, layer: int, n_heads: int,
     """The attention sublayer of block `layer`: every head at once on the
     Q/K/V projections, the heads concatenated, then W_O.
 
+    X is (n, d_model), or (B, n, d_model) with a (B, n) key `mask`.
     `cache`, when given, receives the activations `encoder_backward` needs.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] % n_heads != 0:
+    if X.shape[-1] % n_heads != 0:
         raise ValueError("d_model not divisible by n_heads")
+    X3 = X.reshape(-1, *X.shape[-2:])
     adapters = adapters or {}
     cache = {} if cache is None else cache
     p = f"layers.{layer}."
-    Qh, Kh, Vh = (_split_heads(_lin_fwd(X, p + name, params, adapters, cache), n_heads)
+    Qh, Kh, Vh = (_split_heads(_lin_fwd(X3, p + name, params, adapters, cache), n_heads)
                   for name in ("W_Q", "W_K", "W_V"))
+    mask = None if mask is None else np.reshape(mask, (len(X3), 1, 1, -1))
     Oh, Pw = attention(Qh, Kh, Vh, mask, return_weights=True)
     cache.update(Qh=Qh, Kh=Kh, Vh=Vh, Pw=Pw, O=_merge_heads(Oh))
-    return _lin_fwd(cache["O"], p + "W_O", params, adapters, cache)
+    return _lin_fwd(cache["O"], p + "W_O", params, adapters, cache).reshape(X.shape)
 
 
 def _check_inputs(ids, mask, config: EncoderConfig):
+    """ids and mask as (B, n) arrays, each row checked."""
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
-    if ids.ndim != 1 or mask.shape != ids.shape:
-        raise ValueError("ids and mask must be equal-length 1-D sequences")
-    if ids.size == 0 or not mask.any():
+    if ids.ndim not in (1, 2) or mask.shape != ids.shape:
+        raise ValueError("ids and mask must have one shape, (n,) or (B, n)")
+    ids, mask = np.atleast_2d(ids, mask)
+    if ids.size == 0 or not mask.any(axis=1).all():
         raise ValueError("empty unmasked sequence")
-    if ids.size > config.max_seq_len:
-        raise ValueError(f"sequence length {ids.size} exceeds max_seq_len "
+    if ids.shape[1] > config.max_seq_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len "
                          f"{config.max_seq_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
     return ids, mask
 
 
+def _real_lengths(mask) -> np.ndarray:
+    """Per row of a (B, n) mask, one past its last unmasked column."""
+    return mask.shape[1] - np.argmax(mask[:, ::-1] != 0, axis=1)
+
+
 def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
                     adapters: dict[str, LoraAdapter] | None = None,
                     return_cache: bool = False):
-    """Class logits for one sequence; optionally the activation cache."""
+    """Class logits, (B, n_classes) for (B, n) ids and mask or (n_classes,)
+    for 1-D ones; optionally the activation cache."""
+    single = np.ndim(ids) == 1
     ids, mask = _check_inputs(ids, mask, config)
+    n = int(_real_lengths(mask).max())
+    ids, mask = ids[:, :n], mask[:, :n]
     adapters = adapters or {}
     eps = config.layernorm_eps
     fmask = mask.astype(np.float64)
 
-    X = params["W_e"][ids] + params["P"][:ids.size]
+    X = params["W_e"][ids] + params["P"][:n]
     cache = {"ids": ids, "layers": []}
     for li in range(config.n_layers):
         p = f"layers.{li}."
@@ -265,44 +298,49 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
         lc.update(Z=Z, U1=U1, G=G)
         cache["layers"].append(lc)
 
-    denom = fmask.sum()
-    pooled = (X * fmask[:, None]).sum(axis=0) / denom
-    logits = _lin_fwd(pooled[None, :], "W_o", params, adapters, cache)[0] + params["b_o"]
-    if not return_cache:
-        return logits
+    denom = fmask.sum(axis=1, keepdims=True)
+    pooled = (X * fmask[:, :, None]).sum(axis=1) / denom
+    logits = _lin_fwd(pooled, "W_o", params, adapters, cache) + params["b_o"]
+    logits = logits[0] if single else logits
     cache.update(pooled=pooled, denom=denom, fmask=fmask)
-    return logits, cache
+    return (logits, cache) if return_cache else logits
 
 
 def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfig,
-                     adapters: dict[str, LoraAdapter] | None = None):
+                     adapters: dict[str, LoraAdapter] | None = None,
+                     peft_mode: bool = False):
     """Gradients of a scalar loss given d(loss)/d(logits) and a forward cache.
 
-    Returns a flat dict: base tensors under their parameter names, adapter
-    tensors under 'adapters.<target>.A' / '.B'.
+    Returns a flat dict, summed over the batch: base tensors under their
+    parameter names, adapter tensors under 'adapters.<target>.A' / '.B'.
+    peft_mode=True returns the adapter gradients only, and computes no
+    weight-matrix or embedding gradient; dX still flows through every layer.
     """
     adapters = adapters or {}
+    base = not peft_mode
     scale = 1.0 / math.sqrt(config.d_k)
-    grads = {"b_o": np.asarray(dlogits, dtype=np.float64).copy()}
-    dpooled = _lin_bwd(cache["pooled"][None, :], "W_o", params, adapters, cache,
-                       grads["b_o"][None, :], grads)
-    dX = np.outer(cache["fmask"] / cache["denom"], dpooled[0])
+    ids = cache["ids"]
+    dlogits = np.asarray(dlogits, dtype=np.float64).reshape(len(ids), -1)
+    grads = {"b_o": dlogits.sum(axis=0)}
+    dpooled = _lin_bwd(cache["pooled"], "W_o", params, adapters, cache, dlogits,
+                       grads, base)
+    dX = (cache["fmask"] / cache["denom"])[:, :, None] * dpooled[:, None, :]
 
     for li in range(config.n_layers - 1, -1, -1):
         lc = cache["layers"][li]
         p = f"layers.{li}."
         dA2, grads[p + "ln2_gain"], grads[p + "ln2_bias"] = _ln_bwd(
             dX, params[p + "ln2_gain"], lc["ln2"])
-        grads[p + "b2"] = dA2.sum(axis=0)
-        dG = _lin_bwd(lc["G"], p + "W2", params, adapters, lc, dA2, grads)
+        grads[p + "b2"] = dA2.sum(axis=(0, 1))
+        dG = _lin_bwd(lc["G"], p + "W2", params, adapters, lc, dA2, grads, base)
         dU1 = dG * gelu_grad(lc["U1"])
-        grads[p + "b1"] = dU1.sum(axis=0)
-        dZ = dA2 + _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads)
+        grads[p + "b1"] = dU1.sum(axis=(0, 1))
+        dZ = dA2 + _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads, base)
         dA1, grads[p + "ln1_gain"], grads[p + "ln1_bias"] = _ln_bwd(
             dZ, params[p + "ln1_gain"], lc["ln1"])
 
-        dOh = _split_heads(_lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1, grads),
-                           config.n_heads)
+        dOh = _split_heads(_lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1,
+                                    grads, base), config.n_heads)
         Qh, Kh, Vh, Pw = lc["Qh"], lc["Kh"], lc["Vh"], lc["Pw"]
         dPw = dOh @ np.swapaxes(Vh, -1, -2)
         dS = Pw * (dPw - (dPw * Pw).sum(axis=-1, keepdims=True))
@@ -311,66 +349,99 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
                          ("W_K", np.swapaxes(dS, -1, -2) @ Qh * scale),
                          ("W_V", np.swapaxes(Pw, -1, -2) @ dOh)):
             dX = dX + _lin_bwd(lc["X_in"], p + name, params, adapters, lc,
-                               _merge_heads(dH), grads)
+                               _merge_heads(dH), grads, base)
 
-    dW_e = np.zeros_like(params["W_e"])
-    np.add.at(dW_e, cache["ids"], dX)
-    grads["W_e"] = dW_e
+    if peft_mode:
+        return {k: g for k, g in grads.items() if k.startswith("adapters.")}
+    grads["W_e"] = np.zeros_like(params["W_e"])
+    np.add.at(grads["W_e"], ids.ravel(), dX.reshape(-1, dX.shape[-1]))
     grads["P"] = np.zeros_like(params["P"])
-    grads["P"][:cache["ids"].size] = dX
+    grads["P"][:ids.shape[1]] = dX.sum(axis=0)
     return grads
 
 
-def _nll(probs, label: int) -> float:
-    """-log(probs[label]), or inf where that probability underflows to 0."""
-    p = probs[label]
-    return -math.log(p) if p > 0 else math.inf
+def _sub_batches(mask, d_model: int) -> list[np.ndarray]:
+    """Row indices of each sub-batch of a (B, n) mask: rows sorted by real
+    length, cut so that rows x longest x d_model <= SUB_BATCH_BUDGET."""
+    lengths = _real_lengths(mask)
+    chunks = [[]]
+    for i in np.argsort(lengths, kind="stable"):
+        if chunks[-1] and (len(chunks[-1]) + 1) * lengths[i] * d_model > SUB_BATCH_BUDGET:
+            chunks.append([])
+        chunks[-1].append(i)
+    return [np.array(rows) for rows in chunks]
+
+
+def _stack(batch):
+    """(ids, mask, label) examples as (B, n) ids and masks, short rows padded
+    with masked id 0, and (B,) labels."""
+    batch = list(batch)
+    if not batch:
+        raise ValueError("empty batch")
+    ids = np.zeros((len(batch), max(len(row[0]) for row in batch)), dtype=np.int64)
+    mask = np.zeros_like(ids)
+    for i, (row_ids, row_mask, _) in enumerate(batch):
+        if np.shape(row_mask) != np.shape(row_ids):
+            raise ValueError("ids and mask must be equal-length 1-D sequences")
+        ids[i, :len(row_ids)], mask[i, :len(row_ids)] = row_ids, row_mask
+    return ids, mask, np.array([label for _, _, label in batch])
+
+
+def batch_logits(ids, mask, params: EncoderParams, config: EncoderConfig,
+                 adapters: dict[str, LoraAdapter] | None = None) -> np.ndarray:
+    """(B, n_classes) logits for (B, n) ids and mask, in input order, from one
+    `encoder_forward` per sub-batch."""
+    ids, mask = _check_inputs(ids, mask, config)
+    logits = np.empty((len(ids), config.n_classes))
+    for rows in _sub_batches(mask, config.d_model):
+        logits[rows] = encoder_forward(ids[rows], mask[rows], params, config, adapters)
+    return logits
+
+
+def _nll(probs, labels) -> np.ndarray:
+    """-log(probs[i, labels[i]]) per row, or inf where that underflows to 0."""
+    picked = probs[np.arange(len(labels)), labels]
+    return np.array([-math.log(p) if p > 0 else math.inf for p in picked])
+
+
+def mean_nll(logits, labels) -> float:
+    """Mean cross-entropy of (B, n_classes) logits against (B,) labels."""
+    return float(np.mean(_nll(softmax_rows(np.asarray(logits)), np.asarray(labels))))
 
 
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
-                  peft_mode: bool = False):
-    """Mean cross-entropy and gradients over a batch of (ids, mask, label).
+                  peft_mode: bool = False, weights=None):
+    """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
-    With peft_mode=True only adapter gradients are returned; base tensors
-    are untouched by construction.
+    `weights` holds each example's weight (default 1/len(batch): the mean).
+    Sub-batch gradients add up in one dict.  With peft_mode=True only
+    adapter gradients are returned; base tensors are untouched by construction.
     """
-    batch = list(batch)
-    if not batch:
-        raise ValueError("empty batch")
+    ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
         raise ValueError("peft_mode requires adapters")
+    weights = (np.full(len(labels), 1.0 / len(labels)) if weights is None
+               else np.asarray(weights, dtype=np.float64))
     total: dict[str, np.ndarray] = {}
-    loss = 0.0
-    for ids, mask, label in batch:
-        logits, cache = encoder_forward(ids, mask, params, config, adapters,
-                                        return_cache=True)
+    nll = np.empty(len(labels))
+    for rows in _sub_batches(mask, config.d_model):
+        logits, cache = encoder_forward(ids[rows], mask[rows], params, config,
+                                        adapters, return_cache=True)
         probs = softmax_rows(logits)
-        loss += _nll(probs, label)
-        dlogits = probs.copy()
-        dlogits[label] -= 1.0
-        grads = encoder_backward(dlogits, cache, params, config, adapters)
-        for name, g in grads.items():
+        nll[rows] = _nll(probs, labels[rows])
+        probs[np.arange(len(rows)), labels[rows]] -= 1.0
+        for name, g in encoder_backward(probs * weights[rows, None], cache, params,
+                                        config, adapters, peft_mode=peft_mode).items():
             if name in total:
                 total[name] += g
             else:
                 total[name] = g
-    b = len(batch)
-    for name in total:
-        total[name] /= b
-    if peft_mode:
-        total = {k: v for k, v in total.items() if k.startswith("adapters.")}
-    return loss / b, total
+    return float(weights @ nll), total
 
 
 def batch_loss(params: EncoderParams, batch, config: EncoderConfig,
                adapters: dict[str, LoraAdapter] | None = None) -> float:
     """Mean cross-entropy without gradients (forward only)."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError("empty batch")
-    loss = 0.0
-    for ids, mask, label in batch:
-        logits = encoder_forward(ids, mask, params, config, adapters)
-        loss += _nll(softmax_rows(logits), label)
-    return loss / len(batch)
+    ids, mask, labels = _stack(batch)
+    return mean_nll(batch_logits(ids, mask, params, config, adapters), labels)

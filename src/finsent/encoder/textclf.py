@@ -8,7 +8,7 @@ vocab_size is len(vocab) + 2.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,8 @@ import numpy as np
 from ..corpus import LABELS, SentimentLabel
 from ..features import Vocabulary, pad_or_truncate, tokenize
 from .lora import LoraAdapter, merge_all
-from .model import EncoderConfig, EncoderParams, encoder_forward, param_shapes
+from .model import (EncoderConfig, EncoderParams, batch_logits, encoder_forward,
+                    param_shapes)
 
 CHECKPOINT_FORMAT = "finsent-encoder"
 CHECKPOINT_VERSION = 1
@@ -47,19 +48,25 @@ class EncoderTextClassifier:
         ids = [self.vocab.index.get(t, self.unk_id) for t in toks] or [self.unk_id]
         return pad_or_truncate(ids, self.max_len, self.pad_id)
 
-    def example(self, text: str, label: SentimentLabel) -> tuple[np.ndarray, np.ndarray, int]:
-        ids, mask = self.ids_and_mask(text)
-        return ids, mask, label.index
+    def encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
+        """(len(texts), max_len) token ids and masks."""
+        ids, mask = zip(*map(self.ids_and_mask, texts))
+        return np.array(ids), np.array(mask)
 
     def logits(self, text: str) -> np.ndarray:
         ids, mask = self.ids_and_mask(text)
         return encoder_forward(ids, mask, self.params, self.config, self.adapters)
 
-    def predict_index(self, text: str) -> int:
-        return int(np.argmax(self.logits(text)))
+    def predict_labels(self, texts) -> list[SentimentLabel]:
+        """One label per text, in input order, from sub-batched forward passes."""
+        if not texts:
+            return []
+        ids, mask = self.encode(texts)
+        logits = batch_logits(ids, mask, self.params, self.config, self.adapters)
+        return [LABELS[i] for i in np.argmax(logits, axis=1)]
 
     def predict_label(self, text: str) -> SentimentLabel:
-        return LABELS[self.predict_index(text)]
+        return self.predict_labels([text])[0]
 
 
 def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> None:
@@ -94,8 +101,9 @@ def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> N
 def load_checkpoint(path) -> EncoderTextClassifier:
     """Read a `save_checkpoint` file, checking every tensor against the config.
 
-    A member set, tensor shape, adapter shape, vocabulary size or `max_len`
-    that does not fit raises a ValueError naming it.
+    A missing meta entry, unknown or missing config key, member set, tensor
+    shape, adapter shape, vocabulary size or `max_len` that does not fit
+    raises a ValueError naming it.
     """
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
@@ -103,6 +111,16 @@ def load_checkpoint(path) -> EncoderTextClassifier:
             raise ValueError(f"not an encoder checkpoint: {path}")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
+        absent = [key for key in ("config", "max_len", "adapters", "vocab")
+                  if key not in meta]
+        if absent:
+            raise ValueError(f"checkpoint {path}: __meta__ lacks {absent}")
+        unknown = sorted(set(meta["config"]) - {f.name for f in fields(EncoderConfig)})
+        missing = [f.name for f in fields(EncoderConfig)
+                   if f.default is MISSING and f.name not in meta["config"]]
+        if unknown or missing:
+            raise ValueError(f"checkpoint {path}: config has unknown keys {unknown}, "
+                             f"lacks keys {missing}")
         config = EncoderConfig(**meta["config"])
         shapes = param_shapes(config)
         expected = [f"param::{name}" for name in shapes] + [

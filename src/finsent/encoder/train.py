@@ -6,8 +6,6 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .._rng import OP_ENCODER_TRAIN, substream
 from .lora import LoraAdapter, adapters_to_dict
 from .model import EncoderConfig, EncoderParams, loss_and_grad
@@ -71,8 +69,10 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     """Train in place; returns the per-optimizer-step loss trace.
 
     Each optimizer step averages gradients over up to `grad_accum_steps`
-    microbatches of `per_device_batch` examples.  The learning rate follows
-    the warmup/decay schedule over the total number of optimizer steps.
+    microbatches of `per_device_batch` examples, in one weighted
+    `loss_and_grad` call; the traced loss is the mean of microbatch means.
+    The learning rate follows the warmup/decay schedule over the total
+    number of optimizer steps.
     `eval_hook(epoch, params, adapters)`, when given, runs after each epoch
     and may return a dict with train_acc / val_loss / val_acc entries that
     are recorded on the epoch's final trace row.
@@ -99,28 +99,19 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
         micros = [order[s:s + b] for s in range(0, n, b)]
         for g0 in range(0, len(micros), train_config.grad_accum_steps):
             group = micros[g0:g0 + train_config.grad_accum_steps]
-            acc: dict[str, np.ndarray] = {}
-            losses = []
-            for micro in group:
-                batch = [examples[i] for i in micro]
-                loss, grads = loss_and_grad(params, batch, config, adapters,
-                                            peft_mode=peft_mode)
-                losses.append(loss)
-                for name, grad in grads.items():
-                    if name in acc:
-                        acc[name] += grad
-                    else:
-                        acc[name] = grad
-            for name in acc:
-                acc[name] /= len(group)
+            # One call per group; weights keep the mean of microbatch means.
+            batch = [examples[i] for micro in group for i in micro]
+            weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
+            loss, grads = loss_and_grad(params, batch, config, adapters,
+                                        peft_mode=peft_mode, weights=weights)
             step += 1
-            loss = float(np.mean(losses))
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite training loss {loss} at optimizer "
                                  f"step {step} (epoch {epoch})")
             lr = lr_at(step, total_steps, train_config.base_lr,
                        train_config.warmup_ratio)
-            adamw_step(tensors, acc, state, lr=lr)
+            adamw_step(tensors, grads, state, lr=lr)
+            del grads  # not held while the next step's gradients are built
             trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
         if eval_hook is not None and trace:
             metrics = eval_hook(epoch, params, adapters) or {}

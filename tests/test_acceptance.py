@@ -556,7 +556,7 @@ def test_criterion_12_end_to_end_pipeline(tmp_path):
 
     manifests = sorted(p.name for p in (tmp_path / "a").glob("manifest_*.json"))
     assert manifests
-    for name in manifests:
+    for name in manifests + ["encoder_trace.csv", "predictions.csv"]:
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between runs"

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import finsent
+import finsent.encoder as enc
 from finsent.cli import (
     DEFAULT_CONFIG,
     EXIT_BACKEND,
@@ -19,6 +22,7 @@ from finsent.cli import (
     load_config,
     main,
 )
+from finsent.corpus import load_corpus
 
 
 def run_cli(*argv):
@@ -226,6 +230,46 @@ class TestTrainPredictEvaluate:
         assert len(preds) == 10
         assert run_cli("evaluate", "--config", cfg, "--out", out,
                        "--name", "encoder") == EXIT_OK
+
+    def test_eval_hook_metrics_equal_a_per_record_recount(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = tiny_config(tmp_path, encoder={"train": {"epochs": 3, "base_lr": 0.05}})
+        run_cli("ingest", "--out", out)
+        run_cli("split", "--config", cfg, "--out", out)
+        # A small sub-batch budget makes the batched eval cut its sets.
+        monkeypatch.setattr(enc.model, "SUB_BATCH_BUDGET", 64)
+        made, checked = [], []
+        real_classifier, real_loop = enc.EncoderTextClassifier, enc.train_loop
+
+        def classifier(**kwargs):
+            made.append(real_classifier(**kwargs))
+            return made[-1]
+
+        def loop(*args, eval_hook, **kwargs):
+            def recount(epoch, params_, adapters_):
+                metrics = eval_hook(epoch, params_, adapters_)
+                clf = made[0]  # trained in place: it holds params_ and adapters_
+                nll = []
+                for name, file in (("train", "train.csv"), ("val", "test.csv")):
+                    ds = load_corpus(out / file, format="csv_headered", encoding="utf8")
+                    hits = 0
+                    for rec in ds:
+                        logits = clf.logits(rec.text)
+                        hits += int(np.argmax(logits)) == rec.label.index
+                        if name == "val":
+                            z = logits - logits.max()
+                            nll.append(math.log(np.exp(z).sum()) - z[rec.label.index])
+                    assert metrics[f"{name}_acc"] == hits / len(ds)
+                assert abs(metrics["val_loss"] - sum(nll) / len(nll)) <= 1e-12
+                checked.append(epoch)
+                return metrics
+            return real_loop(*args, eval_hook=recount, **kwargs)
+
+        monkeypatch.setattr(enc, "EncoderTextClassifier", classifier)
+        monkeypatch.setattr(enc, "train_loop", loop)
+        assert run_cli("train-encoder", "--config", cfg, "--out", out, "--peft",
+                       "--test", out / "test.csv") == EXIT_OK
+        assert checked == [0, 1, 2]
 
     def test_non_finite_encoder_loss_names_the_step(self, tmp_path, capsys):
         out = tmp_path / "run"

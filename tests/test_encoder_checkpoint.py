@@ -1,11 +1,14 @@
 """Encoder checkpoints: the npz member layout, save/load round trips, and
-load-time checks that name the tensor or field a corrupt file gets wrong."""
+load-time checks that name the tensor or field a corrupt file gets wrong;
+plus the classifier's batched prediction."""
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from finsent.cli import EXIT_DATA, main
+from finsent.corpus import LABELS
 from finsent.encoder import (
     EncoderConfig,
     EncoderTextClassifier,
@@ -16,6 +19,7 @@ from finsent.encoder import (
     merge_all,
     save_checkpoint,
 )
+from finsent.encoder import model
 from finsent.features import build_vocabulary
 
 from conftest import NEG, NEU, POS, make_dataset
@@ -89,6 +93,26 @@ class TestRoundTrip:
             assert loaded.logits(text).tobytes() == clf.logits(text).tobytes()
 
 
+class TestPredictLabels:
+    @pytest.mark.parametrize("budget", [model.SUB_BATCH_BUDGET, 40])
+    def test_input_order_and_one_record_calls_agree(self, budget):
+        clf = make_classifier(peft=True)
+        clf.params["W_o"] *= 20.0  # spread the logits so that labels differ
+        rng = np.random.default_rng(3)
+        words = list(clf.vocab.tokens) + ["unseen", "words"]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 9))))
+                 for _ in range(30)]
+        with mock.patch.object(model, "SUB_BATCH_BUDGET", budget):
+            labels = clf.predict_labels(texts)
+            assert labels == [clf.predict_label(text) for text in texts]
+            assert clf.predict_labels(texts[::-1]) == labels[::-1]
+        assert labels == [LABELS[int(np.argmax(clf.logits(text)))] for text in texts]
+        assert len(set(labels)) > 1
+
+    def test_no_texts_no_labels(self):
+        assert make_classifier(peft=False).predict_labels([]) == []
+
+
 def _rewrite(path, edit):
     """Re-save the checkpoint at `path` after `edit(arrays, meta)`."""
     with np.load(path) as npz:
@@ -122,6 +146,18 @@ def _long_max_len(arrays, meta):
     meta["max_len"] = meta["config"]["max_seq_len"] + 5
 
 
+def _unknown_config_key(arrays, meta):
+    meta["config"]["dropout"] = 0.1
+
+
+def _drop_max_len(arrays, meta):
+    del meta["max_len"]
+
+
+def _drop_adapters(arrays, meta):
+    del meta["adapters"]
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("edit, named", [
         (_drop_w_q, "layers.0.W_Q"),
@@ -129,6 +165,9 @@ class TestCorruptCheckpoint:
         (_widen_adapter_a, "layers.1.W_V"),
         (_drop_vocab_token, "vocab_size"),
         (_long_max_len, "max_len"),
+        (_unknown_config_key, "dropout"),
+        (_drop_max_len, "max_len"),
+        (_drop_adapters, "adapters"),
     ])
     def test_fails_at_load_naming_the_tensor(self, tmp_path, capsys, edit, named):
         out = tmp_path / "run"

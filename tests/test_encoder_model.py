@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsent._rng import OP_ENCODER_INIT, substream
 from finsent.encoder import (
@@ -9,6 +12,7 @@ from finsent.encoder import (
     LoraAdapter,
     adapters_to_dict,
     attention,
+    batch_logits,
     batch_loss,
     encoder_forward,
     gelu,
@@ -22,6 +26,7 @@ from finsent.encoder import (
     multi_head_attention,
     param_shapes,
 )
+from finsent.encoder import model
 from finsent.encoder.lora import VALID_TARGETS
 
 from oracles import encoder_forward_dense, fd_gradients, tensor_rel_error
@@ -291,6 +296,106 @@ class TestGradients:
         params, _ = tiny_setup()
         with pytest.raises(ValueError):
             loss_and_grad(params, [], TINY)
+
+
+def ragged_rows(rng, size, width=6):
+    """`size` (ids, mask, label) rows of random real length, some with a
+    masked last position, each also padded to `width` with random ids."""
+    rows, padded = [], []
+    for _ in range(size):
+        n = int(rng.integers(1, width + 1))
+        ids = rng.integers(0, TINY.vocab_size, size=n)
+        mask = np.ones(n, dtype=np.int64)
+        if n > 1 and rng.random() < 0.5:
+            mask[-1] = 0
+        rows.append((ids, mask, int(rng.integers(0, 3))))
+        padded.append((np.concatenate([ids, rng.integers(0, TINY.vocab_size, width - n)]),
+                       np.concatenate([mask, np.zeros(width - n, dtype=np.int64)])))
+    ids, mask = (np.array(col) for col in zip(*padded))
+    return rows, ids, mask
+
+
+def assert_grads_close(got, want, atol=1e-12):
+    assert set(got) == set(want)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=atol, err_msg=name)
+
+
+class TestBatching:
+    def test_ragged_batch_logits_equal_each_rows_own_forward(self):
+        rng = np.random.default_rng(30)
+        for seed in range(10):
+            params, ads = tiny_setup(seed=seed, adapters=(seed % 2 == 0), nonzero_b=True)
+            rows, ids, mask = ragged_rows(rng, size=7)
+            for got in (encoder_forward(ids, mask, params, TINY, ads),
+                        batch_logits(ids, mask, params, TINY, ads)):
+                assert got.shape == (7, TINY.n_classes)
+                for i, (row_ids, row_mask, _) in enumerate(rows):
+                    want = encoder_forward(row_ids, row_mask, params, TINY, ads)
+                    assert float(np.max(np.abs(got[i] - want))) <= 1e-12
+
+    def test_padding_to_max_seq_len_equals_the_trimmed_batch(self):
+        rng = np.random.default_rng(31)
+        for seed in range(10):
+            params, ads = tiny_setup(seed=seed, adapters=True, nonzero_b=True)
+            _, ids, mask = ragged_rows(rng, size=5)
+            used = int(np.max(np.nonzero(mask.any(axis=0))[0])) + 1
+            padded = encoder_forward(ids, mask, params, TINY, ads)
+            trimmed = encoder_forward(ids[:, :used], mask[:, :used], params, TINY, ads)
+            assert float(np.max(np.abs(padded - trimmed))) <= 1e-12
+
+    def test_weighted_group_equals_mean_of_microbatch_calls(self):
+        rng = np.random.default_rng(32)
+        params, ads = tiny_setup(seed=5, adapters=True, nonzero_b=True)
+        rows, _, _ = ragged_rows(rng, size=8)
+        micros = [rows[0:3], rows[3:6], rows[6:8]]  # the last one is short
+        weights = [1.0 / (len(m) * len(micros)) for m in micros for _ in m]
+        loss, grads = loss_and_grad(params, rows, TINY, ads, weights=weights)
+        parts = [loss_and_grad(params, m, TINY, ads) for m in micros]
+        assert abs(loss - sum(l for l, _ in parts) / 3) <= 1e-12
+        assert_grads_close(grads, {name: sum(g[name] for _, g in parts) / 3
+                                   for name in parts[0][1]})
+
+    def test_peft_mode_returns_exactly_the_full_paths_adapter_grads(self):
+        rng = np.random.default_rng(33)
+        params, ads = tiny_setup(seed=6, adapters=True, nonzero_b=True)
+        rows, _, _ = ragged_rows(rng, size=6)
+        peft_loss, peft = loss_and_grad(params, rows, TINY, ads, peft_mode=True)
+        full_loss, full = loss_and_grad(params, rows, TINY, ads, peft_mode=False)
+        assert set(peft) == set(adapters_to_dict(ads))
+        assert peft_loss == full_loss
+        for name, g in peft.items():
+            np.testing.assert_array_equal(g, full[name], err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9),
+           budget=st.integers(1, 400))
+    def test_any_sub_batch_budget_gives_the_same_results(self, seed, size, budget):
+        rng = np.random.default_rng(seed)
+        params, ads = tiny_setup(seed=seed % 7, adapters=True, nonzero_b=True)
+        rows, ids, mask = ragged_rows(rng, size=size)
+        weights = rng.random(size)
+        want_loss, want = loss_and_grad(params, rows, TINY, ads, weights=weights)
+        with mock.patch.object(model, "SUB_BATCH_BUDGET", budget):
+            loss, grads = loss_and_grad(params, rows, TINY, ads, weights=weights)
+            logits = batch_logits(ids, mask, params, TINY, ads)
+        assert abs(loss - want_loss) <= 1e-12
+        assert_grads_close(grads, want)
+        for i, (row_ids, row_mask, _) in enumerate(rows):
+            own = encoder_forward(row_ids, row_mask, params, TINY, ads)
+            assert float(np.max(np.abs(logits[i] - own))) <= 1e-12
+
+    def test_each_row_is_checked(self):
+        params, _ = tiny_setup()
+        ids = np.array([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="unmasked"):
+            encoder_forward(ids, np.array([[1, 1, 0], [0, 0, 0]]), params, TINY)
+        with pytest.raises(ValueError, match="out of range"):
+            encoder_forward(np.array([[1, 2, 3], [4, 5, 11]]), np.ones((2, 3)),
+                            params, TINY)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            loss_and_grad(params, [(np.arange(3), np.ones(3), 0),
+                                   (np.arange(7) % 11, np.ones(7), 1)], TINY)
 
 
 class TestLora:

@@ -196,14 +196,24 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 
 def _write_text(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8")
+    # Encoded a slice at a time: a large text never sits beside its full bytes.
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start:start + (1 << 20)])
     return path
 
 
-def _vocabulary(cfg, train_ds: Dataset) -> features_mod.Vocabulary:
+def _vocabulary(cfg, corpus) -> features_mod.Vocabulary:
     return features_mod.build_vocabulary(
-        train_ds, min_df=_require(cfg, "features.min_df", int, positive=True),
+        corpus, min_df=_require(cfg, "features.min_df", int, positive=True),
         max_size=_require(cfg, "features.max_vocab", int, positive=True))
+
+
+def _train_tfidf(cfg, train_ds: Dataset):
+    """The training set's vocabulary and TF-IDF matrix, from one tokenization."""
+    docs = features_mod.token_lists(train_ds)
+    vocab = _vocabulary(cfg, docs)
+    return vocab, features_mod.tfidf(docs, vocab)
 
 
 def _load_template(cfg) -> promptkit.PromptTemplate:
@@ -311,12 +321,12 @@ def cmd_analyze(args, cfg, out):
 
 def cmd_featurize(args, cfg, out):
     train_ds = _load_canonical(args.train)
-    vocab = _vocabulary(cfg, train_ds)
+    vocab, train_tfidf = _train_tfidf(cfg, train_ds)
     inputs = {"train": Path(args.train)}
     outputs = {"vocabulary": _write_text(out / "vocabulary.json",
                                          json.dumps(vocab.to_dict()) + "\n"),
-               "tfidf_train": _write_text(out / "tfidf_train.csv", features_mod.tfidf(
-                   train_ds, vocab).to_triplet_csv())}
+               "tfidf_train": _write_text(out / "tfidf_train.csv",
+                                          train_tfidf.to_triplet_csv())}
     if args.eval:
         inputs["eval"] = Path(args.eval)
         outputs["tfidf_eval"] = _write_text(out / "tfidf_eval.csv", features_mod.tfidf(
@@ -366,9 +376,9 @@ def cmd_train_linear(args, cfg, out):
                    l2=_require(cfg, "linear.l2", float),
                    seed=args.seed)
     train_ds = _load_canonical(args.train)
-    vocab = _vocabulary(cfg, train_ds)
-    X = features_mod.tfidf(train_ds, vocab).matrix
-    params, trace = linear_mod.train(X, _labels_to_indices(train_ds), hyper)
+    vocab, train_tfidf = _train_tfidf(cfg, train_ds)
+    params, trace = linear_mod.train(train_tfidf.matrix, _labels_to_indices(train_ds),
+                                     hyper)
 
     model_path = out / "linear.json"
     linear_mod.save_checkpoint(params, model_path)

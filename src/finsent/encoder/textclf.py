@@ -98,10 +98,25 @@ def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> N
         np.savez(fh, **arrays)
 
 
+_JSON_TYPES = {"int": int, "float": (int, float)}
+
+
+def _check_entry(path, name: str, doc, types: dict) -> None:
+    """Raise a ValueError naming `name` and each key of `types` that `doc`
+    lacks or holds with another type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path}: {name} is not a mapping")
+    bad = [key for key, kind in types.items()
+           if isinstance(doc.get(key), bool) or not isinstance(doc.get(key), kind)]
+    if bad:
+        raise ValueError(f"checkpoint {path}: {name} lacks or mistypes {bad}")
+
+
 def load_checkpoint(path) -> EncoderTextClassifier:
     """Read a `save_checkpoint` file, checking every tensor against the config.
 
-    A missing meta entry, unknown or missing config key, member set, tensor
+    A missing or mistyped meta entry (config value, adapter rank or alpha,
+    vocabulary field), unknown or missing config key, member set, tensor
     shape, adapter shape, vocabulary size or `max_len` that does not fit
     raises a ValueError naming it.
     """
@@ -111,16 +126,19 @@ def load_checkpoint(path) -> EncoderTextClassifier:
             raise ValueError(f"not an encoder checkpoint: {path}")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        absent = [key for key in ("config", "max_len", "adapters", "vocab")
-                  if key not in meta]
-        if absent:
-            raise ValueError(f"checkpoint {path}: __meta__ lacks {absent}")
+        _check_entry(path, "__meta__", meta,
+                     {"config": dict, "max_len": int, "adapters": dict, "vocab": dict})
+        _check_entry(path, "vocab", meta["vocab"],
+                     {"tokens": list, "document_frequency": list, "n_documents": int})
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(EncoderConfig)})
         missing = [f.name for f in fields(EncoderConfig)
                    if f.default is MISSING and f.name not in meta["config"]]
         if unknown or missing:
             raise ValueError(f"checkpoint {path}: config has unknown keys {unknown}, "
                              f"lacks keys {missing}")
+        _check_entry(path, "config", meta["config"],
+                     {f.name: _JSON_TYPES[f.type] for f in fields(EncoderConfig)
+                      if f.name in meta["config"]})
         config = EncoderConfig(**meta["config"])
         shapes = param_shapes(config)
         expected = [f"param::{name}" for name in shapes] + [
@@ -138,6 +156,8 @@ def load_checkpoint(path) -> EncoderTextClassifier:
                                  f"{params[name].shape}, expected {shape}")
         adapters = {}
         for target, info in meta["adapters"].items():
+            _check_entry(path, f"adapter {target}", info,
+                         {"rank": int, "alpha": (int, float)})
             A, B = npz[f"adapter::{target}::A"], npz[f"adapter::{target}::B"]
             rank, base = info["rank"], shapes.get(target, ())
             if len(base) != 2 or A.shape != (rank, base[1]) or B.shape != (base[0], rank):

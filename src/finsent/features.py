@@ -70,16 +70,26 @@ class Vocabulary:
                    n_documents=doc["n_documents"])
 
 
-def build_vocabulary(corpus: Dataset, min_df: int = 1,
+def token_lists(corpus) -> list[list[str]]:
+    """Tokens of each record of a Dataset (equal tokens share one string, to
+    keep a large corpus small); a list of token lists passes through."""
+    if not isinstance(corpus, Dataset):
+        return corpus
+    shared: dict[str, str] = {}
+    return [[shared.setdefault(t, t) for t in tokenize(rec.text)] for rec in corpus]
+
+
+def build_vocabulary(corpus, min_df: int = 1,
                      max_size: int | None = None) -> Vocabulary:
-    """Tokens with document frequency >= min_df, ranked by (df desc, token asc)."""
+    """Tokens of a Dataset (or its `token_lists`) with document frequency >=
+    min_df, ranked by (df desc, token asc)."""
     if min_df < 1:
         raise ValueError("min_df must be at least 1")
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
     df: Counter[str] = Counter()
-    for rec in corpus:
-        df.update(set(tokenize(rec.text)))
+    for tokens in token_lists(corpus):
+        df.update(set(tokens))
     kept = sorted((t for t, c in df.items() if c >= min_df),
                   key=lambda t: (-df[t], t))
     if max_size is not None:
@@ -87,6 +97,9 @@ def build_vocabulary(corpus: Dataset, min_df: int = 1,
     return Vocabulary(index={t: i for i, t in enumerate(kept)},
                       document_frequency={t: df[t] for t in kept},
                       n_documents=len(corpus))
+
+
+TRIPLET_SLICE = 4096  # entries `to_triplet_csv` turns into Python objects at once
 
 
 @dataclass(frozen=True)
@@ -113,13 +126,14 @@ class DocTermMatrix:
 
     def to_triplet_csv(self) -> str:
         """'row,col,weight' triplets (header included), full float precision."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row", "col", "weight"])
         coo = self.matrix.tocoo()
-        for r, c, w in zip(coo.row, coo.col, coo.data):
-            writer.writerow([int(r), int(c), repr(float(w))])
-        return buf.getvalue()
+        parts = ["row,col,weight\n"]
+        for s in range(0, coo.nnz, TRIPLET_SLICE):
+            cut = slice(s, s + TRIPLET_SLICE)
+            parts.append("".join(
+                f"{r},{c},{w!r}\n" for r, c, w in zip(
+                    coo.row[cut].tolist(), coo.col[cut].tolist(), coo.data[cut].tolist())))
+        return "".join(parts)
 
     @classmethod
     def from_triplet_csv(cls, text: str, n_rows: int | None = None,
@@ -140,33 +154,31 @@ class DocTermMatrix:
         return cls(sp.csr_matrix((data, (rows, cols)), shape=shape))
 
 
-def tfidf(corpus: Dataset, vocab: Vocabulary) -> DocTermMatrix:
+def tfidf(corpus, vocab: Vocabulary) -> DocTermMatrix:
     """tf * idf with smoothed idf(t) = ln((1+N)/(1+df(t))) + 1, rows L2-normalized.
 
-    tf is the raw in-document count; documents with no in-vocabulary token
-    produce all-zero rows.
+    `corpus` is a Dataset or its `token_lists`.  tf is the raw in-document
+    count; documents with no in-vocabulary token produce all-zero rows.
+    Vectorized: one (row, column) pair per in-vocabulary token, counted into
+    a CSR matrix, scaled by an idf array and by row norms from `np.bincount`.
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    n_docs = vocab.n_documents
-    idf = {t: math.log((1 + n_docs) / (1 + vocab.document_frequency[t])) + 1.0
-           for t in vocab.index}
-
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for rec in corpus:
-        counts = Counter(t for t in tokenize(rec.text) if t in vocab.index)
-        items = sorted((vocab.index[t], c * idf[t]) for t, c in counts.items())
-        weights = np.array([w for _, w in items], dtype=np.float64)
-        norm = float(np.linalg.norm(weights))
-        if norm > 0.0:
-            weights /= norm
-        indices.extend(col for col, _ in items)
-        data.extend(weights.tolist())
-        indptr.append(len(indices))
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(corpus), len(vocab)),
-                           dtype=np.float64)
+    docs = token_lists(corpus)
+    n_docs, index = vocab.n_documents, vocab.index
+    idf = np.array([math.log((1 + n_docs) / (1 + vocab.document_frequency[t])) + 1.0
+                    for t in index])
+    lengths = [len(tokens) for tokens in docs]
+    cols = np.fromiter((index.get(t, -1) for tokens in docs for t in tokens),
+                       dtype=np.int32, count=sum(lengths))
+    rows = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
+    kept = cols >= 0
+    # COO to CSR sums the duplicates: each row's sorted columns with their counts.
+    matrix = sp.csr_matrix((np.ones(np.count_nonzero(kept)), (rows[kept], cols[kept])),
+                           shape=(len(docs), len(vocab)))
+    matrix.data *= idf[matrix.indices]
+    rows = np.repeat(np.arange(len(docs), dtype=np.int32), np.diff(matrix.indptr))
+    matrix.data /= np.sqrt(np.bincount(rows, weights=matrix.data ** 2))[rows]
     return DocTermMatrix(matrix)
 
 

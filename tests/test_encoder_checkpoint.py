@@ -158,6 +158,18 @@ def _drop_adapters(arrays, meta):
     del meta["adapters"]
 
 
+def _drop_adapter_rank(arrays, meta):
+    del meta["adapters"]["layers.1.W_V"]["rank"]
+
+
+def _drop_vocab_tokens(arrays, meta):
+    del meta["vocab"]["tokens"]
+
+
+def _string_d_model(arrays, meta):
+    meta["config"]["d_model"] = "x"
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("edit, named", [
         (_drop_w_q, "layers.0.W_Q"),
@@ -168,6 +180,9 @@ class TestCorruptCheckpoint:
         (_unknown_config_key, "dropout"),
         (_drop_max_len, "max_len"),
         (_drop_adapters, "adapters"),
+        (_drop_adapter_rank, "rank"),
+        (_drop_vocab_tokens, "tokens"),
+        (_string_d_model, "d_model"),
     ])
     def test_fails_at_load_naming_the_tensor(self, tmp_path, capsys, edit, named):
         out = tmp_path / "run"

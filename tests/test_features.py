@@ -1,8 +1,15 @@
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from finsent import features
 from finsent.corpus import EmptyCorpusError
 from finsent.features import (
     DocTermMatrix,
@@ -13,6 +20,7 @@ from finsent.features import (
     pad_or_truncate,
     parse_embeddings,
     tfidf,
+    token_lists,
     tokenize,
 )
 
@@ -181,6 +189,90 @@ class TestTfidf:
         back = DocTermMatrix.from_triplet_csv(mat.to_triplet_csv(),
                                               n_rows=mat.n_rows, n_cols=mat.n_cols)
         np.testing.assert_array_equal(back.to_dense(), mat.to_dense())
+
+
+# Headline pieces: words a vocabulary may hold, words it never holds, and
+# punctuation that tokenizes to nothing.
+PIECES = st.sampled_from(["up", "Up", "down", "eps", "q3", "net", "sales", "oyj",
+                          "zz", "qq9", ",", "!", "--", "%", "...", "_"])
+TEXTS = st.lists(PIECES, min_size=1, max_size=9).map(" ".join)
+
+
+class TestTfidfProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(train=st.lists(TEXTS, min_size=1, max_size=7),
+           scored=st.lists(TEXTS, max_size=7),
+           min_df=st.integers(1, 2), max_size=st.sampled_from([None, 3]))
+    def test_matches_dense_oracle_with_unit_rows(self, train, scored, min_df, max_size):
+        vocab = build_vocabulary(corpus_of(*train), min_df=min_df, max_size=max_size)
+        assume(len(vocab) > 0)
+        texts = train + scored
+        docs = [tokenize(t) for t in texts]
+        got = tfidf(corpus_of(*texts), vocab)
+        want = tfidf_dense(docs, vocab.tokens, vocab.document_frequency,
+                           vocab.n_documents)
+        assert got.matrix.shape == (len(texts), len(vocab))
+        np.testing.assert_allclose(got.to_dense(), want, rtol=0, atol=1e-12)
+        for i, tokens in enumerate(docs):
+            idx, weights = got.row(i)
+            assert np.all(np.diff(idx) > 0) and np.all(weights > 0)
+            if any(t in vocab for t in tokens):
+                assert abs(np.linalg.norm(weights) - 1.0) <= 1e-12
+            else:
+                assert len(idx) == 0
+        from_lists = tfidf(docs, vocab).matrix
+        assert (from_lists != got.matrix).nnz == 0
+
+    def test_token_lists_give_the_dataset_results(self):
+        ds = corpus_of("Profit up, EPS up", "!!", "net sales down", "zz qq")
+        docs = token_lists(ds)
+        assert docs == [["profit", "up", "eps", "up"], [], ["net", "sales", "down"],
+                        ["zz", "qq"]]
+        assert token_lists(docs) is docs
+        vocab = build_vocabulary(ds, min_df=1)
+        assert build_vocabulary(docs, min_df=1) == vocab
+        np.testing.assert_array_equal(tfidf(docs, vocab).to_dense(),
+                                      tfidf(ds, vocab).to_dense())
+
+    def test_empty_corpus_gives_empty_matrix(self):
+        vocab = build_vocabulary(corpus_of("a b"), min_df=1)
+        mat = tfidf([], vocab)
+        assert mat.matrix.shape == (0, 2) and mat.matrix.nnz == 0
+
+
+def csv_writer_triplets(matrix):
+    """Triplets as `csv.writer` writes them, the writer's first form."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row", "col", "weight"])
+    coo = matrix.tocoo()
+    for r, c, w in zip(coo.row, coo.col, coo.data):
+        writer.writerow([int(r), int(c), repr(float(w))])
+    return buf.getvalue()
+
+
+class TestTripletCsv:
+    VALUES = [0.1, 1 / 3, 2.0, -0.5, 1e-05, 5e-324, 1.7976931348623157e308,
+              0.7071067811865476, 123456789.125, -2.5e-17]
+
+    @pytest.mark.parametrize("nnz", [0, 1, 4, 5, 6, 10, 11, 63])
+    def test_byte_identical_to_csv_writer_at_slice_edges(self, nnz):
+        rng = np.random.default_rng(nnz)
+        cells = rng.permutation(7 * 9)[:nnz]
+        values = rng.choice(self.VALUES, size=nnz)
+        matrix = sp.csr_matrix((values, (cells // 9, cells % 9)), shape=(7, 9))
+        assert matrix.nnz == nnz
+        with mock.patch.object(features, "TRIPLET_SLICE", 5):
+            text = DocTermMatrix(matrix).to_triplet_csv()
+        assert text == csv_writer_triplets(matrix)
+
+    def test_byte_identical_on_tfidf_at_the_default_slice(self):
+        rng = np.random.default_rng(3)
+        alphabet = [f"w{i}" for i in range(40)]
+        docs = [list(rng.choice(alphabet, size=rng.integers(0, 12))) for _ in range(900)]
+        mat = tfidf(docs, build_vocabulary(docs, min_df=1))
+        assert mat.matrix.nnz > features.TRIPLET_SLICE
+        assert mat.to_triplet_csv() == csv_writer_triplets(mat.matrix)
 
 
 class TestEmbeddings:

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from finsent import linear_model
+from finsent._rng import OP_LINEAR_TRAIN, substream
 from finsent.linear_model import (
     LinearParams,
     LinearTrainConfig,
@@ -42,6 +45,31 @@ class TestSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             softmax([np.inf, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_rows_reject_non_finite(self, bad, axis):
+        z = np.zeros((4, 3))
+        z[2, 1] = bad
+        with pytest.raises(ValueError):
+            softmax(z, axis=axis)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 5000])
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_rows_bit_identical_to_last_axis_formula(self, n, axis):
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 5.0, 300.0):
+            z = rng.normal(size=(n, 3)) * scale
+            shifted = z - z.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            want = e / e.sum(axis=1, keepdims=True)
+            got = softmax(z, axis=axis)
+            assert got.shape == (n, 3)
+            np.testing.assert_array_equal(got, want)
+
+    def test_axis_zero_normalizes_columns(self):
+        z = np.random.default_rng(1).normal(size=(3, 5))
+        np.testing.assert_array_equal(softmax(z, axis=0), softmax(z.T, axis=1).T)
 
 
 class TestForward:
@@ -193,6 +221,82 @@ class TestTrain:
         X, _ = separable_toy()
         with pytest.raises(ValueError):
             train(X, np.array([0, 1]), LinearTrainConfig(lr=0.1, epochs=1))
+
+
+def two_call_reference(X, y, hyper):
+    """The loop as first written: every epoch steps over a row-permuted copy
+    in batches (the whole set in full batch), then recomputes the full-set loss."""
+    X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    params = LinearParams.zeros(X.shape[1])
+    batch = hyper.batch_size if hyper.batch_size > 0 else n
+    trace = []
+    for epoch in range(hyper.epochs):
+        order = substream(hyper.seed, OP_LINEAR_TRAIN, epoch).permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            _, dW, db = loss_and_grad(params, X[idx], y[idx], hyper.l2)
+            params.W -= hyper.lr * dW
+            params.b -= hyper.lr * db
+        trace.append(loss_and_grad(params, X, y, hyper.l2)[0])
+    return params, trace
+
+
+def random_problem(seed, n=60, dim=25, sparse=True):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, dim)) * (rng.random((n, dim)) > 0.7)
+    y = rng.integers(0, 3, size=n)
+    return (sp.csr_matrix(X) if sparse else X), y
+
+
+class TestFusedFullBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("l2", [0.0, 0.003])
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 17])
+    def test_matches_two_call_loop(self, seed, l2, epochs):
+        X, y = random_problem(seed, sparse=seed != 2)
+        hyper = LinearTrainConfig(lr=0.7, epochs=epochs, batch_size=0, l2=l2, seed=seed)
+        got, trace = train(X, y, hyper)
+        want, want_trace = two_call_reference(X, y, hyper)
+        assert len(trace) == epochs
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.W, want.W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("epochs", [1, 2, 9])
+    def test_one_loss_and_grad_per_epoch(self, epochs):
+        X, y = random_problem(3)
+        with mock.patch.object(linear_model, "loss_and_grad",
+                               wraps=linear_model.loss_and_grad) as spy:
+            train(X, y, LinearTrainConfig(lr=0.5, epochs=epochs, batch_size=0))
+        assert spy.call_count == epochs + 1
+        for call in spy.call_args_list:
+            assert call.args[1].shape[0] == 60
+
+    def test_no_epochs_no_calls(self):
+        X, y = random_problem(3)
+        with mock.patch.object(linear_model, "loss_and_grad",
+                               wraps=linear_model.loss_and_grad) as spy:
+            train(X, y, LinearTrainConfig(lr=0.5, epochs=0, batch_size=0))
+        assert spy.call_count == 0
+
+    def test_seed_free(self):
+        X, y = random_problem(4)
+        a, trace_a = train(X, y, LinearTrainConfig(lr=0.5, epochs=5, seed=1))
+        b, trace_b = train(X, y, LinearTrainConfig(lr=0.5, epochs=5, seed=2))
+        np.testing.assert_array_equal(a.W, b.W)
+        assert trace_a == trace_b
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 60, 200])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_mini_batch_bit_identical_to_reference(self, batch_size, l2):
+        X, y = random_problem(5)
+        hyper = LinearTrainConfig(lr=0.4, epochs=4, batch_size=batch_size, l2=l2, seed=9)
+        got, trace = train(X, y, hyper)
+        want, want_trace = two_call_reference(X, y, hyper)
+        assert trace == want_trace
+        np.testing.assert_array_equal(got.W, want.W)
+        np.testing.assert_array_equal(got.b, want.b)
 
 
 class TestCheckpoint:

@@ -104,20 +104,16 @@ def synonym_replace(tokens, n: int, lexicon: SynonymLexicon,
 
 
 def random_insertion(tokens, n: int, lexicon: SynonymLexicon,
-                     rng: np.random.Generator, from_lexicon: bool = False) -> list[str]:
+                     rng: np.random.Generator) -> list[str]:
     """Insert up to `n` words at uniform positions.
 
-    Default mode inserts a synonym of a uniformly chosen input token so the
-    new words stay on-domain; `from_lexicon=True` instead draws the source
-    headword uniformly from the whole lexicon.
+    Each inserted word is a synonym of a uniformly chosen input token, so the
+    new words stay on-domain.
     """
     out = list(tokens)
     if n <= 0:
         return out
-    if from_lexicon:
-        sources = sorted(lexicon.entries)
-    else:
-        sources = [tok for tok in tokens if tok in lexicon]
+    sources = [tok for tok in tokens if tok in lexicon]
     if not sources:
         return out
     for _ in range(n):

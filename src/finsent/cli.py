@@ -10,13 +10,17 @@ line wins over the config), creates the output directory, calls
 message)` it returns to `manifest_<command>.json` with content hashes, and
 prints the message.
 
-Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown keys,
-mistyped values, values that the encoder, training, augmentation,
-generation, adapter or linear-model settings reject, a missing corpus or
-encoder checkpoint); 3 data errors (input that does not parse or cannot be
-read, a split the corpus cannot fill, prediction and gold counts that
-differ, a corrupt encoder checkpoint, a non-finite training loss);
-4 backend errors.
+`DEFAULT_CONFIG` is the config schema: `load_config` checks every key against
+the type of its default, so every stage fails on any mistyped key, read or
+not, before it runs.  Each settings object is built from its section.
+
+Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown,
+mistyped or non-positive keys, a config value outside its flag's choices,
+values that the encoder, training, augmentation, generation, adapter or
+linear-model settings reject, a missing corpus or encoder checkpoint);
+3 data errors (input that does not parse or cannot be read, a split the
+corpus cannot fill, prediction and gold counts that differ, a corrupt
+encoder checkpoint, a non-finite training loss); 4 backend errors.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -101,6 +106,34 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# Keys that must be above zero. Other ranges are left to the settings objects.
+_POSITIVE = {"features.min_df", "features.max_vocab", "features.max_seq_len",
+             "encoder.d_model", "encoder.n_heads", "encoder.d_ff", "encoder.peft.rank",
+             "prompt.max_new_tokens", "backend.timeout", "backend.retries",
+             "backend.max_in_flight"}
+
+
+def _check_leaf(here: str, default, value):
+    """`value`, checked against the type of its default: an int passes as a
+    float and becomes one, a null default takes a string or null, list items
+    take the type of the default's items, and a bool never passes as a number."""
+    if default is None:  # an optional key: null, or a string
+        default = None if value is None else ""
+    if isinstance(default, float) and type(value) is int:
+        value = float(value)
+    ok = type(value) is type(default)
+    if ok and isinstance(value, list):
+        ok = all(type(v) is type(default[0]) for v in value)
+    if not ok:
+        kind = type(default).__name__
+        if isinstance(default, list):
+            kind += f" of {type(default[0]).__name__}"
+        raise ConfigError(f"config key {here} must be of type {kind}")
+    if here in _POSITIVE and value <= 0:
+        raise ConfigError(f"config key {here} must be positive")
+    return value
+
+
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -112,7 +145,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigError(f"config key {here} must be a mapping")
             out[key] = _deep_merge(base[key], value, here)
         else:
-            out[key] = value
+            out[key] = _check_leaf(here, base[key], value)
     return out
 
 
@@ -129,26 +162,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root in {path} must be a mapping")
-    return _deep_merge(DEFAULT_CONFIG, doc)
-
-
-def _require(cfg: dict, dotted: str, kind, positive: bool = False):
-    """The value at `dotted`, checked to be a `kind` (ints pass as floats).
-
-    Keys whose default is null (optional files, the backend URL) may stay null.
-    """
-    node, default = cfg, DEFAULT_CONFIG
-    for part in dotted.split("."):
-        node, default = node[part], default[part]
-    if node is None and default is None:
-        return None
-    if kind is float and isinstance(node, int) and not isinstance(node, bool):
-        node = float(node)
-    if not isinstance(node, kind) or isinstance(node, bool):
-        raise ConfigError(f"config key {dotted} must be of type {kind.__name__}")
-    if positive and node <= 0:
-        raise ConfigError(f"config key {dotted} must be positive")
-    return node
+    return _deep_merge(load_config(None), doc)
 
 
 def _build(section: str, factory, *args, **kwargs):
@@ -205,8 +219,7 @@ def _write_text(path: Path, text: str) -> Path:
 
 def _vocabulary(cfg, corpus) -> features_mod.Vocabulary:
     return features_mod.build_vocabulary(
-        corpus, min_df=_require(cfg, "features.min_df", int, positive=True),
-        max_size=_require(cfg, "features.max_vocab", int, positive=True))
+        corpus, min_df=cfg["features"]["min_df"], max_size=cfg["features"]["max_vocab"])
 
 
 def _train_tfidf(cfg, train_ds: Dataset):
@@ -271,12 +284,8 @@ def cmd_upsample(args, cfg, out):
 
 
 def cmd_augment(args, cfg, out):
-    config = _build("augment", augment_mod.AugmentConfig,
-                    n_replace=_require(cfg, "augment.n_replace", int),
-                    n_insert=_require(cfg, "augment.n_insert", int),
-                    p_delete=_require(cfg, "augment.p_delete", float),
-                    n_swap=_require(cfg, "augment.n_swap", int),
-                    copies_per_record=args.copies, seed=args.seed)
+    config = _build("augment", augment_mod.AugmentConfig, **dict(
+        cfg["augment"], copies_per_record=args.copies, seed=args.seed))
     lexicon = (augment_mod.load_lexicon(args.lexicon) if args.lexicon
                else augment_mod.bundled_lexicon())
     ds = _load_canonical(args.input)
@@ -369,11 +378,7 @@ def _read_predictions(path: Path) -> list[SentimentLabel | None]:
 
 
 def cmd_train_linear(args, cfg, out):
-    hyper = _build("linear", linear_mod.LinearTrainConfig,
-                   lr=_require(cfg, "linear.lr", float),
-                   epochs=_require(cfg, "linear.epochs", int),
-                   batch_size=_require(cfg, "linear.batch_size", int),
-                   l2=_require(cfg, "linear.l2", float),
+    hyper = _build("linear", linear_mod.LinearTrainConfig, **cfg["linear"],
                    seed=args.seed)
     train_ds = _load_canonical(args.train)
     vocab, train_tfidf = _train_tfidf(cfg, train_ds)
@@ -400,43 +405,29 @@ def cmd_train_linear(args, cfg, out):
         messages.append(f"linear test accuracy: {acc:.3f}")
     messages.append(f"linear model trained on {len(train_ds)} records; "
                     f"final loss {trace[-1]:.4f}" if trace else "linear model written")
-    return ({"seed": args.seed, "lr": hyper.lr, "epochs": hyper.epochs,
-             "batch_size": hyper.batch_size, "l2": hyper.l2},
-            inputs, outputs, "\n".join(messages))
+    return asdict(hyper), inputs, outputs, "\n".join(messages)
 
 
 def cmd_train_encoder(args, cfg, out):
-    train_config = _build(
-        "encoder.train", enc.TrainConfig,
-        epochs=args.epochs,
-        per_device_batch=_require(cfg, "encoder.train.per_device_batch", int),
-        grad_accum_steps=_require(cfg, "encoder.train.grad_accum_steps", int),
-        base_lr=_require(cfg, "encoder.train.base_lr", float),
-        warmup_ratio=_require(cfg, "encoder.train.warmup_ratio", float),
-        seed=args.seed)
+    section = cfg["encoder"]
+    train_config = _build("encoder.train", enc.TrainConfig, **dict(
+        section["train"], epochs=args.epochs, seed=args.seed))
     adamw = _build("encoder.adamw", enc.AdamWConfig, lr=train_config.base_lr,
-                   weight_decay=_require(cfg, "encoder.adamw.weight_decay", float))
+                   **section["adamw"])
 
     train_ds = _load_canonical(args.train)
     vocab = _vocabulary(cfg, train_ds)
     config = _build(
-        "encoder", enc.EncoderConfig,
-        vocab_size=enc.encoder_vocab_size(vocab),
-        d_model=_require(cfg, "encoder.d_model", int, positive=True),
-        n_heads=_require(cfg, "encoder.n_heads", int, positive=True),
-        d_ff=_require(cfg, "encoder.d_ff", int, positive=True),
-        n_layers=_require(cfg, "encoder.n_layers", int),
-        max_seq_len=_require(cfg, "features.max_seq_len", int, positive=True),
-        layernorm_eps=_require(cfg, "encoder.layernorm_eps", float))
+        "encoder", enc.EncoderConfig, vocab_size=enc.encoder_vocab_size(vocab),
+        max_seq_len=cfg["features"]["max_seq_len"],
+        **{key: value for key, value in section.items()
+           if not isinstance(value, dict)})
     params = enc.init_params(config, args.seed)
 
     adapters = None
     if args.peft:
         adapters = _build("encoder.peft", enc.init_adapters, config,
-                          targets=tuple(_require(cfg, "encoder.peft.targets", list)),
-                          rank=_require(cfg, "encoder.peft.rank", int),
-                          alpha=_require(cfg, "encoder.peft.alpha", float),
-                          seed=args.seed)
+                          **section["peft"], seed=args.seed)
     clf = enc.EncoderTextClassifier(
         config=config, params=params, vocab=vocab,
         max_len=config.max_seq_len, adapters=adapters)
@@ -483,20 +474,17 @@ def cmd_train_encoder(args, cfg, out):
 
 
 def _prompt_backend(args, cfg) -> promptkit.GenerationBackend:
-    if args.backend == "http":
-        if not args.url:
-            raise ConfigError("http backend requires backend.url")
-        return promptkit.HttpBackend(
-            args.url, text_path=_require(cfg, "backend.text_path", str),
-            timeout=_require(cfg, "backend.timeout", float, positive=True),
-            auth_env=cfg["backend"]["auth_env"])
     if args.backend == "fixed":
         return promptkit.FixedResponseBackend(args.fixed_text)
-    raise ConfigError(f"unknown backend kind: {args.backend!r}")
+    if not args.url:
+        raise ConfigError("http backend requires backend.url")
+    backend = cfg["backend"]
+    return promptkit.HttpBackend(args.url, text_path=backend["text_path"],
+                                 timeout=backend["timeout"], auth_env=backend["auth_env"])
 
 
 def _nolabel_policy(cfg) -> promptkit.NoLabelPolicy:
-    policy = _require(cfg, "metrics.nolabel_policy", str)
+    policy = cfg["metrics"]["nolabel_policy"]
     if policy == "count_as_error":
         return promptkit.NoLabelPolicy()
     return _build("metrics.nolabel_policy", lambda: promptkit.NoLabelPolicy(
@@ -504,10 +492,9 @@ def _nolabel_policy(cfg) -> promptkit.NoLabelPolicy:
 
 
 def cmd_predict(args, cfg, out):
-    gen_config = _build(
-        "prompt", promptkit.GenConfig,
-        max_new_tokens=_require(cfg, "prompt.max_new_tokens", int, positive=True),
-        temperature=_require(cfg, "prompt.temperature", float))
+    gen_config = _build("prompt", promptkit.GenConfig,
+                        max_new_tokens=cfg["prompt"]["max_new_tokens"],
+                        temperature=cfg["prompt"]["temperature"])
     ds = _load_canonical(args.input)
     inputs = {"input": Path(args.input)}
     if args.backend == "encoder":
@@ -522,10 +509,9 @@ def cmd_predict(args, cfg, out):
         predictions, nolabel = promptkit.predict_sentiments(
             ds, _prompt_backend(args, cfg), template=template, config=gen_config,
             nolabel_policy=_nolabel_policy(cfg),
-            max_in_flight=_require(cfg, "backend.max_in_flight", int, positive=True),
-            retries=_require(cfg, "backend.retries", int, positive=True))
-    return ({"backend": args.backend, "max_new_tokens": gen_config.max_new_tokens,
-             "temperature": gen_config.temperature, "nolabel": nolabel},
+            max_in_flight=cfg["backend"]["max_in_flight"],
+            retries=cfg["backend"]["retries"])
+    return ({**asdict(gen_config), "backend": args.backend, "nolabel": nolabel},
             inputs, {"predictions": _write_predictions(out / "predictions.csv",
                                                        predictions)},
             f"predicted {len(predictions)} records ({nolabel} without label)")
@@ -685,8 +671,12 @@ def main(argv=None) -> int:
             if getattr(args, flag.dest) is not None:
                 continue
             if flag.config:
-                setattr(args, flag.dest,
-                        _require(cfg, flag.config, flag.options.get("type", str)))
+                value = reduce(dict.__getitem__, flag.config.split("."), cfg)
+                choices = flag.options.get("choices")
+                if choices and value not in choices:
+                    raise ConfigError(f"config key {flag.config} must be one of "
+                                      f"{', '.join(choices)}")
+                setattr(args, flag.dest, value)
             elif flag.out_file:
                 setattr(args, flag.dest, Path(args.out) / flag.out_file)
         out = Path(args.out)

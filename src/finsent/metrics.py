@@ -251,10 +251,9 @@ def render_table(rep: EvalReport) -> str:
 def compare(named_reports) -> str:
     """Model-comparison table (macro precision/recall/F1), input order kept.
 
-    `named_reports` is a sequence of (name, EvalReport) pairs or a dict.
+    `named_reports` is a sequence of (name, EvalReport) pairs.
     """
-    pairs = list(named_reports.items()) if isinstance(named_reports, dict) \
-        else list(named_reports)
+    pairs = list(named_reports)
     if not pairs:
         raise ValueError("no reports to compare")
     width = max(len("Model"), max(len(name) for name, _ in pairs)) + 2

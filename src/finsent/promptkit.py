@@ -99,6 +99,10 @@ class BackendError(RuntimeError):
     """A generation backend failed to produce text."""
 
 
+class RequestRejected(BackendError):
+    """The backend refused the request itself (HTTP 4xx): a retry cannot succeed."""
+
+
 class GenerationBackend:
     """Interface: turn a prompt into generated text."""
 
@@ -131,6 +135,8 @@ class HttpBackend(GenerationBackend):
     generated text at a dotted path (list indices allowed) in the response.
 
     A bearer token is sent when the configured environment variable is set.
+    A 4xx status other than 408 (timeout) and 429 (rate limit) raises
+    RequestRejected.
     """
 
     def __init__(self, url: str, text_path: str = "text", timeout: float = 10.0,
@@ -153,6 +159,9 @@ class HttpBackend(GenerationBackend):
                                      headers=headers)
         except requests.RequestException as exc:
             raise BackendError(f"request to {self.url} failed: {exc}") from exc
+        if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+            raise RequestRejected(
+                f"backend rejected the request: HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise BackendError(f"backend returned HTTP {resp.status_code}")
         try:
@@ -167,28 +176,6 @@ class HttpBackend(GenerationBackend):
                 raise BackendError(
                     f"response has no text at path {self.text_path!r}") from exc
         return str(value)
-
-
-class EncoderBackend(GenerationBackend):
-    """Adapts an EncoderTextClassifier: answers with the predicted label word.
-
-    The headline is recovered from the prompt using the template's fixed
-    text around the placeholder, so prompts must come from the same template.
-    """
-
-    def __init__(self, classifier, template: PromptTemplate = DEFAULT_TEMPLATE):
-        self.classifier = classifier
-        self.template = template
-        i = template.instruction.index("{headline}")
-        self._prefix = template.instruction[:i]
-        self._suffix = template.instruction[i + len("{headline}"):] + template.answer_marker
-
-    def generate(self, prompt: str, config: GenConfig) -> str:
-        if not (prompt.startswith(self._prefix) and prompt.endswith(self._suffix)
-                and len(prompt) >= len(self._prefix) + len(self._suffix)):
-            raise BackendError("prompt does not match the configured template")
-        headline = prompt[len(self._prefix):len(prompt) - len(self._suffix)]
-        return self.classifier.predict_label(headline).value
 
 
 @dataclass(frozen=True)
@@ -226,8 +213,9 @@ def predict_sentiments(dataset: Dataset, backend: GenerationBackend,
     """One prediction per record, in dataset order; returns (labels, n_nolabel).
 
     Backend calls run with at most `max_in_flight` concurrent requests and
-    are retried with exponential backoff; any record still failing aborts
-    the run with a PredictionError carrying the partial results.
+    are retried with exponential backoff, except a RequestRejected, which
+    fails its record at once; any record still failing aborts the run with a
+    PredictionError carrying the partial results.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be at least 1")
@@ -240,6 +228,8 @@ def predict_sentiments(dataset: Dataset, backend: GenerationBackend,
         for attempt in range(retries):
             try:
                 return backend.generate(prompt, config)
+            except RequestRejected:
+                raise
             except Exception as exc:
                 last = exc
                 if attempt + 1 < retries:

@@ -126,11 +126,6 @@ class TestRandomInsertion:
             out = random_insertion(toks, n, small_lexicon, rng(1))
             assert len(toks) <= len(out) <= len(toks) + n
 
-    def test_from_lexicon_mode(self):
-        lex = SynonymLexicon({"profit": ("gain",)})
-        out = random_insertion(["zzz"], 1, lex, rng(), from_lexicon=True)
-        assert out in (["gain", "zzz"], ["zzz", "gain"])
-
 
 class TestRandomDeletion:
     def test_p_zero_identity(self):

@@ -29,6 +29,32 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# The keys whose values must be above zero (an adapter of rank 0 divides by zero).
+POSITIVE_KEYS = {"features.min_df", "features.max_vocab", "features.max_seq_len",
+                 "encoder.d_model", "encoder.n_heads", "encoder.d_ff",
+                 "encoder.peft.rank", "prompt.max_new_tokens", "backend.timeout",
+                 "backend.retries", "backend.max_in_flight"}
+
+
+def _config_leaves(node, path=""):
+    for key, value in node.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _config_leaves(value, here)
+        else:
+            yield here, value
+
+
+def _mistyped(default) -> list:
+    """Values of a type other than that of `default`."""
+    if default is None or isinstance(default, str):
+        return [5, ["a"]]
+    if isinstance(default, list):
+        return ["W_Q", [5]]
+    # numbers: bools never count as numbers, and floats never as ints
+    return ["x", True] + ([1.5] if isinstance(default, int) else [])
+
+
 def tiny_config(tmp_path, **overrides) -> Path:
     cfg = {
         "split": {"train_total": 12, "test_total": 9},
@@ -56,6 +82,7 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg["seeds"]["master"] == 99
         assert cfg["split"]["train_total"] == DEFAULT_CONFIG["split"]["train_total"]
+        assert cfg["split"] is not DEFAULT_CONFIG["split"]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -86,6 +113,10 @@ class TestConfig:
         ({"linear": {"epochs": -1}}, ["train-linear"]),
         ({"linear": {"l2": -1.0}}, ["train-linear"]),
         ({"linear": {"batch_size": -5}}, ["train-linear"]),
+        # config values of flags with choices
+        ({"paths": {"format": "xml"}}, ["ingest"]),
+        ({"paths": {"encoding": "ebcdic"}}, ["ingest"]),
+        ({"backend": {"kind": "grpc"}}, ["predict"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):
@@ -96,7 +127,24 @@ class TestConfig:
         capsys.readouterr()
         cfg = tiny_config(tmp_path, **override)
         assert run_cli(*argv, "--config", cfg, "--out", out) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert next(iter(override)) in err
+
+    @pytest.mark.parametrize("dotted, value", [
+        pytest.param(dotted, value, id=f"{dotted}={value!r}")
+        for dotted, default in _config_leaves(DEFAULT_CONFIG)
+        for value in _mistyped(default) + ([0] if dotted in POSITIVE_KEYS else [])])
+    def test_every_key_checked_at_load(self, tmp_path, capsys, dotted, value):
+        """A bad value for any key fails every stage, even one that never reads it."""
+        doc = value
+        for part in reversed(dotted.split(".")):
+            doc = {part: doc}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert run_cli("ingest", "--config", path, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config key {dotted} ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngest:

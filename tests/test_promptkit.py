@@ -257,7 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/missing":
             body = {"something": "else"}
         else:
-            self.send_response(500)
+            self.send_response({"/reject": 400, "/busy": 429}.get(self.path, 500))
             self.end_headers()
             return
         data = json.dumps(body).encode()
@@ -317,6 +317,20 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.generate("p", GenConfig())
 
+    @pytest.mark.parametrize("path, attempts", [
+        ("/reject", 1),   # 4xx: the request itself is refused
+        ("/busy", 3),     # 429 and 5xx may succeed later
+        ("/boom", 3),
+    ])
+    def test_retries_only_failures_that_can_pass(self, http_server, path, attempts):
+        ds = tiny_dataset(3)
+        with pytest.raises(PredictionError) as err:
+            predict_sentiments(ds, HttpBackend(http_server + path), template=PLAIN,
+                               retries=3, backoff=0.001, max_in_flight=1)
+        assert [i for i, _ in err.value.failures] == [0, 1, 2]
+        assert err.value.partial == [None] * 3
+        assert len(_Handler.calls) == attempts * len(ds)
+
     def test_end_to_end_predict(self, http_server):
         ds = tiny_dataset(3)
         backend = HttpBackend(http_server + "/flat")
@@ -324,42 +338,3 @@ class TestHttpBackend:
         assert preds == [POS, POS, POS]
         assert nolabel == 0
 
-
-class TestEncoderBackend:
-    def make_classifier(self):
-        from finsent.corpus import Dataset, HeadlineRecord
-        from finsent.encoder import (EncoderConfig, EncoderTextClassifier,
-                                     encoder_vocab_size, init_params)
-        from finsent.features import build_vocabulary
-        ds = make_dataset([("profit rose", POS), ("sales fell", NEG),
-                           ("report due", NEU)])
-        vocab = build_vocabulary(ds, min_df=1)
-        config = EncoderConfig(vocab_size=encoder_vocab_size(vocab), d_model=8,
-                               n_heads=2, d_ff=16, n_layers=1, max_seq_len=8)
-        return EncoderTextClassifier(config=config,
-                                     params=init_params(config, seed=0),
-                                     vocab=vocab, max_len=8)
-
-    def test_generates_a_label_word(self):
-        from finsent.promptkit import EncoderBackend
-        clf = self.make_classifier()
-        backend = EncoderBackend(clf, PLAIN)
-        prompt = build_eval_prompt("profit rose", PLAIN)
-        out = backend.generate(prompt, GenConfig())
-        assert out in ("positive", "neutral", "negative")
-        assert out == clf.predict_label("profit rose").value
-
-    def test_rejects_prompt_from_other_template(self):
-        from finsent.promptkit import EncoderBackend
-        backend = EncoderBackend(self.make_classifier(), PLAIN)
-        with pytest.raises(BackendError, match="template"):
-            backend.generate("completely different text", GenConfig())
-
-    def test_full_predict_flow(self):
-        from finsent.promptkit import EncoderBackend
-        clf = self.make_classifier()
-        ds = tiny_dataset(5)
-        preds, nolabel = predict_sentiments(ds, EncoderBackend(clf, PLAIN),
-                                            template=PLAIN)
-        assert nolabel == 0
-        assert preds == [clf.predict_label(r.text) for r in ds]

@@ -11,11 +11,12 @@ message)` it returns to `manifest_<command>.json` with content hashes, and
 prints the message.
 
 `DEFAULT_CONFIG` is the config schema: `load_config` checks every key against
-the type of its default, so every stage fails on any mistyped key, read or
-not, before it runs.  Each settings object is built from its section.
+the type of its default, `_POSITIVE` and `_CHOICES` (also the flags' choices),
+so every stage fails on any bad key, read or not, before it runs.  Each
+settings object is built from its section.
 
 Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown,
-mistyped or non-positive keys, a config value outside its flag's choices,
+mistyped or non-positive keys, a config value outside its key's choices,
 values that the encoder, training, augmentation, generation, adapter or
 linear-model settings reject, a missing corpus or encoder checkpoint);
 3 data errors (input that does not parse or cannot be read, a split the
@@ -46,6 +47,8 @@ from . import linear_model as linear_mod
 from . import metrics as metrics_mod
 from . import promptkit
 from .corpus import (
+    ENCODINGS,
+    FORMATS,
     LABELS,
     CorpusError,
     Dataset,
@@ -56,6 +59,7 @@ from .corpus import (
     upsample,
     write_corpus,
 )
+from .encoder.lora import VALID_TARGETS
 
 DEFAULT_SEED = 7
 
@@ -109,8 +113,14 @@ DEFAULT_CONFIG: dict = {
 # Keys that must be above zero. Other ranges are left to the settings objects.
 _POSITIVE = {"features.min_df", "features.max_vocab", "features.max_seq_len",
              "encoder.d_model", "encoder.n_heads", "encoder.d_ff", "encoder.peft.rank",
-             "prompt.max_new_tokens", "backend.timeout", "backend.retries",
-             "backend.max_in_flight"}
+             "encoder.layernorm_eps", "prompt.max_new_tokens", "backend.timeout",
+             "backend.retries", "backend.max_in_flight"}
+
+# Keys whose value (each item, for a list) must be one of the listed words.
+_CHOICES = {"paths.format": FORMATS, "paths.encoding": ENCODINGS,
+            "encoder.peft.targets": VALID_TARGETS,
+            "backend.kind": ("encoder", "http", "fixed"),
+            "metrics.nolabel_policy": ("count_as_error", *(lab.value for lab in LABELS))}
 
 
 def _check_leaf(here: str, default, value):
@@ -131,6 +141,9 @@ def _check_leaf(here: str, default, value):
         raise ConfigError(f"config key {here} must be of type {kind}")
     if here in _POSITIVE and value <= 0:
         raise ConfigError(f"config key {here} must be positive")
+    choices = _CHOICES.get(here)
+    if choices and not set(value if isinstance(value, list) else [value]) <= set(choices):
+        raise ConfigError(f"config key {here} must be one of {', '.join(choices)}")
     return value
 
 
@@ -483,14 +496,6 @@ def _prompt_backend(args, cfg) -> promptkit.GenerationBackend:
                                  timeout=backend["timeout"], auth_env=backend["auth_env"])
 
 
-def _nolabel_policy(cfg) -> promptkit.NoLabelPolicy:
-    policy = cfg["metrics"]["nolabel_policy"]
-    if policy == "count_as_error":
-        return promptkit.NoLabelPolicy()
-    return _build("metrics.nolabel_policy", lambda: promptkit.NoLabelPolicy(
-        mode="map_to", map_to=SentimentLabel.parse(policy)))
-
-
 def cmd_predict(args, cfg, out):
     gen_config = _build("prompt", promptkit.GenConfig,
                         max_new_tokens=cfg["prompt"]["max_new_tokens"],
@@ -506,9 +511,10 @@ def cmd_predict(args, cfg, out):
         predictions, nolabel = clf.predict_labels([rec.text for rec in ds]), 0
     else:
         template = _load_template(cfg)
+        policy = cfg["metrics"]["nolabel_policy"]
         predictions, nolabel = promptkit.predict_sentiments(
             ds, _prompt_backend(args, cfg), template=template, config=gen_config,
-            nolabel_policy=_nolabel_policy(cfg),
+            nolabel_to=None if policy == "count_as_error" else SentimentLabel(policy),
             max_in_flight=cfg["backend"]["max_in_flight"],
             retries=cfg["backend"]["retries"])
     return ({**asdict(gen_config), "backend": args.backend, "nolabel": nolabel},
@@ -570,6 +576,8 @@ class Flag(NamedTuple):
 def _flag(name, help=None, config=None, out_file=None, **options) -> Flag:
     if out_file:
         help = f"{help} (default: <out>/{out_file})"
+    if config in _CHOICES:
+        options["choices"] = _CHOICES[config]
     return Flag(name, config, out_file, dict(options, help=help))
 
 
@@ -588,9 +596,8 @@ _COMMON = (_flag("--config", "YAML run configuration"),
 STAGES: dict[str, Stage] = {
     "ingest": Stage("parse a raw corpus into canonical CSV", (
         _flag("--data", "corpus file (default: bundled sample)", config="paths.data"),
-        _flag("--format", config="paths.format",
-              choices=("csv_label_first", "csv_headered", "at_separated")),
-        _flag("--encoding", config="paths.encoding", choices=("utf8", "latin1")))),
+        _flag("--format", config="paths.format"),
+        _flag("--encoding", config="paths.encoding"))),
     "split": Stage("deterministic stratified train/test split", (
         _flag("--input", "canonical CSV", out_file="dataset.csv"),
         _flag("--train-total", type=int, config="split.train_total"),
@@ -632,7 +639,7 @@ STAGES: dict[str, Stage] = {
         _SEED)),
     "predict": Stage("label records with the encoder or a generation backend", (
         _flag("--input", "canonical CSV", out_file="test.csv"),
-        _flag("--backend", choices=("encoder", "http", "fixed"), config="backend.kind"),
+        _flag("--backend", config="backend.kind"),
         _flag("--checkpoint", "encoder checkpoint (.npz)", out_file="encoder.npz"),
         _flag("--url", "http backend endpoint", config="backend.url"),
         _flag("--fixed-text", "response of the fixed stub backend",
@@ -671,12 +678,8 @@ def main(argv=None) -> int:
             if getattr(args, flag.dest) is not None:
                 continue
             if flag.config:
-                value = reduce(dict.__getitem__, flag.config.split("."), cfg)
-                choices = flag.options.get("choices")
-                if choices and value not in choices:
-                    raise ConfigError(f"config key {flag.config} must be one of "
-                                      f"{', '.join(choices)}")
-                setattr(args, flag.dest, value)
+                setattr(args, flag.dest,
+                        reduce(dict.__getitem__, flag.config.split("."), cfg))
             elif flag.out_file:
                 setattr(args, flag.dest, Path(args.out) / flag.out_file)
         out = Path(args.out)

@@ -39,9 +39,6 @@ class LoraAdapter:
     def delta(self) -> np.ndarray:
         return self.scale * (self.B @ self.A)
 
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.A.copy(), self.B.copy(), self.rank, self.alpha)
-
 
 def init_adapter(shape: tuple[int, int], rank: int, alpha: float,
                  rng: np.random.Generator) -> LoraAdapter:

@@ -67,6 +67,8 @@ class EncoderConfig:
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by "
                              f"n_heads={self.n_heads}")
+        if not self.layernorm_eps > 0:
+            raise ValueError("layernorm_eps must be positive")
 
     @property
     def d_k(self) -> int:

@@ -15,6 +15,10 @@ class AdamWConfig:
     eps: float = 1e-8
     weight_decay: float = 0.01
 
+    def __post_init__(self):
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+
 
 @dataclass
 class OptimizerState:

@@ -48,9 +48,6 @@ class LinearParams:
     def dim(self) -> int:
         return self.W.shape[1]
 
-    def copy(self) -> "LinearParams":
-        return LinearParams(self.W.copy(), self.b.copy())
-
 
 def _as_2d(x):
     if sp.issparse(x):

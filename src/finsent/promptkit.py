@@ -12,7 +12,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import requests
@@ -178,20 +178,6 @@ class HttpBackend(GenerationBackend):
         return str(value)
 
 
-@dataclass(frozen=True)
-class NoLabelPolicy:
-    """count_as_error keeps None (scored as a miss); map_to substitutes a label."""
-
-    mode: str = "count_as_error"
-    map_to: SentimentLabel | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("count_as_error", "map_to"):
-            raise ValueError(f"unknown no-label policy {self.mode!r}")
-        if self.mode == "map_to" and self.map_to is None:
-            raise ValueError("map_to policy requires a target label")
-
-
 class PredictionError(RuntimeError):
     """One or more records failed after retries; partial results attached."""
 
@@ -207,10 +193,11 @@ class PredictionError(RuntimeError):
 def predict_sentiments(dataset: Dataset, backend: GenerationBackend,
                        template: PromptTemplate = DEFAULT_TEMPLATE,
                        config: GenConfig = GenConfig(),
-                       nolabel_policy: NoLabelPolicy = NoLabelPolicy(),
+                       nolabel_to: SentimentLabel | None = None,
                        max_in_flight: int = 4, retries: int = 3,
                        backoff: float = 0.05):
-    """One prediction per record, in dataset order; returns (labels, n_nolabel).
+    """One prediction per record, in dataset order; returns (labels, n_nolabel),
+    where an output with no label word predicts `nolabel_to` (None: a miss).
 
     Backend calls run with at most `max_in_flight` concurrent requests and
     are retried with exponential backoff, except a RequestRejected, which
@@ -221,7 +208,6 @@ def predict_sentiments(dataset: Dataset, backend: GenerationBackend,
         raise ValueError("max_in_flight must be at least 1")
     if retries < 1:
         raise ValueError("retries must be at least 1")
-    prompts = [build_eval_prompt(rec.text, template) for rec in dataset]
 
     def call(prompt: str) -> str:
         last: Exception | None = None
@@ -236,30 +222,26 @@ def predict_sentiments(dataset: Dataset, backend: GenerationBackend,
                     time.sleep(backoff * (2 ** attempt))
         raise BackendError(str(last))
 
-    outputs: list[str | None] = [None] * len(prompts)
+    predictions: list[SentimentLabel | None] = []
     failures: list[tuple[int, str]] = []
+    nolabel = 0
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = {i: pool.submit(call, p) for i, p in enumerate(prompts)}
-        for i, fut in futures.items():
+        futures = [pool.submit(call, build_eval_prompt(rec.text, template))
+                   for rec in dataset]
+        for i, fut in enumerate(futures):
             try:
-                outputs[i] = fut.result()
+                out = fut.result()
             except Exception as exc:
                 failures.append((i, str(exc)))
-
-    failed = {i for i, _ in failures}
-    predictions: list[SentimentLabel | None] = []
-    nolabel = 0
-    for i, out in enumerate(outputs):
-        if i in failed:
-            predictions.append(None)
-            continue
-        pred = extract_label(out, template)
-        if pred is None:
-            nolabel += 1
-            if nolabel_policy.mode == "map_to":
-                pred = nolabel_policy.map_to
-        predictions.append(pred)
+                predictions.append(None)
+                continue
+            # Outside the try: a label word SentimentLabel rejects aborts the run.
+            pred = extract_label(out, template)
+            if pred is None:
+                nolabel += 1
+                pred = nolabel_to
+            predictions.append(pred)
 
     if failures:
-        raise PredictionError(sorted(failures), predictions)
+        raise PredictionError(failures, predictions)
     return predictions, nolabel

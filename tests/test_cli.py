@@ -32,8 +32,14 @@ def run_cli(*argv):
 # The keys whose values must be above zero (an adapter of rank 0 divides by zero).
 POSITIVE_KEYS = {"features.min_df", "features.max_vocab", "features.max_seq_len",
                  "encoder.d_model", "encoder.n_heads", "encoder.d_ff",
-                 "encoder.peft.rank", "prompt.max_new_tokens", "backend.timeout",
-                 "backend.retries", "backend.max_in_flight"}
+                 "encoder.layernorm_eps", "encoder.peft.rank", "prompt.max_new_tokens",
+                 "backend.timeout", "backend.retries", "backend.max_in_flight"}
+
+# For each key with a closed set of values, a well-typed value outside it
+# (for a list, one bad item among good ones).
+OUTSIDE_CHOICES = {"paths.format": "xml", "paths.encoding": "ebcdic",
+                   "encoder.peft.targets": ["W_Q", "W_X"], "backend.kind": "grpc",
+                   "metrics.nolabel_policy": "bogus"}
 
 
 def _config_leaves(node, path=""):
@@ -117,6 +123,8 @@ class TestConfig:
         ({"paths": {"format": "xml"}}, ["ingest"]),
         ({"paths": {"encoding": "ebcdic"}}, ["ingest"]),
         ({"backend": {"kind": "grpc"}}, ["predict"]),
+        # a range only the settings object checks
+        ({"encoder": {"adamw": {"weight_decay": -5.0}}}, ["train-encoder"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):
@@ -134,7 +142,8 @@ class TestConfig:
     @pytest.mark.parametrize("dotted, value", [
         pytest.param(dotted, value, id=f"{dotted}={value!r}")
         for dotted, default in _config_leaves(DEFAULT_CONFIG)
-        for value in _mistyped(default) + ([0] if dotted in POSITIVE_KEYS else [])])
+        for value in _mistyped(default) + ([0] if dotted in POSITIVE_KEYS else [])
+        + ([OUTSIDE_CHOICES[dotted]] if dotted in OUTSIDE_CHOICES else [])])
     def test_every_key_checked_at_load(self, tmp_path, capsys, dotted, value):
         """A bad value for any key fails every stage, even one that never reads it."""
         doc = value
@@ -145,6 +154,16 @@ class TestConfig:
         assert run_cli("ingest", "--config", path, "--out", tmp_path / "o") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: config key {dotted} ")
         assert not (tmp_path / "o").exists()
+
+    def test_values_inside_choices_load(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({
+            "paths": {"format": "at_separated", "encoding": "latin1"},
+            "encoder": {"peft": {"targets": ["W_Q", "W_o"]}},
+            "backend": {"kind": "fixed"}, "metrics": {"nolabel_policy": "neutral"}}))
+        cfg = load_config(str(path))
+        assert cfg["encoder"]["peft"]["targets"] == ["W_Q", "W_o"]
+        assert cfg["metrics"]["nolabel_policy"] == "neutral"
 
 
 class TestIngest:
@@ -359,6 +378,22 @@ class TestTrainPredictEvaluate:
                        "--fixed-text", "no label here") == EXIT_OK
         preds = (out / "predictions.csv").read_text().splitlines()
         assert preds[1:] == ["nolabel", "nolabel"]
+        assert json.loads((out / "manifest_predict.json").read_text())[
+            "params"]["nolabel"] == 2
+
+    def test_predict_nolabel_policy_maps_to_label(self, tmp_path):
+        """Answers without a label word are still counted as such, and written
+        as the label the policy names."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n"
+                                      "negative,Sales fell\nneutral,Report due\n")
+        cfg = tiny_config(tmp_path, metrics={"nolabel_policy": "neutral"})
+        assert run_cli("predict", "--config", cfg, "--out", out, "--backend", "fixed",
+                       "--fixed-text", "maybe") == EXIT_OK
+        assert (out / "predictions.csv").read_text().splitlines()[1:] == ["neutral"] * 3
+        assert json.loads((out / "manifest_predict.json").read_text())[
+            "params"]["nolabel"] == 3
 
     def test_predict_missing_checkpoint(self, tmp_path):
         out = tmp_path / "run"

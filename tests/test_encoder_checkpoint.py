@@ -170,6 +170,10 @@ def _string_d_model(arrays, meta):
     meta["config"]["d_model"] = "x"
 
 
+def _zero_layernorm_eps(arrays, meta):
+    meta["config"]["layernorm_eps"] = 0.0
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("edit, named", [
         (_drop_w_q, "layers.0.W_Q"),
@@ -183,6 +187,7 @@ class TestCorruptCheckpoint:
         (_drop_adapter_rank, "rank"),
         (_drop_vocab_tokens, "tokens"),
         (_string_d_model, "d_model"),
+        (_zero_layernorm_eps, "layernorm_eps"),
     ])
     def test_fails_at_load_naming_the_tensor(self, tmp_path, capsys, edit, named):
         out = tmp_path / "run"

@@ -15,7 +15,6 @@ from finsent.promptkit import (
     FixedResponseBackend,
     GenConfig,
     HttpBackend,
-    NoLabelPolicy,
     PredictionError,
     PromptTemplate,
     build_eval_prompt,
@@ -179,17 +178,19 @@ class TestPredictSentiments:
 
     def test_map_to_policy(self):
         ds = tiny_dataset()
-        policy = NoLabelPolicy(mode="map_to", map_to=NEU)
         preds, nolabel = predict_sentiments(ds, FixedResponseBackend("???"),
-                                            template=PLAIN, nolabel_policy=policy)
+                                            template=PLAIN, nolabel_to=NEU)
         assert preds == [NEU] * len(ds)
         assert nolabel == len(ds)
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            NoLabelPolicy(mode="bogus")
-        with pytest.raises(ValueError):
-            NoLabelPolicy(mode="map_to")
+    def test_label_word_outside_sentiment_labels_raises(self):
+        """A template word that is no SentimentLabel is a fault of the run, not
+        a record failure: a ValueError, not a PredictionError."""
+        bullish = PromptTemplate(instruction="{headline}", answer_marker="A:",
+                                 allowed_labels=("bullish",))
+        with pytest.raises(ValueError, match="bullish"):
+            predict_sentiments(tiny_dataset(), FixedResponseBackend("bullish"),
+                               template=bullish)
 
     def test_order_preserved_under_concurrency(self):
         rows = [(f"record {i}", LABELS[i % 3]) for i in range(100)]

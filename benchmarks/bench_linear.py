@@ -1,12 +1,17 @@
 """Linear-path micro-benchmark (pytest-benchmark), kept out of tier-1.
 
-Times `features.tfidf`, `DocTermMatrix.to_triplet_csv` and
-`linear_model.train` on a seeded synthetic corpus near linear_bulk's size:
-24,000 training headlines of 6-16 tokens over ~700 words (a Zipf-like
-draw, each class leaning on its own words), plus 11,000 held-out headlines
-that also hold words outside the training vocabulary.  Training runs the
-CLI default: full batch, 150 epochs, lr 0.5, l2 1e-4.  Only calls that
-exist at older commits too are used, so the same file times a parent
+Times `features.tfidf`, `DocTermMatrix.to_triplet_csv`,
+`linear_model.train`, `augment.augment_dataset` and
+`analysis.feature_matrix` on a seeded synthetic corpus near linear_bulk's
+size: 24,000 training headlines of 6-16 tokens over ~700 words (a
+Zipf-like draw, each class leaning on its own words), plus 11,000 held-out
+headlines that also hold words outside the training vocabulary.  Training
+runs the CLI default: full batch, 150 epochs, lr 0.5, l2 1e-4.
+Augmentation runs the CLI default (one copy per record, bundled thesaurus)
+on the first 12,000 training headlines, whose words are replaced by
+thesaurus headwords so that the synonym operators have work to do; it
+forks one worker per usable CPU where the code under test does.  Only calls
+that exist at older commits too are used, so the same file times a parent
 checkout for a before/after comparison.
 
     python -m pytest benchmarks/bench_linear.py --benchmark-json=bench.json
@@ -14,12 +19,15 @@ checkout for a before/after comparison.
 import numpy as np
 import pytest
 
+from finsent.analysis import feature_matrix
+from finsent.augment import AugmentConfig, augment_dataset, bundled_lexicon
 from finsent.corpus import LABELS, Dataset, HeadlineRecord
 from finsent.features import build_vocabulary, tfidf
 from finsent.linear_model import LinearTrainConfig, train
 
 TRAIN_RECORDS = 24000
 HELD_OUT_RECORDS = 11000
+AUGMENT_RECORDS = 12000
 WORDS = 700
 CLI_DEFAULT = LinearTrainConfig(lr=0.5, epochs=150, batch_size=0, l2=1e-4, seed=7)
 
@@ -70,3 +78,23 @@ def test_train(benchmark, corpora):
     y = np.array([rec.label.index for rec in train_ds], dtype=np.int64)
     params, trace = benchmark.pedantic(train, (X, y, CLI_DEFAULT), rounds=3, iterations=1)
     assert len(trace) == CLI_DEFAULT.epochs and trace[-1] < trace[0]
+
+
+def test_augment_dataset(benchmark, corpora):
+    train_ds = corpora[0]
+    heads = sorted(bundled_lexicon().entries)
+    # Every third word becomes a thesaurus headword, so about a third of each
+    # headline's tokens can be replaced or feed an insertion.
+    swap = {f"w{i}": heads[i % len(heads)] for i in range(0, WORDS, 3)}
+    ds = Dataset(tuple(HeadlineRecord(" ".join(swap.get(t, t) for t in rec.text.split()),
+                                      rec.label)
+                       for rec in train_ds.records[:AUGMENT_RECORDS]), "synthetic")
+    out = benchmark.pedantic(augment_dataset, (ds, AugmentConfig(seed=7), bundled_lexicon()),
+                             rounds=3, iterations=1)
+    assert len(out) == 2 * AUGMENT_RECORDS
+
+
+def test_feature_matrix(benchmark, corpora):
+    train_ds = corpora[0]
+    X = benchmark.pedantic(feature_matrix, (train_ds,), rounds=5, iterations=1)
+    assert X.shape == (TRAIN_RECORDS, 5)

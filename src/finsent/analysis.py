@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,28 +40,25 @@ class DerivedFeatures:
     FIELD_NAMES = ("char_len", "token_count", "avg_token_len",
                    "digit_ratio", "uppercase_ratio")
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.char_len, self.token_count, self.avg_token_len,
-                         self.digit_ratio, self.uppercase_ratio], dtype=np.float64)
 
-
-def derived_features(record: HeadlineRecord) -> DerivedFeatures:
-    text = record.text
+def _surface(text: str) -> tuple[int, int, float, float, float]:
+    """The DerivedFeatures fields of `text`, in field order."""
     toks = tokenize(text)
     n_chars = len(text)
     n_toks = len(toks)
-    return DerivedFeatures(
-        char_len=n_chars,
-        token_count=n_toks,
-        avg_token_len=(sum(len(t) for t in toks) / n_toks) if n_toks else 0.0,
-        digit_ratio=sum(c.isdigit() for c in text) / n_chars,
-        uppercase_ratio=sum(c.isupper() for c in text) / n_chars,
-    )
+    return (n_chars, n_toks, (sum(map(len, toks)) / n_toks) if n_toks else 0.0,
+            sum(map(str.isdigit, text)) / n_chars, sum(map(str.isupper, text)) / n_chars)
+
+
+def derived_features(record: HeadlineRecord) -> DerivedFeatures:
+    return DerivedFeatures(*_surface(record.text))
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:
     """(n_records, 5) matrix of DerivedFeatures rows."""
-    return np.stack([derived_features(rec).as_vector() for rec in dataset])
+    width = len(DerivedFeatures.FIELD_NAMES)
+    return np.fromiter(chain.from_iterable(_surface(rec.text) for rec in dataset),
+                       dtype=np.float64, count=width * len(dataset)).reshape(-1, width)
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,13 @@ def keyword_frequencies(dataset: Dataset, top_k: int,
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     stop = frozenset(stopwords)
+    counters: dict[SentimentLabel, Counter[str]] = {lab: Counter() for lab in LABELS}
+    for rec in dataset:
+        counters[rec.label].update(tokenize(rec.text))
     out: dict[SentimentLabel, list[tuple[str, int]]] = {}
-    for lab in LABELS:
-        counter: Counter[str] = Counter()
-        for rec in dataset:
-            if rec.label is lab:
-                counter.update(t for t in tokenize(rec.text) if t not in stop)
+    for lab, counter in counters.items():
+        for word in stop.intersection(counter):
+            del counter[word]
         ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
         out[lab] = ranked[:top_k]
     return out

@@ -7,8 +7,11 @@ delete.  Labels are always carried over unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import pickle
+from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -154,26 +157,86 @@ def random_swap(tokens, n: int, rng: np.random.Generator) -> list[str]:
     return out
 
 
+FORK_MIN_RECORDS = 2000  # fewest records worth a worker process of their own
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_ranges(fn, bounds: list[int]) -> list:
+    """`[fn(lo, hi) for each range of bounds]`; each range after the first
+    runs in a forked child that sends back its pickled result or exception
+    (nothing sent: RuntimeError).  Every child is reaped, also on error.
+    `fn` returns no exception object."""
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for fd in [r] + [fd for _, fd in children]:
+                        os.close(fd)
+                    try:
+                        value = fn(lo, hi)
+                    except BaseException as exc:
+                        value = exc
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(value))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(bounds[0], bounds[1])]
+        for pid, r in children:
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            value = pickle.loads(data) if data else RuntimeError(
+                f"worker {pid} ended without a result")
+            if isinstance(value, BaseException):
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
 def augment_dataset(dataset: Dataset, config: AugmentConfig,
                     lexicon: SynonymLexicon) -> Dataset:
     """Each original record, followed by its augmented variants.
 
     Variants are whitespace-tokenized, transformed by the four operators in
     fixed order, and rejoined with single spaces; the source label is kept.
-    Deterministic for a fixed config seed.
+    Deterministic for a fixed config seed.  As each (record, copy) has its
+    own sub-stream, contiguous ranges of at least FORK_MIN_RECORDS records
+    run in parallel, one per usable CPU.
     """
+    def variants(lo: int, hi: int) -> list[str]:
+        texts = []
+        for ridx in range(lo, hi):
+            text = dataset[ridx].text
+            base = text.split()
+            for copy in range(config.copies_per_record):
+                rng = substream(config.seed, OP_AUGMENT, ridx, copy)
+                toks = synonym_replace(base, config.n_replace, lexicon, rng)
+                toks = random_insertion(toks, config.n_insert, lexicon, rng)
+                toks = random_swap(toks, config.n_swap, rng)
+                toks = random_deletion(toks, config.p_delete, rng)
+                texts.append(text if toks == base else " ".join(toks))
+        return texts
+
+    n = len(dataset)
+    workers = max(1, min(_usable_cpus(), n // FORK_MIN_RECORDS))
+    texts = iter(chain.from_iterable(
+        _in_ranges(variants, [n * k // workers for k in range(workers + 1)])))
     records: list[HeadlineRecord] = []
-    for ridx, rec in enumerate(dataset):
+    for rec in dataset:
         records.append(rec)
-        base = rec.text.split()
-        for copy in range(config.copies_per_record):
-            rng = substream(config.seed, OP_AUGMENT, ridx, copy)
-            toks = synonym_replace(base, config.n_replace, lexicon, rng)
-            toks = random_insertion(toks, config.n_insert, lexicon, rng)
-            toks = random_swap(toks, config.n_swap, rng)
-            toks = random_deletion(toks, config.p_delete, rng)
-            text = rec.text if toks == base else " ".join(toks)
-            records.append(HeadlineRecord(text, rec.label))
+        records.extend(HeadlineRecord(next(texts), rec.label)
+                       for _ in range(config.copies_per_record))
     return Dataset(
         tuple(records),
         provenance=f"{dataset.provenance} | augment seed={config.seed} "

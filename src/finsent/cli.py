@@ -16,9 +16,10 @@ so every stage fails on any bad key, read or not, before it runs.  Each
 settings object is built from its section.
 
 Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown,
-mistyped or non-positive keys, a config value outside its key's choices,
-values that the encoder, training, augmentation, generation, adapter or
-linear-model settings reject, a missing corpus or encoder checkpoint);
+mistyped, non-finite, empty or non-positive keys, a config value outside its
+key's choices, values that the encoder, training, augmentation, generation,
+adapter or linear-model settings reject, a missing corpus or encoder
+checkpoint);
 3 data errors (input that does not parse or cannot be read, a split the
 corpus cannot fill, prediction and gold counts that differ, a corrupt
 encoder checkpoint, a non-finite training loss); 4 backend errors.
@@ -29,6 +30,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from functools import reduce
@@ -126,7 +128,8 @@ _CHOICES = {"paths.format": FORMATS, "paths.encoding": ENCODINGS,
 def _check_leaf(here: str, default, value):
     """`value`, checked against the type of its default: an int passes as a
     float and becomes one, a null default takes a string or null, list items
-    take the type of the default's items, and a bool never passes as a number."""
+    take the type of the default's items, and a bool never passes as a number.
+    Floats must be finite and lists non-empty."""
     if default is None:  # an optional key: null, or a string
         default = None if value is None else ""
     if isinstance(default, float) and type(value) is int:
@@ -139,6 +142,10 @@ def _check_leaf(here: str, default, value):
         if isinstance(default, list):
             kind += f" of {type(default[0]).__name__}"
         raise ConfigError(f"config key {here} must be of type {kind}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {here} must be finite")
+    if isinstance(value, list) and not value:
+        raise ConfigError(f"config key {here} must not be empty")
     if here in _POSITIVE and value <= 0:
         raise ConfigError(f"config key {here} must be positive")
     choices = _CHOICES.get(here)
@@ -323,12 +330,11 @@ def cmd_analyze(args, cfg, out):
     matrix = analysis_mod.feature_matrix(ds)
     feats_path = _write_csv(
         out / "derived_features.csv", ("label",) + names,
-        ([rec.label.value] + [repr(float(v)) for v in row]
-         for rec, row in zip(ds, matrix)))
+        ([rec.label.value] + row for rec, row in zip(ds, matrix.tolist())))
     corr = analysis_mod.correlation_matrix(matrix)
     corr_path = _write_csv(
         out / "correlation_matrix.csv", ("feature",) + names,
-        ([name] + [repr(float(v)) for v in row] for name, row in zip(names, corr.matrix)))
+        ([name] + row for name, row in zip(names, corr.matrix.tolist())))
     keywords = analysis_mod.keyword_frequencies(ds, args.top_k, stopwords)
     kw_path = _write_csv(
         out / "keyword_frequencies.csv", ["label", "rank", "token", "count"],

@@ -43,10 +43,10 @@ class SentimentLabel(enum.Enum):
     @classmethod
     def parse(cls, word: str) -> "SentimentLabel":
         """Case-insensitive parse of exactly 'positive'/'neutral'/'negative'."""
-        try:
-            return cls(word.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown sentiment label: {word!r}") from None
+        label = _LABEL_OF_WORD.get(word.strip().lower())
+        if label is None:
+            raise ValueError(f"unknown sentiment label: {word!r}")
+        return label
 
     @property
     def index(self) -> int:
@@ -62,6 +62,7 @@ LABELS: tuple[SentimentLabel, ...] = (
     SentimentLabel.NEUTRAL,
     SentimentLabel.NEGATIVE,
 )
+_LABEL_OF_WORD = {lab.value: lab for lab in LABELS}
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +170,7 @@ def tfidf(corpus, vocab: Vocabulary) -> DocTermMatrix:
     idf = np.array([math.log((1 + n_docs) / (1 + vocab.document_frequency[t])) + 1.0
                     for t in index])
     lengths = [len(tokens) for tokens in docs]
-    cols = np.fromiter((index.get(t, -1) for tokens in docs for t in tokens),
+    cols = np.fromiter(map(index.get, chain.from_iterable(docs), repeat(-1)),
                        dtype=np.int32, count=sum(lengths))
     rows = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
     kept = cols >= 0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from finsent.analysis import (
     keyword_frequencies,
     load_stopwords,
 )
-from finsent.corpus import Dataset, HeadlineRecord
+from finsent.corpus import LABELS, Dataset, HeadlineRecord
+from finsent.features import tokenize
 
 from conftest import NEG, NEU, POS, make_dataset
 from oracles import pearson_dense
@@ -71,6 +74,21 @@ class TestDerivedFeatures:
     def test_feature_matrix_shape(self, five_line_corpus):
         X = feature_matrix(five_line_corpus)
         assert X.shape == (5, len(DerivedFeatures.FIELD_NAMES))
+
+    @pytest.mark.parametrize("text", ["Ä² rose ٣ Öl-Preis x²", "ÄÖÜ", "٣٤٥ ²³", "a_b 7"])
+    def test_matches_per_character_sums(self, text):
+        """Non-ASCII digits and capitals count as the per-character tests say."""
+        toks = tokenize(text)
+        f = derived_features(HeadlineRecord(text, POS))
+        assert f.avg_token_len == sum(len(t) for t in toks) / len(toks)
+        assert f.digit_ratio == sum(c.isdigit() for c in text) / len(text)
+        assert f.uppercase_ratio == sum(c.isupper() for c in text) / len(text)
+
+    def test_feature_matrix_rows_are_derived_features(self, five_line_corpus):
+        X = feature_matrix(five_line_corpus)
+        for rec, row in zip(five_line_corpus, X.tolist()):
+            f = derived_features(rec)
+            assert row == [getattr(f, name) for name in DerivedFeatures.FIELD_NAMES]
 
 
 class TestCorrelationMatrix:
@@ -163,6 +181,16 @@ class TestKeywordFrequencies:
                 len([t for t in tokenize(r.text) if t not in stop])
                 for r in five_line_corpus if r.label is lab)
             assert sum(c for _, c in ranked) <= class_tokens
+
+    @pytest.mark.parametrize("stopwords", [set(), {"the", "of"}, {"absent", "words"},
+                                           {"the", "absent", "profit"}])
+    def test_matches_filter_then_count(self, five_line_corpus, stopwords):
+        """Stopwords dropped after counting give the counts of filtering first."""
+        freq = keyword_frequencies(five_line_corpus, top_k=50, stopwords=stopwords)
+        for lab in LABELS:
+            counter = Counter(t for r in five_line_corpus if r.label is lab
+                              for t in tokenize(r.text) if t not in stopwords)
+            assert freq[lab] == sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def test_invalid_top_k(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from finsent import augment
 from finsent.augment import (
     AugmentConfig,
     SynonymLexicon,
@@ -261,3 +263,131 @@ class TestAugmentDataset:
             AugmentConfig(n_replace=-1)
         with pytest.raises(ValueError):
             AugmentConfig(p_delete=1.5)
+
+
+class WorkerFault(Exception):
+    """A fault raised inside an augmentation range."""
+
+
+class UnpicklableFault(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+class TestForkedAugmentDataset:
+    """Ranges augmented in forked children give the inline result."""
+
+    WORDS = ("profit rose", "shares fell", "sales rose sharply", "the firm operates",
+             "profit and shares climbed", "orders fell on demand")
+
+    def corpus(self, n):
+        labels = (POS, NEU, NEG)
+        return make_dataset([(f"{self.WORDS[i % len(self.WORDS)]} item {i}", labels[i % 3])
+                             for i in range(n)])
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids of the children forked during a test; all reaped at its end."""
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def force(self, monkeypatch, cpus, min_records=1):
+        monkeypatch.setattr(augment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(augment, "FORK_MIN_RECORDS", min_records)
+
+    def inline(self, ds, cfg, lexicon, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(augment, "_usable_cpus", lambda: 1)
+            return augment_dataset(ds, cfg, lexicon)
+
+    @staticmethod
+    def rows(ds):
+        return [(r.text, r.label) for r in ds]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("copies", [0, 1, 3])
+    def test_equals_inline(self, small_lexicon, monkeypatch, forks, workers, copies):
+        ds = self.corpus(20)
+        cfg = AugmentConfig(n_replace=2, p_delete=0.3, n_swap=2,
+                            copies_per_record=copies, seed=5)
+        want = self.inline(ds, cfg, small_lexicon, monkeypatch)
+        self.force(monkeypatch, workers)
+        got = augment_dataset(ds, cfg, small_lexicon)
+        assert len(forks) == workers - 1
+        assert self.rows(got) == self.rows(want)
+        assert got.provenance == want.provenance
+
+    @pytest.mark.parametrize("n, min_records, n_forks", [
+        (0, 1, 0), (1, 1, 0), (2, 1, 1),      # fewer records than workers
+        (5, 2, 1),                             # two ranges of at least 2
+        (6, 1, 2), (7, 1, 2), (8, 1, 2),       # every remainder of n / 3
+    ])
+    def test_range_boundaries(self, small_lexicon, monkeypatch, forks, n, min_records,
+                              n_forks):
+        ds = self.corpus(n)
+        cfg = AugmentConfig(copies_per_record=2, seed=9)
+        want = self.inline(ds, cfg, small_lexicon, monkeypatch)
+        self.force(monkeypatch, 3, min_records)
+        assert self.rows(augment_dataset(ds, cfg, small_lexicon)) == self.rows(want)
+        assert len(forks) == n_forks
+
+    def failing_swap(self, monkeypatch, marker, exc):
+        real_swap = augment.random_swap
+
+        def swap(tokens, n, rng):
+            if marker in tokens:
+                raise exc
+            return real_swap(tokens, n, rng)
+
+        monkeypatch.setattr(augment, "random_swap", swap)
+
+    @pytest.mark.parametrize("exc", [ValueError("bad token run"), WorkerFault("no luck")])
+    def test_child_exception_reaches_parent(self, small_lexicon, monkeypatch, forks, exc):
+        ds = self.corpus(9)
+        self.failing_swap(monkeypatch, "8", exc)   # the last record: the last child's range
+        cfg = AugmentConfig(seed=2)
+        with pytest.raises(type(exc)) as inline:
+            self.inline(ds, cfg, small_lexicon, monkeypatch)
+        self.force(monkeypatch, 3)
+        with pytest.raises(type(exc)) as forked:
+            augment_dataset(ds, cfg, small_lexicon)
+        assert len(forks) == 2
+        assert type(forked.value) is type(inline.value)
+        assert str(forked.value) == str(inline.value)
+
+    def test_child_without_result_is_an_error(self, small_lexicon, monkeypatch, forks):
+        self.failing_swap(monkeypatch, "8", UnpicklableFault("odd"))
+        self.force(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            augment_dataset(self.corpus(9), AugmentConfig(seed=2), small_lexicon)
+
+    def test_children_reaped_when_parent_range_raises(self, small_lexicon, monkeypatch,
+                                                      forks):
+        # Each child's result (~150 kB) outgrows a pipe's buffer, so the
+        # children block on a parent that will never read.
+        long = make_dataset([(f"item {i} " + "profit rose " * 20, POS) for i in range(3000)])
+        self.failing_swap(monkeypatch, "0", WorkerFault("first range"))
+        self.force(monkeypatch, 3)
+        with pytest.raises(WorkerFault, match="first range"):
+            augment_dataset(long, AugmentConfig(seed=2), small_lexicon)
+        assert len(forks) == 2   # the fixture checks that both were reaped
+
+    def test_small_input_never_forks(self, small_lexicon, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(augment, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = augment_dataset(self.corpus(45), AugmentConfig(seed=7), small_lexicon)
+        assert len(out) == 90

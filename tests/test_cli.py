@@ -115,6 +115,7 @@ class TestConfig:
         ({"seeds": {"master": "x"}}, ["split"]),
         ({"encoder": {"peft": {"targets": ["W_X"]}}}, ["train-encoder", "--peft"]),
         ({"encoder": {"peft": {"targets": 5}}}, ["train-encoder", "--peft"]),
+        ({"encoder": {"peft": {"targets": []}}}, ["train-encoder", "--peft"]),
         ({"augment": {"n_replace": "x"}}, ["augment"]),
         ({"linear": {"epochs": -1}}, ["train-linear"]),
         ({"linear": {"l2": -1.0}}, ["train-linear"]),
@@ -143,6 +144,7 @@ class TestConfig:
         pytest.param(dotted, value, id=f"{dotted}={value!r}")
         for dotted, default in _config_leaves(DEFAULT_CONFIG)
         for value in _mistyped(default) + ([0] if dotted in POSITIVE_KEYS else [])
+        + ([math.nan, math.inf, -math.inf] if isinstance(default, float) else [])
         + ([OUTSIDE_CHOICES[dotted]] if dotted in OUTSIDE_CHOICES else [])])
     def test_every_key_checked_at_load(self, tmp_path, capsys, dotted, value):
         """A bad value for any key fails every stage, even one that never reads it."""

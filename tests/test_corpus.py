@@ -34,6 +34,11 @@ class TestSentimentLabel:
         with pytest.raises(ValueError):
             SentimentLabel.parse("bullish")
 
+    def test_parse_error_names_the_word_as_given(self):
+        with pytest.raises(ValueError) as exc:
+            SentimentLabel.parse(" Bogus ")
+        assert str(exc.value) == "unknown sentiment label: ' Bogus '"
+
     def test_canonical_order(self):
         assert LABELS == (POS, NEU, NEG)
         assert [lab.index for lab in LABELS] == [0, 1, 2]

@@ -46,7 +46,7 @@ def _corpus(n, seed, unseen=0):
         tokens = rng.choice(words, size=int(rng.integers(6, 17)), p=p)
         text = " ".join(tokens) + (" -- 10%" if k % 7 == 0 else "")
         records.append(HeadlineRecord(text, LABELS[label]))
-    return Dataset(tuple(records), "synthetic")
+    return Dataset(tuple(records))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def test_augment_dataset(benchmark, corpora):
     swap = {f"w{i}": heads[i % len(heads)] for i in range(0, WORDS, 3)}
     ds = Dataset(tuple(HeadlineRecord(" ".join(swap.get(t, t) for t in rec.text.split()),
                                       rec.label)
-                       for rec in train_ds.records[:AUGMENT_RECORDS]), "synthetic")
+                       for rec in train_ds.records[:AUGMENT_RECORDS]))
     out = benchmark.pedantic(augment_dataset, (ds, AugmentConfig(seed=7), bundled_lexicon()),
                              rounds=3, iterations=1)
     assert len(out) == 2 * AUGMENT_RECORDS

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (LABELS, Dataset, EmptyCorpusError, HeadlineRecord, SentimentLabel,
-                     class_counts)
+from .corpus import LABELS, Dataset, EmptyCorpusError, SentimentLabel, class_counts
 from .features import tokenize
 
 
@@ -27,22 +26,13 @@ def class_distribution(dataset: Dataset) -> tuple[dict[SentimentLabel, int],
     return counts, {lab: c / len(dataset) for lab, c in counts.items()}
 
 
-@dataclass(frozen=True)
-class DerivedFeatures:
-    """Surface statistics of a single headline."""
-
-    char_len: int
-    token_count: int
-    avg_token_len: float
-    digit_ratio: float
-    uppercase_ratio: float
-
-    FIELD_NAMES = ("char_len", "token_count", "avg_token_len",
-                   "digit_ratio", "uppercase_ratio")
+# The surface statistics of a headline, in the column order of `feature_matrix`.
+FIELD_NAMES = ("char_len", "token_count", "avg_token_len",
+               "digit_ratio", "uppercase_ratio")
 
 
 def _surface(text: str) -> tuple[int, int, float, float, float]:
-    """The DerivedFeatures fields of `text`, in field order."""
+    """The FIELD_NAMES statistics of `text`, in order."""
     toks = tokenize(text)
     n_chars = len(text)
     n_toks = len(toks)
@@ -50,13 +40,9 @@ def _surface(text: str) -> tuple[int, int, float, float, float]:
             sum(map(str.isdigit, text)) / n_chars, sum(map(str.isupper, text)) / n_chars)
 
 
-def derived_features(record: HeadlineRecord) -> DerivedFeatures:
-    return DerivedFeatures(*_surface(record.text))
-
-
 def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """(n_records, 5) matrix of DerivedFeatures rows."""
-    width = len(DerivedFeatures.FIELD_NAMES)
+    """(n_records, 5) matrix with one row of FIELD_NAMES statistics per record."""
+    width = len(FIELD_NAMES)
     return np.fromiter(chain.from_iterable(_surface(rec.text) for rec in dataset),
                        dtype=np.float64, count=width * len(dataset)).reshape(-1, width)
 

@@ -237,8 +237,4 @@ def augment_dataset(dataset: Dataset, config: AugmentConfig,
         records.append(rec)
         records.extend(HeadlineRecord(next(texts), rec.label)
                        for _ in range(config.copies_per_record))
-    return Dataset(
-        tuple(records),
-        provenance=f"{dataset.provenance} | augment seed={config.seed} "
-                   f"copies={config.copies_per_record}",
-    )
+    return Dataset(tuple(records))

@@ -326,7 +326,7 @@ def cmd_analyze(args, cfg, out):
          "proportions": {lab.value: proportions[lab] for lab in LABELS}},
         indent=2, sort_keys=True) + "\n")
 
-    names = analysis_mod.DerivedFeatures.FIELD_NAMES
+    names = analysis_mod.FIELD_NAMES
     matrix = analysis_mod.feature_matrix(ds)
     feats_path = _write_csv(
         out / "derived_features.csv", ("label",) + names,
@@ -553,6 +553,8 @@ def cmd_compare(args, cfg, out):
         name, _, path = spec.partition("=")
         if not name or not path:
             raise ConfigError(f"--reports entries must be name=path, got {spec!r}")
+        if name in inputs:
+            raise ConfigError(f"--reports names {name!r} more than once")
         rep = metrics_mod.EvalReport.from_json(Path(path).read_text(encoding="utf-8"))
         pairs.append((name, rep))
         inputs[name] = Path(path)

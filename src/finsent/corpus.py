@@ -77,10 +77,9 @@ class HeadlineRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, immutable collection of records plus a transform history."""
+    """Ordered, immutable collection of records."""
 
     records: tuple[HeadlineRecord, ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -153,8 +152,7 @@ def parse_corpus(source, format: str, encoding: str = "utf8",
 
     if not records:
         raise EmptyCorpusError(f"no records in {source_name}")
-    return Dataset(tuple(records),
-                   provenance=f"parsed {source_name} format={format} encoding={encoding}")
+    return Dataset(tuple(records))
 
 
 def load_corpus(path, format: str, encoding: str = "utf8") -> Dataset:
@@ -235,12 +233,8 @@ def stratified_split(dataset: Dataset, train_total: int, test_total: int,
 
     train_idx.sort()
     test_idx.sort()
-    note = f"{dataset.provenance} | split seed={seed}"
-    train = Dataset(tuple(dataset[i] for i in train_idx),
-                    provenance=f"{note} part=train n={train_total}")
-    test = Dataset(tuple(dataset[i] for i in test_idx),
-                   provenance=f"{note} part=test n={test_total}")
-    return train, test
+    return (Dataset(tuple(dataset[i] for i in train_idx)),
+            Dataset(tuple(dataset[i] for i in test_idx)))
 
 
 def upsample(dataset: Dataset, target_per_class: int, seed: int) -> Dataset:
@@ -268,6 +262,4 @@ def upsample(dataset: Dataset, target_per_class: int, seed: int) -> Dataset:
             chosen = list(range(len(pool))) + [int(j) for j in extras]
         out.extend(dataset[pool[j]] for j in chosen)
 
-    return Dataset(tuple(out),
-                   provenance=f"{dataset.provenance} | upsample seed={seed} "
-                              f"target={target_per_class}")
+    return Dataset(tuple(out))

@@ -8,14 +8,17 @@ could be extracted.
 """
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .corpus import LABELS, Dataset, SentimentLabel
 from .linear_model import softmax
@@ -134,38 +137,45 @@ class HttpBackend(GenerationBackend):
     """POSTs {"prompt", "max_tokens", "temperature"} as JSON and reads the
     generated text at a dotted path (list indices allowed) in the response.
 
-    A bearer token is sent when the configured environment variable is set.
+    A bearer token is sent when the configured environment variable is set,
+    but not on to where a redirect points.
     A 4xx status other than 408 (timeout) and 429 (rate limit) raises
     RequestRejected.
     """
 
     def __init__(self, url: str, text_path: str = "text", timeout: float = 10.0,
-                 auth_env: str = "FINSENT_API_TOKEN", session=None):
+                 auth_env: str = "FINSENT_API_TOKEN"):
         self.url = url
         self.text_path = text_path
         self.timeout = timeout
         self.auth_env = auth_env
-        self.session = session or requests
 
     def generate(self, prompt: str, config: GenConfig) -> str:
-        headers = {}
         token = os.environ.get(self.auth_env, "") if self.auth_env else ""
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         payload = {"prompt": prompt, "max_tokens": config.max_new_tokens,
                    "temperature": config.temperature}
         try:
-            resp = self.session.post(self.url, json=payload, timeout=self.timeout,
-                                     headers=headers)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                self.url, data=json.dumps(payload, allow_nan=False).encode(),
+                headers={"Content-Type": "application/json"}, method="POST")
+            if token:  # unredirected: a redirect must not carry it to another host
+                request.add_unredirected_header("Authorization", f"Bearer {token}")
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # non-2xx, and not a redirect urllib follows
+            exc.close()
+            status, body = exc.code, b""
+        # Transport failures arrive as OSError (URLError, timeouts, resets) or
+        # HTTPException (a body shorter than its Content-Length); a URL that
+        # cannot be sent to, or a non-finite number in the payload, as ValueError.
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise BackendError(f"request to {self.url} failed: {exc}") from exc
-        if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
-            raise RequestRejected(
-                f"backend rejected the request: HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendError(f"backend returned HTTP {resp.status_code}")
+        if 400 <= status < 500 and status not in (408, 429):
+            raise RequestRejected(f"backend rejected the request: HTTP {status}")
+        if status != 200:
+            raise BackendError(f"backend returned HTTP {status}")
         try:
-            doc = resp.json()
+            doc = json.loads(body)
         except ValueError as exc:
             raise BackendError("backend response is not JSON") from exc
         value = doc

@@ -13,9 +13,9 @@ NEU = SentimentLabel.NEUTRAL
 NEG = SentimentLabel.NEGATIVE
 
 
-def make_dataset(rows, provenance="test"):
+def make_dataset(rows):
     """rows: iterable of (text, label)."""
-    return Dataset(tuple(HeadlineRecord(t, lab) for t, lab in rows), provenance)
+    return Dataset(tuple(HeadlineRecord(t, lab) for t, lab in rows))
 
 
 @pytest.fixture

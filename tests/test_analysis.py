@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from finsent.analysis import (
-    DerivedFeatures,
+    FIELD_NAMES,
     bundled_stopwords,
     class_distribution,
     correlation_matrix,
-    derived_features,
     feature_matrix,
     keyword_frequencies,
     load_stopwords,
 )
-from finsent.corpus import LABELS, Dataset, HeadlineRecord
+from finsent.corpus import LABELS, Dataset
 from finsent.features import tokenize
 
 from conftest import NEG, NEU, POS, make_dataset
@@ -46,49 +45,49 @@ class TestClassDistribution:
             class_distribution(Dataset(()))
 
 
+def surface(text):
+    """The feature_matrix row of a one-record dataset, by field name."""
+    row = feature_matrix(make_dataset([(text, POS)]))[0].tolist()
+    return dict(zip(FIELD_NAMES, row))
+
+
 class TestDerivedFeatures:
     def test_ab12(self):
-        f = derived_features(HeadlineRecord("AB12", POS))
-        assert f.char_len == 4
-        assert f.digit_ratio == 0.5
-        assert f.uppercase_ratio == 0.5
-        assert f.token_count == 1
-        assert f.avg_token_len == 4.0
+        f = surface("AB12")
+        assert f["char_len"] == 4
+        assert f["digit_ratio"] == 0.5
+        assert f["uppercase_ratio"] == 0.5
+        assert f["token_count"] == 1
+        assert f["avg_token_len"] == 4.0
 
     def test_plain_lowercase(self):
-        f = derived_features(HeadlineRecord("abc", POS))
-        assert f.digit_ratio == 0.0
-        assert f.uppercase_ratio == 0.0
+        f = surface("abc")
+        assert f["digit_ratio"] == 0.0
+        assert f["uppercase_ratio"] == 0.0
 
     def test_avg_token_len(self):
-        f = derived_features(HeadlineRecord("ab cdef", POS))
-        assert f.token_count == 2
-        assert f.avg_token_len == 3.0
+        f = surface("ab cdef")
+        assert f["token_count"] == 2
+        assert f["avg_token_len"] == 3.0
 
     def test_ratios_in_unit_interval(self, five_line_corpus):
-        for rec in five_line_corpus:
-            f = derived_features(rec)
-            assert 0.0 <= f.digit_ratio <= 1.0
-            assert 0.0 <= f.uppercase_ratio <= 1.0
+        X = feature_matrix(five_line_corpus)
+        for name in ("digit_ratio", "uppercase_ratio"):
+            col = X[:, FIELD_NAMES.index(name)]
+            assert np.all((0.0 <= col) & (col <= 1.0))
 
     def test_feature_matrix_shape(self, five_line_corpus):
         X = feature_matrix(five_line_corpus)
-        assert X.shape == (5, len(DerivedFeatures.FIELD_NAMES))
+        assert X.shape == (5, len(FIELD_NAMES))
 
     @pytest.mark.parametrize("text", ["Ä² rose ٣ Öl-Preis x²", "ÄÖÜ", "٣٤٥ ²³", "a_b 7"])
     def test_matches_per_character_sums(self, text):
         """Non-ASCII digits and capitals count as the per-character tests say."""
         toks = tokenize(text)
-        f = derived_features(HeadlineRecord(text, POS))
-        assert f.avg_token_len == sum(len(t) for t in toks) / len(toks)
-        assert f.digit_ratio == sum(c.isdigit() for c in text) / len(text)
-        assert f.uppercase_ratio == sum(c.isupper() for c in text) / len(text)
-
-    def test_feature_matrix_rows_are_derived_features(self, five_line_corpus):
-        X = feature_matrix(five_line_corpus)
-        for rec, row in zip(five_line_corpus, X.tolist()):
-            f = derived_features(rec)
-            assert row == [getattr(f, name) for name in DerivedFeatures.FIELD_NAMES]
+        f = surface(text)
+        assert f["avg_token_len"] == sum(len(t) for t in toks) / len(toks)
+        assert f["digit_ratio"] == sum(c.isdigit() for c in text) / len(text)
+        assert f["uppercase_ratio"] == sum(c.isupper() for c in text) / len(text)
 
 
 class TestCorrelationMatrix:

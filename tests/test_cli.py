@@ -436,6 +436,22 @@ class TestTrainPredictEvaluate:
         assert run_cli("compare", "--out", tmp_path, "--reports",
                        "missing-equals-sign") == EXIT_CONFIG
 
+    def test_compare_repeated_name(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n"
+                                      "negative,Sales fell\n")
+        (out / "predictions.csv").write_text("prediction\npositive\nnegative\n")
+        run_cli("evaluate", "--out", out, "--name", "a")
+        (out / "predictions.csv").write_text("prediction\nneutral\nneutral\n")
+        run_cli("evaluate", "--out", out, "--name", "b")
+        capsys.readouterr()
+        assert run_cli("compare", "--out", out, "--reports", f"m={out / 'report_a.json'}",
+                       f"m={out / 'report_b.json'}") == EXIT_CONFIG
+        assert "'m'" in capsys.readouterr().err
+        assert not (out / "comparison.txt").exists()
+        assert not (out / "manifest_compare.json").exists()
+
 
 class TestMergedExport:
     def test_merged_checkpoint_predicts_identically(self, tmp_path):
@@ -455,18 +471,32 @@ class TestMergedExport:
             (out_b / "predictions.csv").read_bytes()
 
 
+def _child_env() -> dict:
+    # The child imports finsent from where this process found it, also
+    # when only pytest's `pythonpath` setting put it on sys.path.
+    src = str(Path(finsent.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        # The child imports finsent from where this process found it, also
-        # when only pytest's `pythonpath` setting put it on sys.path.
-        src = str(Path(finsent.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "finsent.cli", "--version"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert "finsent" in proc.stdout
+
+    def test_stage_without_http_loads_no_http_client(self, tmp_path):
+        # A fresh interpreter, so that modules other tests imported do not count.
+        code = ("import sys\n"
+                "import finsent.cli\n"
+                "assert finsent.cli.main(['ingest', '--out', sys.argv[1]]) == 0\n"
+                "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestWholeSurface:

@@ -278,9 +278,3 @@ class TestRecordInvariants:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             HeadlineRecord("   ", POS)
-
-    def test_provenance_records_seed(self, five_line_corpus):
-        train, _ = stratified_split(five_line_corpus, 3, 2, seed=99)
-        assert "seed=99" in train.provenance
-        up = upsample(five_line_corpus, 3, seed=41)
-        assert "seed=41" in up.provenance

@@ -17,6 +17,7 @@ from finsent.promptkit import (
     HttpBackend,
     PredictionError,
     PromptTemplate,
+    RequestRejected,
     build_eval_prompt,
     build_train_prompt,
     extract_label,
@@ -250,18 +251,45 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         type(self).calls.append({"payload": payload,
-                                 "auth": self.headers.get("Authorization")})
+                                 "auth": self.headers.get("Authorization"),
+                                 "content_type": self.headers.get("Content-Type")})
+        status, declared = 200, None
         if self.path == "/flat":
-            body = {"text": "Answer: positive"}
+            data = json.dumps({"text": "Answer: positive"}).encode()
         elif self.path == "/nested":
-            body = {"choices": [{"text": "negative"}]}
+            data = json.dumps({"choices": [{"text": "negative"}]}).encode()
         elif self.path == "/missing":
-            body = {"something": "else"}
-        else:
-            self.send_response({"/reject": 400, "/busy": 429}.get(self.path, 500))
+            data = json.dumps({"something": "else"}).encode()
+        elif self.path == "/created":
+            status, data = 201, json.dumps({"text": "positive"}).encode()
+        elif self.path == "/notjson":
+            data = b"<html>positive</html>"
+        elif self.path == "/truncated":
+            data, declared = b'{"text": "pos', 100
+        elif self.path == "/hangup":
+            return  # the connection closes before a status line
+        elif self.path == "/redirect":  # to this server under another host name
+            self.send_response(302)
+            self.send_header("Location",
+                             f"http://localhost:{self.server.server_address[1]}/flat")
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        data = json.dumps(body).encode()
+        else:
+            self.send_response({"/reject": 400, "/notfound": 404, "/timeout": 408,
+                                "/busy": 429}.get(self.path, 500))
+            self.end_headers()
+            return
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(declared or len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_GET(self):  # a POST redirected by a 302 arrives as a GET
+        type(self).calls.append({"host": self.headers.get("Host"),
+                                 "auth": self.headers.get("Authorization")})
+        data = json.dumps({"text": "negative"}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -275,11 +303,14 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll (0.5 s by default).
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     _Handler.calls = []
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -303,6 +334,14 @@ class TestHttpBackend:
         HttpBackend(http_server + "/flat").generate("p", GenConfig())
         assert _Handler.calls[-1]["auth"] == "Bearer sekrit"
 
+    def test_redirect_to_another_host_drops_token(self, http_server, monkeypatch):
+        monkeypatch.setenv("FINSENT_API_TOKEN", "sekrit")
+        assert HttpBackend(http_server + "/redirect").generate("p", GenConfig()) == "negative"
+        posted, redirected = _Handler.calls
+        assert posted["auth"] == "Bearer sekrit"
+        assert redirected["host"].startswith("localhost:")
+        assert redirected["auth"] is None
+
     def test_missing_text_path_errors(self, http_server):
         backend = HttpBackend(http_server + "/missing")
         with pytest.raises(BackendError, match="path"):
@@ -313,6 +352,31 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="500"):
             backend.generate("p", GenConfig())
 
+    def test_sends_json_content_type(self, http_server):
+        HttpBackend(http_server + "/flat").generate("p", GenConfig())
+        assert _Handler.calls[-1]["content_type"] == "application/json"
+
+    @pytest.mark.parametrize("path, match", [
+        ("/created", "HTTP 201"),         # a 2xx other than 200 is no answer either
+        ("/notjson", "not JSON"),
+        ("/truncated", "failed"),         # body shorter than its Content-Length
+        ("/hangup", "failed"),            # no status line at all
+    ])
+    def test_unusable_response_is_backend_error(self, http_server, path, match):
+        with pytest.raises(BackendError, match=match) as err:
+            HttpBackend(http_server + path).generate("p", GenConfig())
+        assert not isinstance(err.value, RequestRejected)
+
+    @pytest.mark.parametrize("url", ["not-a-url", "http://127.0.0.1:port/x"])
+    def test_unsendable_url_is_backend_error(self, url):
+        with pytest.raises(BackendError, match="failed"):
+            HttpBackend(url).generate("p", GenConfig())
+
+    def test_non_finite_payload_is_backend_error(self, http_server):
+        with pytest.raises(BackendError, match="failed"):
+            HttpBackend(http_server + "/flat").generate("p", GenConfig(temperature=math.nan))
+        assert _Handler.calls == []
+
     def test_unreachable_host(self):
         backend = HttpBackend("http://127.0.0.1:1/x", timeout=0.2)
         with pytest.raises(BackendError):
@@ -322,6 +386,10 @@ class TestHttpBackend:
         ("/reject", 1),   # 4xx: the request itself is refused
         ("/busy", 3),     # 429 and 5xx may succeed later
         ("/boom", 3),
+        ("/notfound", 1),
+        ("/timeout", 3),  # 408, like 429, may succeed later
+        ("/hangup", 3),   # transport failures may too
+        ("/truncated", 3),
     ])
     def test_retries_only_failures_that_can_pass(self, http_server, path, attempts):
         ds = tiny_dataset(3)

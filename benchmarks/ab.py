@@ -16,10 +16,15 @@ repository root, as one section:
   workload, both sides' runs, medians, quartiles and the pairs the change
   won, and whether the claim holds: the change wins at least 9 in 10 pairs
   and its median is better than the parent's by more than the parent's
-  interquartile range;
+  interquartile range.  For a timing, `wall_counterpart` says whether its
+  unscaled wall-clock counterpart moved the same way;
 - `all_workloads` (`--workload all`): the same statistics for every workload;
 - `traced_per_layer` (`--trace 1`): the per-layer metrics of each workload
   that either side reports as non-zero.
+
+perfbench scales its end-to-end timings by the host speed it samples, and
+prints the unscaled ones (`WALL`) only in its report lines.  Untraced
+sections record those too, parsed from the report, beside the scaled ones.
 
 The host facts of perfbench's `host:` line and both trees' source digests are
 recorded beside them.  perfbench/ and BENCHMARK.json are only read.
@@ -39,6 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
+# The wall-clock counterpart of each scaled end-to-end timing, and the host speed.
+WALL_OF = {"setup_s": "setup_wall_s", "pipeline_s": "pipeline_wall_s",
+           "train_samples_per_s": "train_samples_per_wall_s"}
+WALL = [*WALL_OF.values(), "speed"]
+BETTER |= {wall: BETTER[m] for m, wall in WALL_OF.items()} | {"speed": "higher"}
 WIN_SHARE = 0.9
 
 
@@ -56,7 +66,8 @@ def export(rev: str, dest: Path) -> None:
 
 def perfbench(tree: Path, args) -> tuple[dict, dict[str, dict]]:
     """One perfbench run in `tree`: its host facts and, per workload, its
-    last-line JSON (correct, attempted, failed, metrics)."""
+    last-line JSON (correct, attempted, failed, metrics), with the `WALL`
+    values of its report lines added to the metrics."""
     n_workloads = len(SPEC["workloads"]) if args.workload == "all" else 1
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -64,14 +75,18 @@ def perfbench(tree: Path, args) -> tuple[dict, dict[str, dict]]:
          "--trace", str(args.trace)],
         cwd=tree, text=True, capture_output=True,
         timeout=6 * SPEC["run_seconds"] * n_workloads)
-    host, results, name = {}, {}, None
+    host, results, walls, name = {}, {}, {}, None
     for line in proc.stdout.splitlines():
+        fields = line.split()
         if line.startswith("host: "):
             host = json.loads(line[len("host: "):])
         elif line.startswith("workload "):
-            name = line.split()[1]
+            name, walls = fields[1], {}
+        elif fields and fields[0] in WALL:  # "  <name> <value> <unit> n=<reps>"
+            walls[fields[0]] = {"value": float(fields[1]), "unit": fields[2]}
         elif line.startswith("{") and name is not None:
             results[name] = json.loads(line)
+            results[name]["metrics"].update(walls)
     if not results:
         raise RuntimeError(f"perfbench in {tree} exited {proc.returncode} with no "
                            f"result:\n{proc.stderr[-2000:]}")
@@ -96,16 +111,19 @@ def compare(name: str, parent: list[float], change: list[float]) -> dict:
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change))}
 
 
-def claim_holds(name: str, parent: list[float], change: list[float],
-                wins: int) -> tuple[bool, float]:
-    """(the change won >= 90% of pairs and its median gain exceeds the parent's
-    interquartile range, the ratio of medians taken so that > 1 is better)."""
+def ratio_of_medians(name: str, parent: list[float], change: list[float]) -> float:
+    """The change's median over the parent's, taken so that > 1 is better."""
     p, c = statistics.median(parent), statistics.median(change)
-    higher = BETTER[name] == "higher"
+    return round(c / p if BETTER[name] == "higher" else p / c, 3)
+
+
+def claim_holds(name: str, parent: list[float], change: list[float], wins: int) -> bool:
+    """The change won >= 90% of pairs and its median gain exceeds the parent's
+    interquartile range."""
+    p, c = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    met = (wins >= math.ceil(WIN_SHARE * len(parent))
-           and (c - p if higher else p - c) > q3 - q1)
-    return met, round(c / p if higher else p / c, 3)
+    return (wins >= math.ceil(WIN_SHARE * len(parent))
+            and (c - p if BETTER[name] == "higher" else p - c) > q3 - q1)
 
 
 def main(argv=None) -> int:
@@ -143,7 +161,7 @@ def main(argv=None) -> int:
                 runs[side].append(results)
                 print(f"pair {pair} {side}: " + json.dumps(
                     {wl: {m: v["value"] for m, v in r["metrics"].items()
-                          if m in END_TO_END or m.startswith("cli.")}
+                          if m in END_TO_END or m in WALL or m.startswith("cli.")}
                      for wl, r in results.items()}), file=sys.stderr, flush=True)
 
     def series(side: str, wl: str, metric: str) -> list[float]:
@@ -151,7 +169,7 @@ def main(argv=None) -> int:
 
     def reported(wl: str) -> list[str]:
         if not args.trace:
-            return END_TO_END
+            return END_TO_END + WALL
         return [m for m in runs["parent"][0][wl]["metrics"]
                 if any(v for side in runs for v in series(side, wl, m))]
 
@@ -168,15 +186,23 @@ def main(argv=None) -> int:
                "incorrect_runs": incorrect}
     if args.claim:
         wl = workloads[0]
-        met, ratio = claim_holds(args.claim, series("parent", wl, args.claim),
-                                 series("change", wl, args.claim),
-                                 table[wl][args.claim]["change_wins"])
+        parent, change = series("parent", wl, args.claim), series("change", wl, args.claim)
+        met = claim_holds(args.claim, parent, change, table[wl][args.claim]["change_wins"])
+        ratio = ratio_of_medians(args.claim, parent, change)
         key = "claim"
         section = {"metric": args.claim, "workload": wl, **section,
                    "rule": f"change wins >= {WIN_SHARE:.0%} of pairs and the median "
                            f"gain exceeds the parent's interquartile range",
                    "metrics": table[wl], "met": met and not incorrect,
                    "ratio_of_medians": ratio}
+        wall = WALL_OF.get(args.claim)
+        if wall:
+            wall_ratio = ratio_of_medians(wall, series("parent", wl, wall),
+                                          series("change", wl, wall))
+            section["wall_counterpart"] = {
+                "metric": wall, "ratio_of_medians": wall_ratio,
+                "change_wins": table[wl][wall]["change_wins"],
+                "same_way": (wall_ratio > 1) == (ratio > 1)}
     elif args.trace:
         key, section["values"] = "traced_per_layer", table
     else:

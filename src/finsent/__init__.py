@@ -1,6 +1,6 @@
 """finsent: financial news headline sentiment toolkit.
 
-Corpus handling, token-level augmentation, TF-IDF and embedding features,
+Corpus handling, token-level augmentation, TF-IDF features,
 a logistic-regression baseline, a from-scratch transformer encoder with
 low-rank-adapter fine-tuning, prompt-driven prediction against pluggable
 generation backends, and a three-class evaluation suite.

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS, Dataset, EmptyCorpusError, SentimentLabel, class_counts
-from .features import tokenize
+from .features import token_lists
 
 
 def class_distribution(dataset: Dataset) -> tuple[dict[SentimentLabel, int],
@@ -31,20 +31,22 @@ FIELD_NAMES = ("char_len", "token_count", "avg_token_len",
                "digit_ratio", "uppercase_ratio")
 
 
-def _surface(text: str) -> tuple[int, int, float, float, float]:
-    """The FIELD_NAMES statistics of `text`, in order."""
-    toks = tokenize(text)
+def _surface(text: str, toks: list[str]) -> tuple[int, int, float, float, float]:
+    """The FIELD_NAMES statistics of `text`, whose tokens are `toks`, in order."""
     n_chars = len(text)
     n_toks = len(toks)
     return (n_chars, n_toks, (sum(map(len, toks)) / n_toks) if n_toks else 0.0,
             sum(map(str.isdigit, text)) / n_chars, sum(map(str.isupper, text)) / n_chars)
 
 
-def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """(n_records, 5) matrix with one row of FIELD_NAMES statistics per record."""
+def feature_matrix(dataset: Dataset, docs=None) -> np.ndarray:
+    """(n_records, 5) matrix with one row of FIELD_NAMES statistics per record;
+    `docs`, the records' `features.token_lists` if given, spares tokenizing."""
     width = len(FIELD_NAMES)
-    return np.fromiter(chain.from_iterable(_surface(rec.text) for rec in dataset),
-                       dtype=np.float64, count=width * len(dataset)).reshape(-1, width)
+    docs = token_lists(dataset) if docs is None else docs
+    return np.fromiter(
+        chain.from_iterable(map(_surface, (rec.text for rec in dataset), docs)),
+        dtype=np.float64, count=width * len(dataset)).reshape(-1, width)
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,16 @@ def correlation_matrix(rows) -> CorrelationResult:
     return CorrelationResult(matrix=corr, constant_columns=const)
 
 
-def keyword_frequencies(dataset: Dataset, top_k: int,
-                        stopwords=frozenset()) -> dict[SentimentLabel,
-                                                       list[tuple[str, int]]]:
-    """Per-class (token, count) lists ranked by (count desc, token asc)."""
+def keyword_frequencies(dataset: Dataset, top_k: int, stopwords=frozenset(),
+                        docs=None) -> dict[SentimentLabel, list[tuple[str, int]]]:
+    """Per-class (token, count) lists ranked by (count desc, token asc);
+    `docs`, the records' `features.token_lists` if given, spares tokenizing."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     stop = frozenset(stopwords)
     counters: dict[SentimentLabel, Counter[str]] = {lab: Counter() for lab in LABELS}
-    for rec in dataset:
-        counters[rec.label].update(tokenize(rec.text))
+    for rec, tokens in zip(dataset, token_lists(dataset) if docs is None else docs):
+        counters[rec.label].update(tokens)
     out: dict[SentimentLabel, list[tuple[str, int]]] = {}
     for lab, counter in counters.items():
         for word in stop.intersection(counter):

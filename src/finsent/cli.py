@@ -82,7 +82,6 @@ DEFAULT_CONFIG: dict = {
         "encoding": "utf8",
         "lexicon": None,        # null -> bundled thesaurus
         "stopwords": None,      # null -> bundled stopword list
-        "embeddings": None,
         "output_dir": "runs/latest",
     },
     "seeds": {"master": DEFAULT_SEED},
@@ -250,17 +249,29 @@ def _train_tfidf(cfg, train_ds: Dataset):
 
 
 def _load_template(cfg) -> promptkit.PromptTemplate:
+    """The template file `prompt.template` names: string `instruction` and
+    `answer_marker`, and `allowed_labels` a list of sentiment label words."""
     path = cfg["prompt"]["template"]
     if path is None:
         return promptkit.DEFAULT_TEMPLATE
     try:
         doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        return promptkit.PromptTemplate(
-            instruction=doc["instruction"],
-            answer_marker=doc["answer_marker"],
-            allowed_labels=tuple(doc.get("allowed_labels",
-                                         [lab.value for lab in LABELS])))
-    except (OSError, KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
+        if not isinstance(doc, dict):
+            raise ValueError("expected a mapping")
+        for field in ("instruction", "answer_marker"):
+            if not isinstance(doc.get(field), str):
+                raise ValueError(f"{field} must be a string")
+        labels = doc.get("allowed_labels", [lab.value for lab in LABELS])
+        if not (isinstance(labels, list) and all(isinstance(w, str) for w in labels)):
+            raise ValueError("allowed_labels must be a list of strings")
+        try:
+            for word in labels:
+                SentimentLabel.parse(word)
+        except ValueError as exc:
+            raise ValueError(f"allowed_labels: {exc}") from None
+        return promptkit.PromptTemplate(doc["instruction"], doc["answer_marker"],
+                                        tuple(labels))
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"invalid prompt template file {path}: {exc}") from exc
 
 
@@ -327,7 +338,8 @@ def cmd_analyze(args, cfg, out):
         indent=2, sort_keys=True) + "\n")
 
     names = analysis_mod.FIELD_NAMES
-    matrix = analysis_mod.feature_matrix(ds)
+    docs = features_mod.token_lists(ds)
+    matrix = analysis_mod.feature_matrix(ds, docs)
     feats_path = _write_csv(
         out / "derived_features.csv", ("label",) + names,
         ([rec.label.value] + row for rec, row in zip(ds, matrix.tolist())))
@@ -335,7 +347,7 @@ def cmd_analyze(args, cfg, out):
     corr_path = _write_csv(
         out / "correlation_matrix.csv", ("feature",) + names,
         ([name] + row for name, row in zip(names, corr.matrix.tolist())))
-    keywords = analysis_mod.keyword_frequencies(ds, args.top_k, stopwords)
+    keywords = analysis_mod.keyword_frequencies(ds, args.top_k, stopwords, docs)
     kw_path = _write_csv(
         out / "keyword_frequencies.csv", ["label", "rank", "token", "count"],
         ([lab.value, rank, token, count] for lab in LABELS
@@ -348,8 +360,7 @@ def cmd_analyze(args, cfg, out):
 
 
 def cmd_featurize(args, cfg, out):
-    train_ds = _load_canonical(args.train)
-    vocab, train_tfidf = _train_tfidf(cfg, train_ds)
+    vocab, train_tfidf = _train_tfidf(cfg, _load_canonical(args.train))
     inputs = {"train": Path(args.train)}
     outputs = {"vocabulary": _write_text(out / "vocabulary.json",
                                          json.dumps(vocab.to_dict()) + "\n"),
@@ -359,19 +370,6 @@ def cmd_featurize(args, cfg, out):
         inputs["eval"] = Path(args.eval)
         outputs["tfidf_eval"] = _write_text(out / "tfidf_eval.csv", features_mod.tfidf(
             _load_canonical(args.eval), vocab).to_triplet_csv())
-
-    if args.embeddings:
-        table = features_mod.load_embeddings(args.embeddings)
-
-        def mean_row(rec):
-            vec, cov = features_mod.embed_mean(features_mod.tokenize(rec.text), table)
-            return [repr(float(v)) for v in vec] + [repr(cov)]
-
-        inputs["embeddings"] = Path(args.embeddings)
-        outputs["embedding_means_train"] = _write_csv(
-            out / "embedding_means_train.csv",
-            [f"v{i}" for i in range(table.dim)] + ["coverage"], map(mean_row, train_ds))
-
     return ({"min_df": cfg["features"]["min_df"],
              "max_vocab": cfg["features"]["max_vocab"]}, inputs, outputs,
             f"vocabulary of {len(vocab)} tokens; features written to {out}")
@@ -628,11 +626,9 @@ STAGES: dict[str, Stage] = {
         _flag("--stopwords", "stopword file (default: bundled)",
               config="paths.stopwords"),
         _flag("--top-k", type=int, config="analyze.top_k"))),
-    "featurize": Stage("vocabulary + TF-IDF (and embeddings)", (
+    "featurize": Stage("vocabulary + TF-IDF", (
         _flag("--train", "fit corpus", out_file="train.csv"),
-        _flag("--eval", "extra corpus transformed with the same vocabulary"),
-        _flag("--embeddings", "pretrained embedding text file",
-              config="paths.embeddings"))),
+        _flag("--eval", "extra corpus transformed with the same vocabulary"))),
     "train-linear": Stage("TF-IDF logistic-regression baseline", (
         _flag("--train", "training CSV", out_file="train.csv"),
         _flag("--test", "if given, also write test predictions"),

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary construction, TF-IDF features, embedding pooling."""
+"""Tokenization, vocabulary construction and TF-IDF features."""
 from __future__ import annotations
 
 import csv
@@ -8,7 +8,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,71 +180,3 @@ def tfidf(corpus, vocab: Vocabulary) -> DocTermMatrix:
     rows = np.repeat(np.arange(len(docs), dtype=np.int32), np.diff(matrix.indptr))
     matrix.data /= np.sqrt(np.bincount(rows, weights=matrix.data ** 2))[rows]
     return DocTermMatrix(matrix)
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """token -> dense vector, uniform dimensionality."""
-
-    vectors: dict[str, np.ndarray]
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("embedding dimension must be at least 1")
-        for tok, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(f"embedding for {tok!r} has dimension {vec.shape}, "
-                                 f"expected ({self.dim},)")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def parse_embeddings(text: str) -> EmbeddingTable:
-    """Parse 'word v1 v2 ... vd' lines.
-
-    A first line with exactly two integer fields is a count/dim banner and
-    is skipped.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines:
-        first = lines[0].split()
-        if len(first) == 2:
-            try:
-                int(first[0]), int(first[1])
-                lines = lines[1:]
-            except ValueError:
-                pass
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for line_no, line in enumerate(lines, start=1):
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"embedding line {line_no}: expected 'word v1 ... vd'")
-        word, values = parts[0], parts[1:]
-        vec = np.array([float(v) for v in values], dtype=np.float64)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValueError(f"embedding line {line_no}: dimension {len(vec)} != {dim}")
-        vectors[word] = vec
-    if dim is None:
-        raise ValueError("embedding file contains no vectors")
-    return EmbeddingTable(vectors, dim)
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    return parse_embeddings(Path(path).read_text(encoding="utf-8"))
-
-
-def embed_mean(tokens, table: EmbeddingTable) -> tuple[np.ndarray, float]:
-    """Mean vector of in-table tokens and the fraction of tokens covered."""
-    toks = list(tokens)
-    hits = [table.vectors[t] for t in toks if t in table.vectors]
-    if not hits:
-        return np.zeros(table.dim, dtype=np.float64), 0.0
-    return np.mean(hits, axis=0), len(hits) / len(toks)

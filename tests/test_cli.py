@@ -126,6 +126,8 @@ class TestConfig:
         ({"backend": {"kind": "grpc"}}, ["predict"]),
         # a range only the settings object checks
         ({"encoder": {"adamw": {"weight_decay": -5.0}}}, ["train-encoder"]),
+        # a key that is gone: the pretrained-embedding path was deleted
+        ({"paths": {"embeddings": "vectors.txt"}}, ["featurize"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):
@@ -155,6 +157,16 @@ class TestConfig:
         path.write_text(yaml.safe_dump(doc))
         assert run_cli("ingest", "--config", path, "--out", tmp_path / "o") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: config key {dotted} ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["featurize", "--embeddings", "x"],  # the deleted pretrained-embedding flag
+        ["ingest", "--bogus"],
+    ])
+    def test_unknown_flag_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", tmp_path / "o")
+        assert exc.value.code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
     def test_values_inside_choices_load(self, tmp_path):
@@ -251,17 +263,12 @@ class TestPipelineCommands:
         cfg = tiny_config(tmp_path)
         run_cli("ingest", "--out", out)
         run_cli("split", "--config", cfg, "--out", out)
-        emb = tmp_path / "vectors.txt"
-        emb.write_text("profit 1 0\nsales 0 1\n")
         assert run_cli("featurize", "--config", cfg, "--out", out,
-                       "--eval", out / "test.csv", "--embeddings", emb) == EXIT_OK
+                       "--eval", out / "test.csv") == EXIT_OK
         vocab = json.loads((out / "vocabulary.json").read_text())
         assert vocab["n_documents"] == 12
         assert (out / "tfidf_train.csv").read_text().startswith("row,col,weight")
         assert (out / "tfidf_eval.csv").exists()
-        means = (out / "embedding_means_train.csv").read_text().splitlines()
-        assert means[0] == "v0,v1,coverage"
-        assert len(means) == 13
 
 
 class TestTrainPredictEvaluate:
@@ -396,6 +403,44 @@ class TestTrainPredictEvaluate:
         assert (out / "predictions.csv").read_text().splitlines()[1:] == ["neutral"] * 3
         assert json.loads((out / "manifest_predict.json").read_text())[
             "params"]["nolabel"] == 3
+
+    @pytest.mark.parametrize("change, field", [
+        ({}, None),
+        ({"allowed_labels": "negative"}, "allowed_labels"),
+        ({"allowed_labels": ["bullish"]}, "allowed_labels"),
+        ({"allowed_labels": [5]}, "allowed_labels"),
+        ({"allowed_labels": []}, "allowed_labels"),
+        ({"instruction": 5}, "instruction"),
+        ({"instruction": "no headline slot"}, "instruction"),
+        ({"answer_marker": 7}, "answer_marker"),
+        ({"answer_marker": None}, "answer_marker"),
+    ], ids=["valid", "labels_scalar", "labels_unknown_word", "labels_not_strings",
+            "labels_empty", "instruction_int", "instruction_no_slot", "marker_int",
+            "marker_missing"])
+    def test_prompt_template_file_checked(self, tmp_path, capsys, change, field):
+        """A custom template is used as written; a bad field in it is a config
+        error naming the file and the field, raised before any backend call."""
+        template = tmp_path / "template.yaml"
+        template.write_text(yaml.safe_dump({
+            "instruction": "News: {headline}", "answer_marker": "\nMood:",
+            "allowed_labels": ["Negative"], **change}))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n"
+                                      "negative,Sales fell\n")
+        cfg = tiny_config(tmp_path, prompt={"template": str(template)})
+        code = run_cli("predict", "--config", cfg, "--out", out, "--backend", "fixed",
+                       "--fixed-text", "positive, or rather negative")
+        if field is None:
+            # "positive" is no allowed label of this template, so "negative" is found
+            assert code == EXIT_OK
+            preds = (out / "predictions.csv").read_text().splitlines()
+            assert preds[1:] == ["negative", "negative"]
+        else:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(
+                f"config error: invalid prompt template file {template}: {field}")
+            assert not (out / "predictions.csv").exists()
 
     def test_predict_missing_checkpoint(self, tmp_path):
         out = tmp_path / "run"

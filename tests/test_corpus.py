@@ -1,7 +1,10 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from finsent.corpus import (
     LABELS,
@@ -14,6 +17,7 @@ from finsent.corpus import (
     parse_corpus,
     serialize_dataset,
     stratified_split,
+    _quotas,
     upsample,
 )
 
@@ -188,6 +192,25 @@ class TestStratifiedSplit:
         for got in (counts_tuple(train), counts_tuple(test)):
             for value, expected in zip(got, (15, 10, 5)):
                 assert abs(value - expected) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 400), min_size=3, max_size=3), st.integers(0, 1200))
+    def test_quotas_are_largest_remainder(self, counts, total):
+        """Quotas sum to `total`, each within one record of its proportional
+        share; the leftover slots go to the largest remainders, ties to the
+        class first in canonical label order."""
+        n = sum(counts)
+        assume(n > 0)
+        quotas = _quotas(counts, total)
+        assert sum(quotas) == total
+        shares = [Fraction(total * c, n) for c in counts]
+        assert all(abs(q - share) < 1 for q, share in zip(quotas, shares))
+        rems = [share - (total * c // n) for share, c in zip(shares, counts)]
+        bumped = [q > total * c // n for q, c in zip(quotas, counts)]
+        for i in range(3):
+            for j in range(3):
+                if bumped[i] and not bumped[j]:
+                    assert (rems[i], -i) > (rems[j], -j)
 
     def test_union_never_exceeds_source_counts(self):
         rng = np.random.default_rng(0)

@@ -13,12 +13,9 @@ from finsent import features
 from finsent.corpus import EmptyCorpusError
 from finsent.features import (
     DocTermMatrix,
-    EmbeddingTable,
     Vocabulary,
     build_vocabulary,
-    embed_mean,
     pad_or_truncate,
-    parse_embeddings,
     tfidf,
     token_lists,
     tokenize,
@@ -273,53 +270,3 @@ class TestTripletCsv:
         mat = tfidf(docs, build_vocabulary(docs, min_df=1))
         assert mat.matrix.nnz > features.TRIPLET_SLICE
         assert mat.to_triplet_csv() == csv_writer_triplets(mat.matrix)
-
-
-class TestEmbeddings:
-    def test_parse_plain(self):
-        table = parse_embeddings("up 1.0 0.0\ndown 0.0 1.0\n")
-        assert table.dim == 2
-        np.testing.assert_array_equal(table.vectors["up"], [1.0, 0.0])
-
-    def test_parse_skips_count_dim_banner(self):
-        table = parse_embeddings("2 3\nup 1 2 3\ndown 4 5 6\n")
-        assert table.dim == 3
-        assert len(table) == 2
-
-    def test_two_field_word_line_is_not_banner(self):
-        # 'hello 1.5' has two fields but is not a pair of integers
-        table = parse_embeddings("hello 1.5\nworld 2.5\n")
-        assert table.dim == 1
-        assert len(table) == 2
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            parse_embeddings("a 1 2\nb 1\n")
-
-    def test_table_invariant(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable({"a": np.array([1.0, 2.0])}, dim=3)
-
-    def test_embed_mean_no_hits(self):
-        table = parse_embeddings("up 1 0\n")
-        vec, cov = embed_mean(["down", "flat"], table)
-        np.testing.assert_array_equal(vec, [0.0, 0.0])
-        assert cov == 0.0
-
-    def test_embed_mean_single_hit(self):
-        table = parse_embeddings("up 1 0\n")
-        vec, cov = embed_mean(["up"], table)
-        np.testing.assert_array_equal(vec, [1.0, 0.0])
-        assert cov == 1.0
-
-    def test_embed_mean_average(self):
-        table = parse_embeddings("up 1 0\ndown 0 1\n")
-        vec, cov = embed_mean(["up", "down"], table)
-        np.testing.assert_allclose(vec, [0.5, 0.5])
-        assert cov == 1.0
-
-    def test_embed_mean_partial_coverage(self):
-        table = parse_embeddings("up 2 0\n")
-        vec, cov = embed_mean(["up", "zz", "qq"], table)
-        np.testing.assert_allclose(vec, [2.0, 0.0])
-        assert cov == pytest.approx(1 / 3)

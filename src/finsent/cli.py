@@ -13,12 +13,15 @@ prints the message.
 `DEFAULT_CONFIG` is the config schema: `load_config` checks every key against
 the type of its default, `_POSITIVE` and `_CHOICES` (also the flags' choices),
 so every stage fails on any bad key, read or not, before it runs.  Each
-settings object is built from its section.
+settings object is built from its section.  Three `prompt` keys, whose
+defaults are `promptkit.DEFAULT_TEMPLATE`'s fields, make the generation
+prompt's `PromptTemplate`; it checks the `{headline}` slot and the answer
+marker when `predict` builds it, before it reads its input.
 
 Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown,
 mistyped, non-finite, empty or non-positive keys, a config value outside its
 key's choices, values that the encoder, training, augmentation, generation,
-adapter or linear-model settings reject, a missing corpus or encoder
+template, adapter or linear-model settings reject, a missing corpus or encoder
 checkpoint);
 3 data errors (input that does not parse or cannot be read, a split the
 corpus cannot fill, prediction and gold counts that differ, a corrupt
@@ -103,7 +106,10 @@ DEFAULT_CONFIG: dict = {
         "adamw": {"weight_decay": 0.01},
         "peft": {"rank": 4, "alpha": 8.0, "targets": ["W_Q", "W_V", "W_o"]},
     },
-    "prompt": {"template": None, "max_new_tokens": 8, "temperature": 0.0},
+    "prompt": {"instruction": promptkit.DEFAULT_TEMPLATE.instruction,
+               "answer_marker": promptkit.DEFAULT_TEMPLATE.answer_marker,
+               "allowed_labels": list(promptkit.DEFAULT_TEMPLATE.allowed_labels),
+               "max_new_tokens": 8, "temperature": 0.0},
     "backend": {"kind": "encoder", "url": None, "text_path": "text",
                 "timeout": 10.0, "retries": 3, "auth_env": "FINSENT_API_TOKEN",
                 "max_in_flight": 4, "fixed_text": "neutral"},
@@ -118,10 +124,12 @@ _POSITIVE = {"features.min_df", "features.max_vocab", "features.max_seq_len",
              "backend.retries", "backend.max_in_flight"}
 
 # Keys whose value (each item, for a list) must be one of the listed words.
+_LABEL_WORDS = tuple(lab.value for lab in LABELS)
 _CHOICES = {"paths.format": FORMATS, "paths.encoding": ENCODINGS,
             "encoder.peft.targets": VALID_TARGETS,
+            "prompt.allowed_labels": _LABEL_WORDS,
             "backend.kind": ("encoder", "http", "fixed"),
-            "metrics.nolabel_policy": ("count_as_error", *(lab.value for lab in LABELS))}
+            "metrics.nolabel_policy": ("count_as_error", *_LABEL_WORDS)}
 
 
 def _check_leaf(here: str, default, value):
@@ -246,33 +254,6 @@ def _train_tfidf(cfg, train_ds: Dataset):
     docs = features_mod.token_lists(train_ds)
     vocab = _vocabulary(cfg, docs)
     return vocab, features_mod.tfidf(docs, vocab)
-
-
-def _load_template(cfg) -> promptkit.PromptTemplate:
-    """The template file `prompt.template` names: string `instruction` and
-    `answer_marker`, and `allowed_labels` a list of sentiment label words."""
-    path = cfg["prompt"]["template"]
-    if path is None:
-        return promptkit.DEFAULT_TEMPLATE
-    try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("expected a mapping")
-        for field in ("instruction", "answer_marker"):
-            if not isinstance(doc.get(field), str):
-                raise ValueError(f"{field} must be a string")
-        labels = doc.get("allowed_labels", [lab.value for lab in LABELS])
-        if not (isinstance(labels, list) and all(isinstance(w, str) for w in labels)):
-            raise ValueError("allowed_labels must be a list of strings")
-        try:
-            for word in labels:
-                SentimentLabel.parse(word)
-        except ValueError as exc:
-            raise ValueError(f"allowed_labels: {exc}") from None
-        return promptkit.PromptTemplate(doc["instruction"], doc["answer_marker"],
-                                        tuple(labels))
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        raise ConfigError(f"invalid prompt template file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +482,11 @@ def _prompt_backend(args, cfg) -> promptkit.GenerationBackend:
 
 
 def cmd_predict(args, cfg, out):
-    gen_config = _build("prompt", promptkit.GenConfig,
-                        max_new_tokens=cfg["prompt"]["max_new_tokens"],
-                        temperature=cfg["prompt"]["temperature"])
+    prompt = cfg["prompt"]
+    gen_config = _build("prompt", promptkit.GenConfig, prompt["max_new_tokens"],
+                        prompt["temperature"])
+    template = _build("prompt", promptkit.PromptTemplate, prompt["instruction"],
+                      prompt["answer_marker"], tuple(prompt["allowed_labels"]))
     ds = _load_canonical(args.input)
     inputs = {"input": Path(args.input)}
     if args.backend == "encoder":
@@ -514,7 +497,6 @@ def cmd_predict(args, cfg, out):
         clf = enc.load_checkpoint(args.checkpoint)
         predictions, nolabel = clf.predict_labels([rec.text for rec in ds]), 0
     else:
-        template = _load_template(cfg)
         policy = cfg["metrics"]["nolabel_policy"]
         predictions, nolabel = promptkit.predict_sentiments(
             ds, _prompt_backend(args, cfg), template=template, config=gen_config,
@@ -553,7 +535,10 @@ def cmd_compare(args, cfg, out):
             raise ConfigError(f"--reports entries must be name=path, got {spec!r}")
         if name in inputs:
             raise ConfigError(f"--reports names {name!r} more than once")
-        rep = metrics_mod.EvalReport.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            rep = metrics_mod.EvalReport.from_json(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CorpusError(f"report {path}: {exc}") from exc
         pairs.append((name, rep))
         inputs[name] = Path(path)
     table = metrics_mod.compare(pairs)

@@ -131,7 +131,9 @@ def parse_corpus(source, format: str, encoding: str = "utf8",
         records.append(HeadlineRecord(body, label))
 
     if format == "at_separated":
-        for row_no, line in enumerate(text.splitlines(), start=1):
+        # Only \n, \r\n and \r end lines: str.splitlines also splits at latin-1 \x85.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for row_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             if "@" not in line:
@@ -140,15 +142,20 @@ def parse_corpus(source, format: str, encoding: str = "utf8",
             add(label_word, body, row_no)
     else:
         reader = csv.reader(io.StringIO(text, newline=""))
-        for row_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if (format == "csv_headered" and row_no == 1
-                    and row[0].strip().lower() == "sentiment"):
-                continue
-            if len(row) < 2:
-                raise ParseError("expected 'sentiment,headline'", row_no)
-            add(row[0], ",".join(row[1:]), row_no)
+        row_no = 0
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if (format == "csv_headered" and row_no == 1
+                        and row[0].strip().lower() == "sentiment"):
+                    continue
+                if len(row) < 2:
+                    raise ParseError("expected 'sentiment,headline'", row_no)
+                add(row[0], ",".join(row[1:]), row_no)
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV (reader at line {reader.line_num}): {exc}",
+                             row_no + 1) from None
 
     if not records:
         raise EmptyCorpusError(f"no records in {source_name}")
@@ -165,9 +172,11 @@ def serialize_dataset(dataset: Dataset) -> str:
     """Canonical CSV form: 'sentiment,headline' header, lowercase labels."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the terminator's characters: a bare \r needs QUOTE_ALL.
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(["sentiment", "headline"])
     for rec in dataset:
-        writer.writerow([rec.label.value, rec.text])
+        (quoted if "\r" in rec.text else writer).writerow([rec.label.value, rec.text])
     return buf.getvalue()
 
 

@@ -115,13 +115,16 @@ def _check_entry(path, name: str, doc, types: dict) -> None:
 def load_checkpoint(path) -> EncoderTextClassifier:
     """Read a `save_checkpoint` file, checking every tensor against the config.
 
-    A missing or mistyped meta entry (config value, adapter rank or alpha,
-    vocabulary field), unknown or missing config key, member set, tensor
-    shape, adapter shape, vocabulary size or `max_len` that does not fit
-    raises a ValueError naming it.
+    A `__meta__` member that is missing or no mapping, a missing or mistyped
+    meta entry (config value, adapter rank or alpha, vocabulary field),
+    unknown or missing config key, member set, tensor shape, adapter shape,
+    vocabulary size or `max_len` that does not fit raises a ValueError naming it.
     """
     with np.load(path) as npz:
+        if "__meta__" not in npz.files:
+            raise ValueError(f"checkpoint {path} lacks its __meta__ member")
         meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
+        _check_entry(path, "__meta__", meta, {})
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"not an encoder checkpoint: {path}")
         if meta.get("version") != CHECKPOINT_VERSION:

@@ -156,23 +156,25 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """Parse `to_json` output; a missing entry raises a ValueError naming it."""
         doc = json.loads(text)
-        by_name = {
-            SentimentLabel.parse(name): ClassMetrics(
-                precision=entry["precision"], recall=entry["recall"],
-                f1=entry["f1"], support=entry["support"])
-            for name, entry in doc["per_class"].items()
-        }
-        return cls(per_class={lab: by_name[lab] for lab in LABELS},
-                   accuracy=doc["accuracy"],
-                   macro_precision=doc["macro"]["precision"],
-                   macro_recall=doc["macro"]["recall"],
-                   macro_f1=doc["macro"]["f1"],
-                   weighted_precision=doc["weighted"]["precision"],
-                   weighted_recall=doc["weighted"]["recall"],
-                   weighted_f1=doc["weighted"]["f1"],
-                   nolabel_count=doc["nolabel_count"],
-                   zero_division_flags=tuple(doc["zero_division_flags"]))
+
+        def at(path: str):
+            node = doc
+            for key in path.split("."):
+                if not isinstance(node, dict) or key not in node:
+                    raise ValueError(f"not an evaluation report: it lacks {path}")
+                node = node[key]
+            return node
+
+        # the fields in their order, at the paths that to_json writes
+        return cls({lab: ClassMetrics(*(at(f"per_class.{lab.value}.{name}")
+                                        for name in ("precision", "recall", "f1", "support")))
+                    for lab in LABELS},
+                   *map(at, ("accuracy", "macro.precision", "macro.recall", "macro.f1",
+                             "weighted.precision", "weighted.recall", "weighted.f1",
+                             "nolabel_count")),
+                   tuple(at("zero_division_flags")))
 
 
 def report(cm: ConfusionMatrix, nolabel_tally: int | None = None) -> EvalReport:

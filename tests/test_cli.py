@@ -39,6 +39,7 @@ POSITIVE_KEYS = {"features.min_df", "features.max_vocab", "features.max_seq_len"
 # (for a list, one bad item among good ones).
 OUTSIDE_CHOICES = {"paths.format": "xml", "paths.encoding": "ebcdic",
                    "encoder.peft.targets": ["W_Q", "W_X"], "backend.kind": "grpc",
+                   "prompt.allowed_labels": ["negative", "bullish"],
                    "metrics.nolabel_policy": "bogus"}
 
 
@@ -126,8 +127,11 @@ class TestConfig:
         ({"backend": {"kind": "grpc"}}, ["predict"]),
         # a range only the settings object checks
         ({"encoder": {"adamw": {"weight_decay": -5.0}}}, ["train-encoder"]),
-        # a key that is gone: the pretrained-embedding path was deleted
+        ({"prompt": {"instruction": "no headline slot"}}, ["predict", "--backend", "fixed"]),
+        # keys that are gone: the pretrained-embedding path was deleted, and the
+        # fields of the template file are `prompt` keys
         ({"paths": {"embeddings": "vectors.txt"}}, ["featurize"]),
+        ({"prompt": {"template": "template.yaml"}}, ["ingest"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):
@@ -210,6 +214,17 @@ class TestIngest:
         raw.write_text("bogus,Row with unknown label\n")
         assert run_cli("ingest", "--data", raw, "--format", "csv_label_first",
                        "--out", tmp_path / "o") == EXIT_DATA
+
+    def test_csv_the_reader_rejects_is_data_error(self, tmp_path, capsys):
+        """An unbalanced quote swallows the rest of the file into one field,
+        until the csv module's field limit stops it."""
+        raw = tmp_path / "bad.csv"
+        raw.write_text("sentiment,headline\npositive,\"Profit rose\n" + "".join(
+            f"negative,Sales fell in quarter {i}\n" for i in range(5000)))
+        assert run_cli("ingest", "--data", raw, "--out", tmp_path / "o") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 2: malformed CSV (reader at line ")
+        assert "field larger than field limit" in err
 
 
 class TestSplitDeterminism:
@@ -404,7 +419,7 @@ class TestTrainPredictEvaluate:
         assert json.loads((out / "manifest_predict.json").read_text())[
             "params"]["nolabel"] == 3
 
-    @pytest.mark.parametrize("change, field", [
+    @pytest.mark.parametrize("change, key", [
         ({}, None),
         ({"allowed_labels": "negative"}, "allowed_labels"),
         ({"allowed_labels": ["bullish"]}, "allowed_labels"),
@@ -417,29 +432,30 @@ class TestTrainPredictEvaluate:
     ], ids=["valid", "labels_scalar", "labels_unknown_word", "labels_not_strings",
             "labels_empty", "instruction_int", "instruction_no_slot", "marker_int",
             "marker_missing"])
-    def test_prompt_template_file_checked(self, tmp_path, capsys, change, field):
-        """A custom template is used as written; a bad field in it is a config
-        error naming the file and the field, raised before any backend call."""
-        template = tmp_path / "template.yaml"
-        template.write_text(yaml.safe_dump({
-            "instruction": "News: {headline}", "answer_marker": "\nMood:",
-            "allowed_labels": ["Negative"], **change}))
+    def test_prompt_template_file_checked(self, tmp_path, capsys, change, key):
+        """A custom template, set in the `prompt` keys that replaced the template
+        file, is used as written; a bad value is a config error naming its key,
+        raised before any backend call."""
         out = tmp_path / "run"
         out.mkdir()
         (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n"
                                       "negative,Sales fell\n")
-        cfg = tiny_config(tmp_path, prompt={"template": str(template)})
+        cfg = tiny_config(tmp_path, prompt={
+            "instruction": "News: {headline}", "answer_marker": "\nMood:",
+            "allowed_labels": ["negative"], **change})
         code = run_cli("predict", "--config", cfg, "--out", out, "--backend", "fixed",
                        "--fixed-text", "positive, or rather negative")
-        if field is None:
+        if key is None:
             # "positive" is no allowed label of this template, so "negative" is found
             assert code == EXIT_OK
             preds = (out / "predictions.csv").read_text().splitlines()
             assert preds[1:] == ["negative", "negative"]
         else:
             assert code == EXIT_CONFIG
-            assert capsys.readouterr().err.startswith(
-                f"config error: invalid prompt template file {template}: {field}")
+            # the schema checks types and label words; PromptTemplate the slot
+            err = capsys.readouterr().err
+            assert (err.startswith(f"config error: config key prompt.{key} ")
+                    or err.startswith(f"config error: invalid prompt config: {key} "))
             assert not (out / "predictions.csv").exists()
 
     def test_predict_missing_checkpoint(self, tmp_path):
@@ -476,6 +492,27 @@ class TestTrainPredictEvaluate:
         table = (out / "comparison.txt").read_text().splitlines()
         assert table[1].split()[0] == "perfect"
         assert table[2].split()[0] == "lazy"
+
+    @pytest.mark.parametrize("doc, lacks", [
+        ({"a": 1}, "per_class.positive.precision"),
+        ([1], "per_class.positive.precision"),
+        ("report", "per_class.positive.precision"),
+        ({"per_class": {}}, "per_class.positive.precision"),
+    ])
+    def test_compare_foreign_report_is_data_error(self, tmp_path, capsys, doc, lacks):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n")
+        (out / "predictions.csv").write_text("prediction\npositive\n")
+        run_cli("evaluate", "--out", out, "--name", "good")
+        foreign = tmp_path / "x.json"
+        foreign.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("compare", "--out", out, "--reports",
+                       f"good={out / 'report_good.json'}", f"m={foreign}") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: report {foreign}: not an evaluation report: it lacks {lacks}\n")
+        assert not (out / "comparison.txt").exists()
 
     def test_compare_bad_spec(self, tmp_path):
         assert run_cli("compare", "--out", tmp_path, "--reports",

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finsent.corpus import (
+    ENCODINGS,
+    FORMATS,
     LABELS,
     Dataset,
     EmptyCorpusError,
@@ -68,6 +70,15 @@ class TestParseCorpus:
         assert [r.label for r in ds] == [NEG, POS]
         assert ds[0].text == "Sales fell sharply ."
 
+    def test_at_separated_splits_only_at_line_ends(self):
+        raw = b"Shares fall\x85 again@negative\r\nForm\x0cfeed\x1cnow@neutral\rUp@positive"
+        ds = parse_corpus(raw, format="at_separated", encoding="latin1")
+        assert [(r.text, r.label) for r in ds] == [
+            ("Shares fall\x85 again", NEG), ("Form\x0cfeed\x1cnow", NEU), ("Up", POS)]
+        with pytest.raises(ParseError, match="row 3"):
+            parse_corpus("a@positive\r\n\n\u2028x\r\n".encode(),
+                         format="at_separated")
+
     def test_latin1_decoding(self):
         raw = "neutral,Caf\xe9 chain reports results\n".encode("latin-1")
         ds = parse_corpus(raw, format="csv_label_first", encoding="latin1")
@@ -125,9 +136,39 @@ class TestSerializeRoundTrip:
             ('Revenue climbed 12 %, beating "analyst" estimates', POS),
             ("Plain headline", NEU),
             ("Loss, loss, loss", NEG),
+            ("Shares fell\rsharply", NEG),  # a bare \r, which csv quotes only in full
         ])
         back = parse_corpus(serialize_dataset(ds).encode(), format="csv_headered")
         assert [(r.text, r.label) for r in back] == [(r.text, r.label) for r in ds]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(FORMATS),
+           rows=st.lists(st.tuples(st.one_of(st.text(st.characters(codec="latin-1")),
+                                             st.text()),
+                                   st.sampled_from(LABELS)), min_size=1, max_size=6))
+    def test_written_corpus_parses_back_equal(self, data, fmt, rows):
+        """Records written in any format, in any encoding that can represent
+        them, parse back equal.  Headlines carry no surrounding whitespace,
+        which parsing strips, and an '@'-separated one no line break."""
+        breaks = "\r\n" if fmt == "at_separated" else ""
+        rows = [(text, label) for text, label in rows
+                if text.strip() == text != "" and not set(breaks) & set(text)]
+        assume(rows)
+        ds = make_dataset(rows)
+        if fmt == "at_separated":
+            end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            text = "".join(f"{rec.text}@{rec.label.value}{end}" for rec in ds)
+        else:
+            text = serialize_dataset(ds)
+            if fmt == "csv_label_first":
+                text = text.split("\n", 1)[1]
+        for encoding, codec in zip(ENCODINGS, ("utf-8", "latin-1")):
+            try:
+                raw = text.encode(codec)
+            except UnicodeEncodeError:
+                continue
+            back = parse_corpus(raw, format=fmt, encoding=encoding)
+            assert [(r.text, r.label) for r in back] == rows
 
 
 class TestClassCounts:

@@ -114,14 +114,26 @@ class TestPredictLabels:
 
 
 def _rewrite(path, edit):
-    """Re-save the checkpoint at `path` after `edit(arrays, meta)`."""
+    """Re-save the checkpoint at `path` after `edit(arrays, meta)`.  The edit
+    sees the decoded meta also as `arrays["__meta__"]`, which it may replace
+    or delete."""
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-    edit(arrays, meta)
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays["__meta__"] = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    edit(arrays, arrays["__meta__"])
+    if "__meta__" in arrays:
+        arrays["__meta__"] = np.frombuffer(json.dumps(arrays["__meta__"]).encode("utf-8"),
+                                           dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _drop_meta(arrays, meta):
+    del arrays["__meta__"]
+
+
+def _list_meta(arrays, meta):
+    arrays["__meta__"] = [meta]
 
 
 def _drop_w_q(arrays, meta):
@@ -188,6 +200,8 @@ class TestCorruptCheckpoint:
         (_drop_vocab_tokens, "tokens"),
         (_string_d_model, "d_model"),
         (_zero_layernorm_eps, "layernorm_eps"),
+        (_drop_meta, "lacks its __meta__ member"),
+        (_list_meta, "__meta__ is not a mapping"),
     ])
     def test_fails_at_load_naming_the_tensor(self, tmp_path, capsys, edit, named):
         out = tmp_path / "run"

@@ -7,8 +7,15 @@ encoder_long's (d_model 128, 4 layers, max_seq_len 64, full fine-tune).
 Only calls that exist at older commits too are used, so the same file
 times a parent checkout for a before/after comparison.
 
+`test_loss_and_grad_peak` records, in each benchmark's `extra_info`, the
+tracemalloc peak of one `loss_and_grad` group of 8: the memory numpy
+allocates for the activation cache, the gradients and the temporaries,
+above what was allocated before the call.
+
     python -m pytest benchmarks/bench_encoder.py --benchmark-json=bench.json
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,3 +69,21 @@ def test_loss_and_grad(benchmark, name):
     loss, grads = benchmark(loss_and_grad, params, examples, config, adapters,
                             peft_mode=adapters is not None)
     assert np.isfinite(loss) and grads
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_loss_and_grad_peak(benchmark, name):
+    config, params, adapters, examples = _setup(name, GROUP)
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            loss_and_grad(params, examples, config, adapters,
+                          peft_mode=adapters is not None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = benchmark.pedantic(peak_bytes, rounds=3, iterations=1)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = peak
+    assert peak > 0

@@ -141,7 +141,9 @@ def parse_corpus(source, format: str, encoding: str = "utf8",
             body, _, label_word = line.rpartition("@")
             add(label_word, body, row_no)
     else:
-        reader = csv.reader(io.StringIO(text, newline=""))
+        # strict: an unbalanced quote fails at the end of the data instead of
+        # swallowing every later row into one headline.
+        reader = csv.reader(io.StringIO(text, newline=""), strict=True)
         row_no = 0
         try:
             for row_no, row in enumerate(reader, start=1):

@@ -14,14 +14,24 @@ every name with its shape in that order; gradients, AdamW, adapters and
 checkpoints all use these names.
 
 `encoder_forward` runs a (B, n) batch of ids and 0/1 masks (1-D ones
-are the B = 1 case): linear layers act on (B, n, d_model) activations and
-attention on (B, n_heads, n, d_k), with the key mask broadcast per row.
+are the B = 1 case).  Activations travel between layers as (B·n, d_model)
+rows, so each linear layer is one 2-D GEMM; only attention reshapes them,
+to (B, n_heads, n, d_k), with the key mask broadcast per row.
 The batch is first trimmed to the last column any row's mask uses, which
 is exact: masked keys get softmax weight 0 and padded positions pooling
 weight 0, so their gradient is 0 in every layer.  `loss_and_grad`,
 `batch_loss` and `batch_logits` run batches of any size in sub-batches of
 rows sorted by real length, each within rows x trimmed length x d_model
-<= SUB_BATCH_BUDGET (8192), which bounds a backward pass's activation cache.
+<= SUB_BATCH_BUDGET (12,288) elements, which bounds the activations a
+backward pass caches per layer.  The budget is in elements, not tokens:
+the cache grows with d_model, and at d_model 32 it holds 384 tokens, so
+a training group of 8 rows of 32 tokens stays one sub-batch.
+
+Only `encoder_forward(..., return_cache=True)` keeps per-layer
+activations; forward-only passes (`batch_logits`, the eval hook, predict)
+keep none.  `encoder_backward` consumes the cache, dropping each layer's
+activations once that layer's gradients are done, and can add its
+gradients in place into the set of an earlier sub-batch.
 
 `attention`, `_ln_fwd` (with `layer_norm` as its public view) and
 `multi_head_attention` are the kernels that `encoder_forward` runs.
@@ -44,7 +54,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 #: Most activations (rows x trimmed length x d_model) one sub-batch holds.
-SUB_BATCH_BUDGET = 8192
+SUB_BATCH_BUDGET = 12288
 
 
 @dataclass(frozen=True)
@@ -145,16 +155,24 @@ def _ln_fwd(x, gain, bias, eps):
     return xhat * gain + bias, (xhat, inv)
 
 
-def _ln_bwd(dy, gain, ln_cache):
-    """dx, and the gain and bias gradients summed over every row, for (B, n, d) dy."""
+def _add(grads: dict, name: str, g) -> None:
+    """grads[name] += g in place, or grads[name] = g for a new name."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
+def _ln_bwd(dy, name: str, params, ln_cache, grads: dict):
+    """dx for (rows, d) dy; adds the `<name>_gain` and `<name>_bias`
+    gradients, summed over every row, into grads."""
     xhat, inv = ln_cache
-    dgain = (dy * xhat).sum(axis=(0, 1))
-    dbias = dy.sum(axis=(0, 1))
-    dxhat = dy * gain
-    dx = inv * (dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dgain, dbias
+    _add(grads, name + "_gain", (dy * xhat).sum(axis=0))
+    _add(grads, name + "_bias", dy.sum(axis=0))
+    dxhat = dy * params[name + "_gain"]
+    return inv * (dxhat
+                  - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
@@ -184,23 +202,24 @@ def attention(Q, K, V, mask=None, return_weights: bool = False):
     return (out, weights) if return_weights else out
 
 
-def _split_heads(X, n_heads: int) -> np.ndarray:
-    """(B, n, d_model) -> (B, n_heads, n, d_k) view; head h holds columns h*d_k:(h+1)*d_k."""
-    B, n, d = X.shape
-    return X.reshape(B, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(X, B: int, n_heads: int) -> np.ndarray:
+    """(B·n, d_model) rows -> (B, n_heads, n, d_k) view; head h holds columns
+    h*d_k:(h+1)*d_k."""
+    rows, d = X.shape
+    return X.reshape(B, rows // B, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(Y) -> np.ndarray:
-    """(B, n_heads, n, d_k) -> (B, n, d_model), the heads side by side."""
+    """(B, n_heads, n, d_k) -> (B·n, d_model) rows, the heads side by side."""
     B, h, n, d_k = Y.shape
-    return Y.transpose(0, 2, 1, 3).reshape(B, n, h * d_k)
+    return Y.transpose(0, 2, 1, 3).reshape(B * n, h * d_k)
 
 
 # -- linear layers with optional low-rank adapters ---------------------------
 
 def _lin_fwd(X, name: str, params, adapters, cache: dict):
-    """X @ params[name], plus scale * (X @ B) @ A if an adapter sits on it;
-    then cache[name] keeps X @ B for `_lin_bwd`."""
+    """X @ params[name] on (rows, d_in) X, plus scale * (X @ B) @ A if an
+    adapter sits on it; then cache[name] keeps X @ B for `_lin_bwd`."""
     adapter = adapters.get(name)
     if adapter is None:
         return X @ params[name]
@@ -210,20 +229,17 @@ def _lin_fwd(X, name: str, params, adapters, cache: dict):
 
 def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict,
              base: bool = True):
-    """Stores the gradients of `_lin_fwd`'s adapter, and of its weight if
-    `base`, summed over every row of X, in grads; returns dX."""
+    """Adds the gradients of `_lin_fwd`'s adapter, and of its weight if
+    `base`, summed over the rows of X, into grads; returns dX."""
     adapter = adapters.get(name)
     dX = dH @ params[name].T
-    rows, dH_rows = X.reshape(-1, X.shape[-1]), dH.reshape(-1, dH.shape[-1])
     if base:
-        grads[name] = rows.T @ dH_rows
+        _add(grads, name, X.T @ dH)
     if adapter is not None:
         dHA = dH @ adapter.A.T
         dX += adapter.scale * (dHA @ adapter.B.T)
-        grads[f"adapters.{name}.A"] = adapter.scale * (
-            cache[name].reshape(-1, adapter.rank).T @ dH_rows)
-        grads[f"adapters.{name}.B"] = adapter.scale * (
-            rows.T @ dHA.reshape(-1, adapter.rank))
+        _add(grads, f"adapters.{name}.A", adapter.scale * (cache[name].T @ dH))
+        _add(grads, f"adapters.{name}.B", adapter.scale * (X.T @ dHA))
     return dX
 
 
@@ -239,13 +255,14 @@ def multi_head_attention(X, params: EncoderParams, layer: int, n_heads: int,
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] % n_heads != 0:
         raise ValueError("d_model not divisible by n_heads")
-    X3 = X.reshape(-1, *X.shape[-2:])
+    B = 1 if X.ndim == 2 else len(X)
+    rows = X.reshape(-1, X.shape[-1])
     adapters = adapters or {}
     cache = {} if cache is None else cache
     p = f"layers.{layer}."
-    Qh, Kh, Vh = (_split_heads(_lin_fwd(X3, p + name, params, adapters, cache), n_heads)
+    Qh, Kh, Vh = (_split_heads(_lin_fwd(rows, p + name, params, adapters, cache), B, n_heads)
                   for name in ("W_Q", "W_K", "W_V"))
-    mask = None if mask is None else np.reshape(mask, (len(X3), 1, 1, -1))
+    mask = None if mask is None else np.reshape(mask, (B, 1, 1, -1))
     Oh, Pw = attention(Qh, Kh, Vh, mask, return_weights=True)
     cache.update(Qh=Qh, Kh=Kh, Vh=Vh, Pw=Pw, O=_merge_heads(Oh))
     return _lin_fwd(cache["O"], p + "W_O", params, adapters, cache).reshape(X.shape)
@@ -277,31 +294,37 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
                     adapters: dict[str, LoraAdapter] | None = None,
                     return_cache: bool = False):
     """Class logits, (B, n_classes) for (B, n) ids and mask or (n_classes,)
-    for 1-D ones; optionally the activation cache."""
+    for 1-D ones; with return_cache=True, also the activation cache that
+    `encoder_backward` consumes (only then are per-layer activations kept)."""
     single = np.ndim(ids) == 1
     ids, mask = _check_inputs(ids, mask, config)
     n = int(_real_lengths(mask).max())
     ids, mask = ids[:, :n], mask[:, :n]
+    B = len(ids)
     adapters = adapters or {}
     eps = config.layernorm_eps
     fmask = mask.astype(np.float64)
 
-    X = params["W_e"][ids] + params["P"][:n]
+    X = (params["W_e"][ids] + params["P"][:n]).reshape(B * n, -1)
     cache = {"ids": ids, "layers": []}
     for li in range(config.n_layers):
         p = f"layers.{li}."
         lc: dict = {"X_in": X}
-        A1 = X + multi_head_attention(X, params, li, config.n_heads, mask, adapters, lc)
+        A1 = X + multi_head_attention(X.reshape(B, n, -1), params, li, config.n_heads,
+                                      mask, adapters, lc).reshape(X.shape)
+        if not return_cache:
+            lc = {}  # a forward-only pass frees the attention activations here
         Z, lc["ln1"] = _ln_fwd(A1, params[p + "ln1_gain"], params[p + "ln1_bias"], eps)
         U1 = _lin_fwd(Z, p + "W1", params, adapters, lc) + params[p + "b1"]
         G = gelu(U1)
         A2 = Z + (_lin_fwd(G, p + "W2", params, adapters, lc) + params[p + "b2"])
         X, lc["ln2"] = _ln_fwd(A2, params[p + "ln2_gain"], params[p + "ln2_bias"], eps)
-        lc.update(Z=Z, U1=U1, G=G)
-        cache["layers"].append(lc)
+        if return_cache:
+            lc.update(Z=Z, U1=U1, G=G)
+            cache["layers"].append(lc)
 
     denom = fmask.sum(axis=1, keepdims=True)
-    pooled = (X * fmask[:, :, None]).sum(axis=1) / denom
+    pooled = (X.reshape(B, n, -1) * fmask[:, :, None]).sum(axis=1) / denom
     logits = _lin_fwd(pooled, "W_o", params, adapters, cache) + params["b_o"]
     logits = logits[0] if single else logits
     cache.update(pooled=pooled, denom=denom, fmask=fmask)
@@ -310,39 +333,45 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
 
 def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfig,
                      adapters: dict[str, LoraAdapter] | None = None,
-                     peft_mode: bool = False):
+                     peft_mode: bool = False, grads: dict | None = None):
     """Gradients of a scalar loss given d(loss)/d(logits) and a forward cache.
 
     Returns a flat dict, summed over the batch: base tensors under their
     parameter names, adapter tensors under 'adapters.<target>.A' / '.B'.
     peft_mode=True returns the adapter gradients only, and computes no
     weight-matrix or embedding gradient; dX still flows through every layer.
+    `grads`, when given, is such a dict from earlier sub-batches: the new
+    gradients are added into its arrays in place, and it is returned.
+    The cache is consumed: each layer's activations leave it once that
+    layer's gradients are done.
     """
     adapters = adapters or {}
     base = not peft_mode
+    grads = {} if grads is None else grads
+    base_grads = grads if base else {}  # peft_mode drops the bias and layernorm ones
     scale = 1.0 / math.sqrt(config.d_k)
     ids = cache["ids"]
-    dlogits = np.asarray(dlogits, dtype=np.float64).reshape(len(ids), -1)
-    grads = {"b_o": dlogits.sum(axis=0)}
+    B, n = ids.shape
+    dlogits = np.asarray(dlogits, dtype=np.float64).reshape(B, -1)
+    _add(base_grads, "b_o", dlogits.sum(axis=0))
     dpooled = _lin_bwd(cache["pooled"], "W_o", params, adapters, cache, dlogits,
                        grads, base)
-    dX = (cache["fmask"] / cache["denom"])[:, :, None] * dpooled[:, None, :]
+    dX = ((cache["fmask"] / cache["denom"])[:, :, None]
+          * dpooled[:, None, :]).reshape(B * n, -1)
 
     for li in range(config.n_layers - 1, -1, -1):
-        lc = cache["layers"][li]
+        lc = cache["layers"].pop()
         p = f"layers.{li}."
-        dA2, grads[p + "ln2_gain"], grads[p + "ln2_bias"] = _ln_bwd(
-            dX, params[p + "ln2_gain"], lc["ln2"])
-        grads[p + "b2"] = dA2.sum(axis=(0, 1))
+        dA2 = _ln_bwd(dX, p + "ln2", params, lc["ln2"], base_grads)
+        _add(base_grads, p + "b2", dA2.sum(axis=0))
         dG = _lin_bwd(lc["G"], p + "W2", params, adapters, lc, dA2, grads, base)
         dU1 = dG * gelu_grad(lc["U1"])
-        grads[p + "b1"] = dU1.sum(axis=(0, 1))
+        _add(base_grads, p + "b1", dU1.sum(axis=0))
         dZ = dA2 + _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads, base)
-        dA1, grads[p + "ln1_gain"], grads[p + "ln1_bias"] = _ln_bwd(
-            dZ, params[p + "ln1_gain"], lc["ln1"])
+        dA1 = _ln_bwd(dZ, p + "ln1", params, lc["ln1"], base_grads)
 
         dOh = _split_heads(_lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1,
-                                    grads, base), config.n_heads)
+                                    grads, base), B, config.n_heads)
         Qh, Kh, Vh, Pw = lc["Qh"], lc["Kh"], lc["Vh"], lc["Pw"]
         dPw = dOh @ np.swapaxes(Vh, -1, -2)
         dS = Pw * (dPw - (dPw * Pw).sum(axis=-1, keepdims=True))
@@ -353,12 +382,12 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
             dX = dX + _lin_bwd(lc["X_in"], p + name, params, adapters, lc,
                                _merge_heads(dH), grads, base)
 
-    if peft_mode:
-        return {k: g for k, g in grads.items() if k.startswith("adapters.")}
-    grads["W_e"] = np.zeros_like(params["W_e"])
-    np.add.at(grads["W_e"], ids.ravel(), dX.reshape(-1, dX.shape[-1]))
-    grads["P"] = np.zeros_like(params["P"])
-    grads["P"][:ids.shape[1]] = dX.sum(axis=0)
+    if base:
+        if "W_e" not in grads:
+            grads["W_e"] = np.zeros_like(params["W_e"])
+            grads["P"] = np.zeros_like(params["P"])
+        np.add.at(grads["W_e"], ids.ravel(), dX)
+        grads["P"][:n] += dX.reshape(B, n, -1).sum(axis=0)
     return grads
 
 
@@ -417,15 +446,16 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
     `weights` holds each example's weight (default 1/len(batch): the mean).
-    Sub-batch gradients add up in one dict.  With peft_mode=True only
-    adapter gradients are returned; base tensors are untouched by construction.
+    Each sub-batch's gradients are added in place into one set of arrays,
+    new to this call.  With peft_mode=True only adapter gradients are
+    returned; base tensors are untouched by construction.
     """
     ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
         raise ValueError("peft_mode requires adapters")
     weights = (np.full(len(labels), 1.0 / len(labels)) if weights is None
                else np.asarray(weights, dtype=np.float64))
-    total: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {}
     nll = np.empty(len(labels))
     for rows in _sub_batches(mask, config.d_model):
         logits, cache = encoder_forward(ids[rows], mask[rows], params, config,
@@ -433,13 +463,9 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
         probs = softmax_rows(logits)
         nll[rows] = _nll(probs, labels[rows])
         probs[np.arange(len(rows)), labels[rows]] -= 1.0
-        for name, g in encoder_backward(probs * weights[rows, None], cache, params,
-                                        config, adapters, peft_mode=peft_mode).items():
-            if name in total:
-                total[name] += g
-            else:
-                total[name] = g
-    return float(weights @ nll), total
+        encoder_backward(probs * weights[rows, None], cache, params, config, adapters,
+                         peft_mode=peft_mode, grads=grads)
+    return float(weights @ nll), grads
 
 
 def batch_loss(params: EncoderParams, batch, config: EncoderConfig,

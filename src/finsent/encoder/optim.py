@@ -34,6 +34,10 @@ def adamw_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: OptimizerState, lr: float | None = None) -> OptimizerState:
     """One bias-corrected AdamW update, in place, on the tensors named in grads.
 
+    The moments are updated in place and the update is built in two
+    buffers per tensor, with the same operations, in the same order, as
+    the textbook formula, so the results are bit-identical to it.
+
     Decoupled weight decay applies to matrices only (2-D and higher);
     biases and layernorm gains are 1-D and decay-free.  A non-finite
     gradient aborts before any tensor is touched.
@@ -58,14 +62,19 @@ def adamw_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p = tensors[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
+        # Two buffers hold every temporary of
+        # update = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p];  p -= lr*update.
+        a, b = np.empty_like(p), np.empty_like(p)
         m *= h.beta1
-        m += (1.0 - h.beta1) * g
+        m += np.multiply(g, 1.0 - h.beta1, out=a)
         v *= h.beta2
-        v += (1.0 - h.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + h.eps)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - h.beta2, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += h.eps
+        np.divide(np.divide(m, bc1, out=b), a, out=b)
         if h.weight_decay and p.ndim >= 2:
-            update = update + h.weight_decay * p
-        p -= lr * update
+            b += np.multiply(p, h.weight_decay, out=a)
+        p -= np.multiply(b, lr, out=b)
     return state
 
 

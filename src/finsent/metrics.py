@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,7 +157,9 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        """Parse `to_json` output; a missing entry raises a ValueError naming it."""
+        """Parse `to_json` output; a missing entry, or one of the wrong type,
+        raises a ValueError naming it.  Metrics are finite numbers, `support`
+        and `nolabel_count` integers, and the flags a list of strings."""
         doc = json.loads(text)
 
         def at(path: str):
@@ -165,6 +168,16 @@ class EvalReport:
                 if not isinstance(node, dict) or key not in node:
                     raise ValueError(f"not an evaluation report: it lacks {path}")
                 node = node[key]
+            if path.endswith(("support", "nolabel_count")):
+                ok, kind = type(node) is int, "an integer"
+            elif path == "zero_division_flags":
+                ok = isinstance(node, list) and all(isinstance(f, str) for f in node)
+                kind = "a list of strings"
+            else:
+                ok = type(node) in (int, float) and math.isfinite(node)
+                kind = "a finite number"
+            if not ok:
+                raise ValueError(f"{path} is {node!r}, not {kind}")
             return node
 
         # the fields in their order, at the paths that to_json writes

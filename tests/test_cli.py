@@ -215,6 +215,15 @@ class TestIngest:
         assert run_cli("ingest", "--data", raw, "--format", "csv_label_first",
                        "--out", tmp_path / "o") == EXIT_DATA
 
+    def test_unbalanced_quote_is_data_error_naming_its_row(self, tmp_path, capsys):
+        raw = tmp_path / "bad.csv"
+        raw.write_text("sentiment,headline\npositive,\"Shares rise\nnegative,Sales fell\n"
+                       "neutral,Report due\n")
+        assert run_cli("ingest", "--data", raw, "--out", tmp_path / "o") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: row 2: malformed CSV (reader at line 4): unexpected end of data\n")
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_csv_the_reader_rejects_is_data_error(self, tmp_path, capsys):
         """An unbalanced quote swallows the rest of the file into one field,
         until the csv module's field limit stops it."""
@@ -512,6 +521,35 @@ class TestTrainPredictEvaluate:
                        f"good={out / 'report_good.json'}", f"m={foreign}") == EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: report {foreign}: not an evaluation report: it lacks {lacks}\n")
+        assert not (out / "comparison.txt").exists()
+
+    @pytest.mark.parametrize("path, value, want", [
+        ("macro.f1", "x", "'x', not a finite number"),
+        ("accuracy", None, "None, not a finite number"),
+        ("per_class.neutral.recall", True, "True, not a finite number"),
+        ("per_class.positive.support", 1.0, "1.0, not an integer"),
+        ("nolabel_count", False, "False, not an integer"),
+        ("zero_division_flags", "recall:neutral", "'recall:neutral', not a list of strings"),
+    ])
+    def test_compare_mistyped_report_entry_is_data_error(self, tmp_path, capsys, path,
+                                                         value, want):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n")
+        (out / "predictions.csv").write_text("prediction\npositive\n")
+        run_cli("evaluate", "--out", out, "--name", "good")
+        doc = json.loads((out / "report_good.json").read_text())
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("compare", "--out", out, "--reports",
+                       f"good={out / 'report_good.json'}", f"m={bad}") == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: report {bad}: {path} is {want}\n"
         assert not (out / "comparison.txt").exists()
 
     def test_compare_bad_spec(self, tmp_path):

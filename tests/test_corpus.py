@@ -98,6 +98,13 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="row 2"):
             parse_corpus(raw, format="csv_label_first")
 
+    def test_unbalanced_quote_names_the_row_it_opened_in(self):
+        rows = "positive,\"Shares rise\nnegative,Sales fell\nneutral,Report due\n"
+        with pytest.raises(ParseError, match="^row 2: .*unexpected end of data"):
+            parse_corpus("sentiment,headline\n" + rows, format="csv_headered")
+        with pytest.raises(ParseError, match="^row 1: .*unexpected end of data"):
+            parse_corpus(rows, format="csv_label_first")
+
     def test_missing_field(self):
         with pytest.raises(ParseError, match="row 1"):
             parse_corpus(b"positive\n", format="csv_label_first")

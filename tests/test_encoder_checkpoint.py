@@ -94,7 +94,7 @@ class TestRoundTrip:
 
 
 class TestPredictLabels:
-    @pytest.mark.parametrize("budget", [model.SUB_BATCH_BUDGET, 40])
+    @pytest.mark.parametrize("budget", [8192, model.SUB_BATCH_BUDGET, 40])
     def test_input_order_and_one_record_calls_agree(self, budget):
         clf = make_classifier(peft=True)
         clf.params["W_o"] *= 20.0  # spread the logits so that labels differ

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -384,6 +385,55 @@ class TestBatching:
         for i, (row_ids, row_mask, _) in enumerate(rows):
             own = encoder_forward(row_ids, row_mask, params, TINY, ads)
             assert float(np.max(np.abs(logits[i] - own))) <= 1e-12
+
+    def test_peft_sub_batches_give_exactly_the_adapter_grads_of_one(self):
+        rng = np.random.default_rng(41)
+        params, ads = tiny_setup(seed=3, adapters=True, nonzero_b=True)
+        rows, _, mask = ragged_rows(rng, size=8)
+        weights = rng.random(8)
+        want_loss, want = loss_and_grad(params, rows, TINY, ads, peft_mode=True,
+                                        weights=weights)
+        with mock.patch.object(model, "SUB_BATCH_BUDGET", 2 * TINY.d_model * 6):
+            assert len(model._sub_batches(mask, TINY.d_model)) > 2
+            loss, grads = loss_and_grad(params, rows, TINY, ads, peft_mode=True,
+                                        weights=weights)
+        assert set(grads) == set(adapters_to_dict(ads))
+        assert abs(loss - want_loss) <= 1e-12
+        assert_grads_close(grads, want)
+
+    @pytest.mark.parametrize("peft", [False, True])
+    def test_successive_calls_return_independent_arrays(self, peft):
+        rng = np.random.default_rng(5)
+        params, ads = tiny_setup(seed=2, adapters=True, nonzero_b=True)
+        tensors = {**params, **adapters_to_dict(ads)}
+        rows, _, _ = ragged_rows(rng, size=5)
+        with mock.patch.object(model, "SUB_BATCH_BUDGET", TINY.d_model * 6):
+            _, first = loss_and_grad(params, rows, TINY, ads, peft_mode=peft)
+            kept = {name: g.copy() for name, g in first.items()}
+            _, second = loss_and_grad(params, rows[::-1], TINY, ads, peft_mode=peft)
+        for name, g in first.items():
+            assert not np.shares_memory(g, second[name]), name
+            np.testing.assert_array_equal(g, kept[name], err_msg=name)
+            for t_name, t in tensors.items():
+                assert not np.shares_memory(g, t), (name, t_name)
+            for other, h in first.items():
+                assert other == name or not np.shares_memory(g, h), (name, other)
+
+    @pytest.mark.parametrize("peft", [False, True])
+    def test_backward_consumes_the_layer_activations(self, peft):
+        config = dataclasses.replace(TINY, n_layers=3)
+        params = init_params(config, 4)
+        ads = init_adapters(config, targets=("W_Q", "W1", "W_o"), rank=2, alpha=4.0,
+                            seed=5)
+        ids = np.array([[1, 2, 3, 4], [5, 6, 7, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+        logits, cache = encoder_forward(ids, mask, params, config, ads,
+                                        return_cache=True)
+        assert len(cache["layers"]) == 3
+        grads = model.encoder_backward(np.ones_like(logits), cache, params, config, ads,
+                                       peft_mode=peft)
+        assert cache["layers"] == []
+        assert set(grads) == (set() if peft else set(params)) | set(adapters_to_dict(ads))
 
     def test_each_row_is_checked(self):
         params, _ = tiny_setup()

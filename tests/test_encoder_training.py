@@ -116,6 +116,39 @@ class TestAdamW:
         np.testing.assert_array_equal(tensors["u"], [[2.0]])
         assert state.step == 0
 
+    def test_bit_identical_to_the_textbook_formula(self):
+        def textbook(tensors, grads, m, v, t, h, lr):
+            bc1, bc2 = 1.0 - h.beta1 ** t, 1.0 - h.beta2 ** t
+            for name, g in grads.items():
+                p = tensors[name]
+                m[name] = h.beta1 * m[name] + (1.0 - h.beta1) * g
+                v[name] = h.beta2 * v[name] + (1.0 - h.beta2) * (g * g)
+                update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + h.eps)
+                if h.weight_decay and p.ndim >= 2:
+                    update = update + h.weight_decay * p
+                tensors[name] = p - lr * update
+
+        rng = np.random.default_rng(9)
+        # Steps as large as the tensors, so that a last-bit change in the
+        # update reaches them.
+        hyper = AdamWConfig(lr=0.5, weight_decay=0.05)
+        want = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        got = {name: t.copy() for name, t in want.items()}
+        m = {name: np.zeros_like(t) for name, t in want.items()}
+        v = {name: np.zeros_like(t) for name, t in want.items()}
+        state = OptimizerState(hyper=hyper)
+        for t in range(1, 6):
+            grads = {name: rng.normal(scale=10.0 ** -t, size=x.shape)
+                     for name, x in want.items()}
+            lr = hyper.lr * (1.0 - 0.1 * t)
+            textbook(want, grads, m, v, t, hyper, lr)
+            adamw_step(got, grads, state, lr=lr)
+        assert state.step == 5
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert state.m[name].tobytes() == m[name].tobytes(), name
+            assert state.v[name].tobytes() == v[name].tobytes(), name
+
     def test_unknown_or_mismatched_gradient(self):
         state = OptimizerState()
         with pytest.raises(KeyError):

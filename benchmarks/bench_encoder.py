@@ -10,7 +10,9 @@ times a parent checkout for a before/after comparison.
 `test_loss_and_grad_peak` records, in each benchmark's `extra_info`, the
 tracemalloc peak of one `loss_and_grad` group of 8: the memory numpy
 allocates for the activation cache, the gradients and the temporaries,
-above what was allocated before the call.
+above what was allocated before the call.  `test_forward_peak` records the
+same for a forward-only `batch_loss` over the eval set, whose sub-batches
+keep no activation cache.
 
     python -m pytest benchmarks/bench_encoder.py --benchmark-json=bench.json
 """
@@ -71,15 +73,12 @@ def test_loss_and_grad(benchmark, name):
     assert np.isfinite(loss) and grads
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_loss_and_grad_peak(benchmark, name):
-    config, params, adapters, examples = _setup(name, GROUP)
-
+def _record_peak(benchmark, call):
+    """Runs `call` under tracemalloc for three rounds and records its peak."""
     def peak_bytes():
         tracemalloc.start()
         try:
-            loss_and_grad(params, examples, config, adapters,
-                          peft_mode=adapters is not None)
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -87,3 +86,16 @@ def test_loss_and_grad_peak(benchmark, name):
     peak = benchmark.pedantic(peak_bytes, rounds=3, iterations=1)
     benchmark.extra_info["tracemalloc_peak_bytes"] = peak
     assert peak > 0
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_loss_and_grad_peak(benchmark, name):
+    config, params, adapters, examples = _setup(name, GROUP)
+    _record_peak(benchmark, lambda: loss_and_grad(params, examples, config, adapters,
+                                                  peft_mode=adapters is not None))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_forward_peak(benchmark, name):
+    config, params, adapters, examples = _setup(name, EVAL_SET)
+    _record_peak(benchmark, lambda: batch_loss(params, examples, config, adapters))

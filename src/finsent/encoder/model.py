@@ -29,12 +29,22 @@ a training group of 8 rows of 32 tokens stays one sub-batch.
 
 Only `encoder_forward(..., return_cache=True)` keeps per-layer
 activations; forward-only passes (`batch_logits`, the eval hook, predict)
-keep none.  `encoder_backward` consumes the cache, dropping each layer's
-activations once that layer's gradients are done, and can add its
-gradients in place into the set of an earlier sub-batch.
+keep none.  For the feed-forward it keeps U1 = Z@W1 + b1 and Φ(U1), the
+standard normal CDF, in place of G = gelu(U1) = U1·Φ(U1): the backward
+rebuilds G (only where a W2 gradient needs it) and takes gelu's slope
+Φ + U1·φ(U1) from the cached Φ, so erf runs once per layer.
+`encoder_backward` consumes the cache, dropping each layer's activations
+once that layer's gradients are done, and can add its gradients in place
+into the set of an earlier sub-batch.  With peft_mode it computes only
+what the adapters' gradients need (see its docstring).
 
-`attention`, `_ln_fwd` (with `layer_norm` as its public view) and
-`multi_head_attention` are the kernels that `encoder_forward` runs.
+The kernels `encoder_forward` runs are `multi_head_attention` with
+`attention` (scores scaled and masked in place, then `softmax_rows`,
+which exponentiates and normalizes its own copy), `_ln_fwd` (one mean,
+the rows centred once; `layer_norm` is its public view), and `gelu`, or
+`_phi` where the backward needs Φ.  Each is equal bit for bit to the
+textbook formula as numpy evaluates it
+(tests/test_encoder_model.py::TestKernelsBitForBit).
 """
 from __future__ import annotations
 
@@ -130,29 +140,50 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams((name, tensors[name]) for name in shapes)
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Φ(x) = 0.5·(1 + erf(x/√2)), the standard normal CDF, in one new array."""
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    Phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return Phi + x * phi
+def _gelu_slope(x, cdf) -> np.ndarray:
+    """d gelu/dx = Φ(x) + x·φ(x), from the forward's Φ(x) in `cdf`."""
+    slope = -0.5 * x
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= x
+    slope += cdf
+    return slope
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax tolerating -inf entries (fully -inf rows are invalid)."""
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax tolerating -inf entries (fully -inf rows are invalid);
+    `scores` itself is left as it is."""
+    e = np.subtract(scores, scores.max(axis=-1, keepdims=True),
+                    dtype=np.result_type(scores, 1.0))  # integer scores give floats
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _ln_fwd(x, gain, bias, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv)
+    """LayerNorm over the last axis, and the (xhat, 1/std) that `_ln_bwd`
+    needs.  x is centred once, and the variance is the mean of the centred
+    rows squared, which is the arithmetic of np.var."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, (xhat, inv)
 
 
 def _add(grads: dict, name: str, g) -> None:
@@ -163,16 +194,20 @@ def _add(grads: dict, name: str, g) -> None:
         grads[name] = g
 
 
-def _ln_bwd(dy, name: str, params, ln_cache, grads: dict):
-    """dx for (rows, d) dy; adds the `<name>_gain` and `<name>_bias`
-    gradients, summed over every row, into grads."""
+def _ln_bwd(dy, name: str, params, ln_cache, grads: dict, base: bool = True):
+    """dx for (rows, d) dy; if `base`, adds the `<name>_gain` and
+    `<name>_bias` gradients, summed over every row, into grads."""
     xhat, inv = ln_cache
-    _add(grads, name + "_gain", (dy * xhat).sum(axis=0))
-    _add(grads, name + "_bias", dy.sum(axis=0))
-    dxhat = dy * params[name + "_gain"]
-    return inv * (dxhat
-                  - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    if base:
+        _add(grads, name + "_gain", (dy * xhat).sum(axis=0))
+        _add(grads, name + "_bias", dy.sum(axis=0))
+    dx = dy * params[name + "_gain"]
+    mean_dx = dx.mean(axis=-1, keepdims=True)
+    proj = xhat * (dx * xhat).mean(axis=-1, keepdims=True)
+    dx -= mean_dx
+    dx -= proj
+    dx *= inv
+    return dx
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
@@ -191,12 +226,13 @@ def attention(Q, K, V, mask=None, return_weights: bool = False):
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    scores = Q @ np.swapaxes(K, -1, -2) * (1.0 / math.sqrt(Q.shape[-1]))
+    scores = Q @ np.swapaxes(K, -1, -2)
+    scores *= 1.0 / math.sqrt(Q.shape[-1])
     if mask is not None:
-        mask = np.asarray(mask)
-        if not np.any(mask != 0, axis=-1).all():
+        keep = np.asarray(mask) != 0
+        if not keep.any(axis=-1).all():
             raise ValueError("all positions are masked")
-        scores = np.where(mask != 0, scores, -np.inf)
+        scores += np.where(keep, 0.0, -np.inf)  # a kept score + 0.0 keeps its value
     weights = softmax_rows(scores)
     out = weights @ V
     return (out, weights) if return_weights else out
@@ -221,23 +257,26 @@ def _lin_fwd(X, name: str, params, adapters, cache: dict):
     """X @ params[name] on (rows, d_in) X, plus scale * (X @ B) @ A if an
     adapter sits on it; then cache[name] keeps X @ B for `_lin_bwd`."""
     adapter = adapters.get(name)
-    if adapter is None:
-        return X @ params[name]
-    cache[name] = X @ adapter.B
-    return X @ params[name] + adapter.scale * (cache[name] @ adapter.A)
+    H = X @ params[name]
+    if adapter is not None:
+        cache[name] = X @ adapter.B
+        H += adapter.scale * (cache[name] @ adapter.A)
+    return H
 
 
 def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict,
-             base: bool = True):
+             base: bool = True, dx: bool = True):
     """Adds the gradients of `_lin_fwd`'s adapter, and of its weight if
-    `base`, summed over the rows of X, into grads; returns dX."""
+    `base`, summed over the rows of X, into grads; returns dX, or None
+    without `dx`.  X is read only for a gradient that needs it."""
     adapter = adapters.get(name)
-    dX = dH @ params[name].T
+    dX = dH @ params[name].T if dx else None
     if base:
         _add(grads, name, X.T @ dH)
     if adapter is not None:
         dHA = dH @ adapter.A.T
-        dX += adapter.scale * (dHA @ adapter.B.T)
+        if dx:
+            dX += adapter.scale * (dHA @ adapter.B.T)
         _add(grads, f"adapters.{name}.A", adapter.scale * (cache[name].T @ dH))
         _add(grads, f"adapters.{name}.B", adapter.scale * (X.T @ dHA))
     return dX
@@ -310,17 +349,24 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
     for li in range(config.n_layers):
         p = f"layers.{li}."
         lc: dict = {"X_in": X}
-        A1 = X + multi_head_attention(X.reshape(B, n, -1), params, li, config.n_heads,
-                                      mask, adapters, lc).reshape(X.shape)
+        A = multi_head_attention(X.reshape(B, n, -1), params, li, config.n_heads,
+                                 mask, adapters, lc).reshape(X.shape)
+        A += X
         if not return_cache:
             lc = {}  # a forward-only pass frees the attention activations here
-        Z, lc["ln1"] = _ln_fwd(A1, params[p + "ln1_gain"], params[p + "ln1_bias"], eps)
-        U1 = _lin_fwd(Z, p + "W1", params, adapters, lc) + params[p + "b1"]
-        G = gelu(U1)
-        A2 = Z + (_lin_fwd(G, p + "W2", params, adapters, lc) + params[p + "b2"])
-        X, lc["ln2"] = _ln_fwd(A2, params[p + "ln2_gain"], params[p + "ln2_bias"], eps)
+        Z, lc["ln1"] = _ln_fwd(A, params[p + "ln1_gain"], params[p + "ln1_bias"], eps)
+        U1 = _lin_fwd(Z, p + "W1", params, adapters, lc)
+        U1 += params[p + "b1"]
+        if return_cache:  # Φ(U1) in place of G = U1·Φ(U1), which the backward rebuilds
+            lc.update(Z=Z, U1=U1, Phi=_phi(U1))
+            G = U1 * lc["Phi"]
+        else:  # the same G bit for bit; through Φ, paper_pipeline's peak RSS rose
+            G = gelu(U1)
+        A = _lin_fwd(G, p + "W2", params, adapters, lc)
+        A += params[p + "b2"]
+        A += Z
+        X, lc["ln2"] = _ln_fwd(A, params[p + "ln2_gain"], params[p + "ln2_bias"], eps)
         if return_cache:
-            lc.update(Z=Z, U1=U1, G=G)
             cache["layers"].append(lc)
 
     denom = fmask.sum(axis=1, keepdims=True)
@@ -338,8 +384,10 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
 
     Returns a flat dict, summed over the batch: base tensors under their
     parameter names, adapter tensors under 'adapters.<target>.A' / '.B'.
-    peft_mode=True returns the adapter gradients only, and computes no
-    weight-matrix or embedding gradient; dX still flows through every layer.
+    peft_mode=True returns the adapter gradients only.  It computes no
+    weight-matrix, bias, layernorm or embedding gradient: layer 0 computes
+    no gradient for its input, so there a W_Q, W_K or W_V without an adapter
+    gets no dH, and with adapters on W_o alone no layer is differentiated.
     `grads`, when given, is such a dict from earlier sub-batches: the new
     gradients are added into its arrays in place, and it is returned.
     The cache is consumed: each layer's activations leave it once that
@@ -348,39 +396,58 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
     adapters = adapters or {}
     base = not peft_mode
     grads = {} if grads is None else grads
-    base_grads = grads if base else {}  # peft_mode drops the bias and layernorm ones
     scale = 1.0 / math.sqrt(config.d_k)
     ids = cache["ids"]
     B, n = ids.shape
+    first = config.n_layers if peft_mode and set(adapters) <= {"W_o"} else 0
     dlogits = np.asarray(dlogits, dtype=np.float64).reshape(B, -1)
-    _add(base_grads, "b_o", dlogits.sum(axis=0))
+    if base:
+        _add(grads, "b_o", dlogits.sum(axis=0))
     dpooled = _lin_bwd(cache["pooled"], "W_o", params, adapters, cache, dlogits,
-                       grads, base)
-    dX = ((cache["fmask"] / cache["denom"])[:, :, None]
-          * dpooled[:, None, :]).reshape(B * n, -1)
+                       grads, base, dx=base or first < config.n_layers)
+    if dpooled is not None:
+        dX = ((cache["fmask"] / cache["denom"])[:, :, None]
+              * dpooled[:, None, :]).reshape(B * n, -1)
 
-    for li in range(config.n_layers - 1, -1, -1):
+    del cache["layers"][:first]
+    for li in range(config.n_layers - 1, first - 1, -1):
         lc = cache["layers"].pop()
         p = f"layers.{li}."
-        dA2 = _ln_bwd(dX, p + "ln2", params, lc["ln2"], base_grads)
-        _add(base_grads, p + "b2", dA2.sum(axis=0))
-        dG = _lin_bwd(lc["G"], p + "W2", params, adapters, lc, dA2, grads, base)
-        dU1 = dG * gelu_grad(lc["U1"])
-        _add(base_grads, p + "b1", dU1.sum(axis=0))
-        dZ = dA2 + _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads, base)
-        dA1 = _ln_bwd(dZ, p + "ln1", params, lc["ln1"], base_grads)
+        dx_in = base or li > 0
+        dA2 = _ln_bwd(dX, p + "ln2", params, lc["ln2"], grads, base)
+        if base:
+            _add(grads, p + "b2", dA2.sum(axis=0))
+        G = lc["U1"] * lc["Phi"] if base or p + "W2" in adapters else None
+        dU1 = _gelu_slope(lc["U1"], lc["Phi"])
+        dU1 *= _lin_bwd(G, p + "W2", params, adapters, lc, dA2, grads, base)
+        if base:
+            _add(grads, p + "b1", dU1.sum(axis=0))
+        dZ = _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads, base)
+        dZ += dA2
+        dA1 = _ln_bwd(dZ, p + "ln1", params, lc["ln1"], grads, base)
 
-        dOh = _split_heads(_lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1,
-                                    grads, base), B, config.n_heads)
-        Qh, Kh, Vh, Pw = lc["Qh"], lc["Kh"], lc["Vh"], lc["Pw"]
-        dPw = dOh @ np.swapaxes(Vh, -1, -2)
-        dS = Pw * (dPw - (dPw * Pw).sum(axis=-1, keepdims=True))
+        need = [name for name in ("W_Q", "W_K", "W_V") if dx_in or p + name in adapters]
+        dO = _lin_bwd(lc["O"], p + "W_O", params, adapters, lc, dA1, grads, base,
+                      dx=bool(need))
+        if not need:  # layer 0, with no adapter on W_Q, W_K or W_V
+            continue
         dX = dA1
-        for name, dH in (("W_Q", dS @ Kh * scale),
-                         ("W_K", np.swapaxes(dS, -1, -2) @ Qh * scale),
-                         ("W_V", np.swapaxes(Pw, -1, -2) @ dOh)):
-            dX = dX + _lin_bwd(lc["X_in"], p + name, params, adapters, lc,
-                               _merge_heads(dH), grads, base)
+        dOh = _split_heads(dO, B, config.n_heads)
+        Qh, Kh, Vh, Pw = lc["Qh"], lc["Kh"], lc["Vh"], lc["Pw"]
+        if "W_Q" in need or "W_K" in need:
+            dS = dOh @ np.swapaxes(Vh, -1, -2)  # d(weights), then d(scores) in place
+            dS -= (dS * Pw).sum(axis=-1, keepdims=True)
+            dS *= Pw
+        for name in need:
+            if name == "W_V":
+                dH = np.swapaxes(Pw, -1, -2) @ dOh
+            else:
+                dH = dS @ Kh if name == "W_Q" else np.swapaxes(dS, -1, -2) @ Qh
+                dH *= scale
+            dXp = _lin_bwd(lc["X_in"], p + name, params, adapters, lc, _merge_heads(dH),
+                           grads, base, dx=dx_in)
+            if dx_in:
+                dX += dXp
 
     if base:
         if "W_e" not in grads:

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsent import augment
 from finsent.augment import (
@@ -16,7 +18,7 @@ from finsent.augment import (
     random_swap,
     synonym_replace,
 )
-from finsent.corpus import class_counts
+from finsent.corpus import LABELS, class_counts
 
 from conftest import NEG, NEU, POS, make_dataset
 
@@ -263,6 +265,37 @@ class TestAugmentDataset:
             AugmentConfig(n_replace=-1)
         with pytest.raises(ValueError):
             AugmentConfig(p_delete=1.5)
+
+    LEXICON = bundled_lexicon()
+    # Lexicon heads, so that replacement and insertion fire, and other words.
+    WORDS = st.one_of(st.sampled_from(sorted(LEXICON.entries)[:40]),
+                      st.text(st.characters(categories=("L", "N", "P")),
+                              min_size=1, max_size=8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.lists(WORDS, min_size=1, max_size=8),
+                                   st.sampled_from([" ", "  ", "\t"]),
+                                   st.sampled_from(LABELS)), min_size=1, max_size=6),
+           counts=st.tuples(*[st.integers(0, 3)] * 4),
+           p_delete=st.sampled_from([0.0, 0.3, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_every_variant_keeps_its_label_and_has_text(self, rows, counts, p_delete,
+                                                        seed):
+        ds = make_dataset([(sep.join(words), label) for words, sep, label in rows])
+        n_replace, n_insert, n_swap, copies = counts
+        cfg = AugmentConfig(n_replace=n_replace, n_insert=n_insert, p_delete=p_delete,
+                            n_swap=n_swap, copies_per_record=copies, seed=seed)
+        out = augment_dataset(ds, cfg, self.LEXICON)
+        assert len(out) == len(ds) * (1 + copies)
+        for i, rec in enumerate(ds):
+            group = out[i * (1 + copies):(i + 1) * (1 + copies)]
+            assert group[0] == rec
+            for variant in group[1:]:
+                assert variant.label is rec.label
+                tokens = variant.text.split()
+                assert tokens and variant.text.strip()
+                assert variant.text in (rec.text, " ".join(tokens))
+                if p_delete == 1.0:
+                    assert len(tokens) == 1
 
 
 class WorkerFault(Exception):

@@ -4,8 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from finsent._rng import OP_ENCODER_INIT, substream
 from finsent.encoder import (
@@ -187,6 +189,78 @@ class TestLayerNorm:
                                        atol=1e-12)
 
 
+def _rows(elements, max_rows=5, max_width=40):
+    return arrays(np.float64, st.tuples(st.integers(1, max_rows), st.integers(1, max_width)),
+                  elements=elements)
+
+
+FINITE = st.floats(-1e6, 1e6)
+# Random rows, and constant rows (variance 0).
+LN_ROWS = st.one_of(_rows(FINITE), st.tuples(st.integers(1, 5), st.integers(1, 40),
+                                              FINITE).map(lambda t: np.full(t[:2], t[2])))
+
+
+class TestKernelsBitForBit:
+    """The encoder's kernels against the textbook formulas, written as numpy
+    evaluated them before the kernels were fused: equal bit for bit, not
+    within a tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=LN_ROWS, seed=st.integers(0, 2**32 - 1))
+    def test_ln_fwd_is_the_textbook_layernorm(self, x, seed):
+        gain, bias = np.random.default_rng(seed).normal(size=(2, x.shape[1]))
+        before = x.copy()
+        eps = 1e-5
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+        y, (got_xhat, got_inv) = model._ln_fwd(x, gain, bias, eps)
+        assert np.array_equal(y, xhat * gain + bias)
+        assert np.array_equal(got_xhat, xhat) and np.array_equal(got_inv, inv)
+        assert np.array_equal(x, before)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 60),
+                    elements=st.floats(-60.0, 60.0) | st.sampled_from([0.0, -0.0, 5e-324])))
+    def test_gelu_and_its_slope_from_the_cached_phi(self, x):
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        slope = cdf + x * (np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+        cached = model._phi(x)
+        assert np.array_equal(cached, cdf)
+        assert np.array_equal(x * cached, gelu(x))  # G as the backward rebuilds it
+        assert np.array_equal(model._gelu_slope(x, cached), slope)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=_rows(st.floats(-1e3, 1e3) | st.just(-np.inf), max_width=12))
+    def test_softmax_rows_leaves_its_input_as_it_is(self, x):
+        assume(np.isfinite(x).any(axis=-1).all())
+        before = x.copy()
+        got = model.softmax_rows(x)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(got, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(x, before) and not np.shares_memory(got, x)
+
+    def test_softmax_rows_of_integer_scores_is_the_float_softmax(self):
+        scores = np.array([[2, 0, 1], [5, 5, -3]])
+        assert np.array_equal(model.softmax_rows(scores),
+                              model.softmax_rows(scores.astype(np.float64)))
+        assert model.softmax_rows(scores.astype(np.float32)).dtype == np.float32
+        assert model.mean_nll([[2, 0, 1]], [0]) == model.mean_nll([[2.0, 0.0, 1.0]], [0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7))
+    def test_masked_attention_is_the_where_formula(self, seed, n):
+        rng = np.random.default_rng(seed)
+        Q, K, V = rng.normal(size=(3, 2, 3, n, 4))
+        mask = (rng.random((2, 1, 1, n)) < 0.6).astype(np.int64)
+        mask[..., rng.integers(0, n)] = 1
+        scores = np.where(mask != 0, Q @ np.swapaxes(K, -1, -2) * (1.0 / math.sqrt(4)),
+                          -np.inf)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        out, got = attention(Q, K, V, mask, return_weights=True)
+        assert np.array_equal(got, weights) and np.array_equal(out, weights @ V)
+
+
 class TestEncoderForward:
     def test_zero_layers_closed_form(self):
         config = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=16,
@@ -357,12 +431,23 @@ class TestBatching:
         assert_grads_close(grads, {name: sum(g[name] for _, g in parts) / 3
                                    for name in parts[0][1]})
 
-    def test_peft_mode_returns_exactly_the_full_paths_adapter_grads(self):
+    # W_o alone leaves no layer to differentiate; W2 alone leaves the lowest
+    # layer's attention without a gradient to carry.
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("targets", [("W_Q", "W_V"), ("W_K",), VALID_TARGETS,
+                                         ("W_o",), ("W2",)],
+                             ids=["W_Q,W_V", "W_K", "all", "W_o", "W2"])
+    def test_peft_mode_returns_exactly_the_full_paths_adapter_grads(self, targets,
+                                                                     n_layers):
         rng = np.random.default_rng(33)
-        params, ads = tiny_setup(seed=6, adapters=True, nonzero_b=True)
+        config = dataclasses.replace(TINY, n_layers=n_layers)
+        params = init_params(config, 6)
+        ads = init_adapters(config, targets=targets, rank=2, alpha=4.0, seed=7)
+        for ad in ads.values():
+            ad.B[:] = rng.uniform(-0.2, 0.2, ad.B.shape)
         rows, _, _ = ragged_rows(rng, size=6)
-        peft_loss, peft = loss_and_grad(params, rows, TINY, ads, peft_mode=True)
-        full_loss, full = loss_and_grad(params, rows, TINY, ads, peft_mode=False)
+        peft_loss, peft = loss_and_grad(params, rows, config, ads, peft_mode=True)
+        full_loss, full = loss_and_grad(params, rows, config, ads, peft_mode=False)
         assert set(peft) == set(adapters_to_dict(ads))
         assert peft_loss == full_loss
         for name, g in peft.items():

@@ -8,7 +8,6 @@ delete.  Labels are always carried over unchanged.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import Child
 from ._rng import OP_AUGMENT, substream
 from .corpus import Dataset, HeadlineRecord
 
@@ -166,42 +166,16 @@ def _usable_cpus() -> int:
 
 def _in_ranges(fn, bounds: list[int]) -> list:
     """`[fn(lo, hi) for each range of bounds]`; each range after the first
-    runs in a forked child that sends back its pickled result or exception
-    (nothing sent: RuntimeError).  Every child is reaped, also on error.
-    `fn` returns no exception object."""
+    runs in a forked `Child`, whose exception is raised here.  Every child
+    is reaped, also on error."""
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    for fd in [r] + [fd for _, fd in children]:
-                        os.close(fd)
-                    try:
-                        value = fn(lo, hi)
-                    except BaseException as exc:
-                        value = exc
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(pickle.dumps(value))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
-        results = [fn(bounds[0], bounds[1])]
-        for pid, r in children:
-            with os.fdopen(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            value = pickle.loads(data) if data else RuntimeError(
-                f"worker {pid} ended without a result")
-            if isinstance(value, BaseException):
-                raise value
-            results.append(value)
-        return results
+            children.append(Child(fn, lo, hi, siblings=children))
+        return [fn(bounds[0], bounds[1])] + [child.result() for child in children]
     finally:
-        for pid, r in children:
-            os.close(r)
-            os.waitpid(pid, 0)
+        for child in children:
+            child.close()
 
 
 def augment_dataset(dataset: Dataset, config: AugmentConfig,

@@ -34,6 +34,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from functools import reduce
@@ -44,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
+from . import _fork
 from . import analysis as analysis_mod
 from . import augment as augment_mod
 from . import encoder as enc
@@ -67,6 +69,10 @@ from .corpus import (
 from .encoder.lora import VALID_TARGETS
 
 DEFAULT_SEED = 7
+# Least eval work per epoch worth a forked child beside the next epoch, in
+# real tokens x d_model x n_layers summed over the eval sets (sweep:
+# BENCH_16.json).
+EVAL_FORK_MIN_WORK = 400_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -441,6 +447,11 @@ def cmd_train_encoder(args, cfg, out):
     examples = list(zip(*eval_sets["train"]))
 
     def eval_hook(epoch, params_, adapters_):
+        """Accuracy on each eval set, and the validation loss.  With at least
+        EVAL_FORK_MIN_WORK of work, 2 usable CPUs, `os.fork` and an OpenBLAS
+        whose thread count can be set, each call runs in a forked child beside
+        the next epoch, with OpenBLAS at one thread for the stage, and returns
+        a lazy mapping (`_fork.beside`); otherwise it runs inline."""
         metrics = {}
         for name, (ids, mask, labels) in eval_sets.items():
             logits = enc.batch_logits(ids, mask, params_, config, adapters_)
@@ -450,9 +461,14 @@ def cmd_train_encoder(args, cfg, out):
                 metrics["val_loss"] = enc.mean_nll(logits, labels)
         return metrics
 
-    trace = enc.train_loop(examples, params, config, train_config,
-                           adapters=adapters, peft_mode=args.peft,
-                           adamw=adamw, eval_hook=eval_hook)
+    work = config.d_model * config.n_layers * sum(
+        int(mask.sum()) for _, mask, _ in eval_sets.values())
+    fork = (work >= EVAL_FORK_MIN_WORK and augment_mod._usable_cpus() >= 2
+            and hasattr(os, "fork"))
+    with _fork.beside(eval_hook, fork) as hook:
+        trace = enc.train_loop(examples, params, config, train_config,
+                               adapters=adapters, peft_mode=args.peft,
+                               adamw=adamw, eval_hook=hook)
 
     ckpt_path = out / "encoder.npz"
     enc.save_checkpoint(clf, ckpt_path, merged=args.merge)

@@ -74,8 +74,11 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     The learning rate follows the warmup/decay schedule over the total
     number of optimizer steps.
     `eval_hook(epoch, params, adapters)`, when given, runs after each epoch
-    and may return a dict with train_acc / val_loss / val_acc entries that
-    are recorded on the epoch's final trace row.
+    and may return a mapping with train_acc / val_loss / val_acc entries
+    that are recorded on the epoch's final trace row.  The mapping is read
+    only after the next epoch's steps (after the last epoch: at the end),
+    so it may be a lazy one whose values are computed meanwhile elsewhere
+    (the CLI's forked eval); at most one is pending at a time.
     """
     examples = list(examples)
     if not examples:
@@ -93,6 +96,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
     trace: list[TraceRow] = []
+    pending = None  # (row, metrics) of the last eval, not read yet
     step = 0
     for epoch in range(train_config.epochs):
         order = substream(train_config.seed, OP_ENCODER_TRAIN, epoch).permutation(n)
@@ -113,10 +117,17 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
             adamw_step(tensors, grads, state, lr=lr)
             del grads  # not held while the next step's gradients are built
             trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
+        if pending is not None:
+            _record(*pending)
         if eval_hook is not None and trace:
-            metrics = eval_hook(epoch, params, adapters) or {}
-            last = trace[-1]
-            last.train_acc = metrics.get("train_acc", last.train_acc)
-            last.val_loss = metrics.get("val_loss", last.val_loss)
-            last.val_acc = metrics.get("val_acc", last.val_acc)
+            pending = (trace[-1], eval_hook(epoch, params, adapters))
+    if pending is not None:
+        _record(*pending)
     return trace
+
+
+def _record(row: TraceRow, metrics) -> None:
+    if metrics is not None:  # not truth: that would read a lazy mapping now
+        row.train_acc = metrics.get("train_acc", row.train_acc)
+        row.val_loss = metrics.get("val_loss", row.val_loss)
+        row.val_acc = metrics.get("val_acc", row.val_acc)

@@ -11,7 +11,9 @@ import pytest
 import yaml
 
 import finsent
+import finsent.cli as cli_mod
 import finsent.encoder as enc
+from finsent import _fork, augment
 from finsent.cli import (
     DEFAULT_CONFIG,
     EXIT_BACKEND,
@@ -571,6 +573,124 @@ class TestTrainPredictEvaluate:
         assert "'m'" in capsys.readouterr().err
         assert not (out / "comparison.txt").exists()
         assert not (out / "manifest_compare.json").exists()
+
+
+class TestForkedEval:
+    """Each epoch's eval in a forked child beside the next epoch gives the
+    inline stage's outputs and errors, and leaves no child behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids of the children forked during a test; all reaped at its end."""
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def force(monkeypatch):
+        monkeypatch.setattr(cli_mod, "EVAL_FORK_MIN_WORK", 0)
+        monkeypatch.setattr(augment, "_usable_cpus", lambda: 2)
+        if _fork._openblas_threads() is None:  # another BLAS: nothing to pin
+            monkeypatch.setattr(_fork, "_openblas_threads",
+                                lambda: (lambda: 1, lambda threads: None))
+
+    @staticmethod
+    def data(tmp_path):
+        cfg = tiny_config(tmp_path, encoder={"train": {"epochs": 3, "base_lr": 0.05}})
+        data = tmp_path / "data"
+        run_cli("ingest", "--out", data)
+        run_cli("split", "--config", cfg, "--out", data)
+        return cfg, data
+
+    @staticmethod
+    def train(cfg, data, out, *flags):
+        return run_cli("train-encoder", "--config", cfg, "--out", out, "--train",
+                       data / "train.csv", "--test", data / "test.csv", *flags)
+
+    @pytest.mark.parametrize("flags", [(), ("--peft",)])
+    def test_outputs_equal_inline(self, tmp_path, monkeypatch, forks, flags):
+        cfg, data = self.data(tmp_path)
+        assert self.train(cfg, data, tmp_path / "inline", *flags) == EXIT_OK
+        assert forks == []
+        self.force(monkeypatch)
+        assert self.train(cfg, data, tmp_path / "forked", *flags) == EXIT_OK
+        assert len(forks) == 3
+        for name in ("encoder.npz", "encoder_trace.csv"):
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes()), name
+
+    def test_eval_error_in_child_is_the_inline_error(self, tmp_path, monkeypatch, capsys,
+                                                     forks):
+        cfg, data = self.data(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("no logits today")
+
+        monkeypatch.setattr(enc, "batch_logits", broken)
+        capsys.readouterr()
+        inline = self.train(cfg, data, tmp_path / "inline"), capsys.readouterr().err
+        self.force(monkeypatch)
+        forked = self.train(cfg, data, tmp_path / "forked"), capsys.readouterr().err
+        assert inline == forked == (EXIT_DATA, "data error: no logits today\n")
+        assert len(forks) == 1  # read, and raised, before a second eval forks
+
+    def test_no_child_left_when_training_fails(self, tmp_path, monkeypatch, capsys, forks):
+        cfg, data = self.data(tmp_path)
+        real, calls = enc.train.loss_and_grad, []
+
+        def loss_and_grad(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            calls.append(loss)
+            return (math.nan if len(calls) > 2 else loss), grads
+
+        monkeypatch.setattr(enc.train, "loss_and_grad", loss_and_grad)
+        self.force(monkeypatch)
+        capsys.readouterr()
+        assert self.train(cfg, data, tmp_path / "run") == EXIT_DATA
+        assert "non-finite training loss nan at optimizer step 3 (epoch 1)" in (
+            capsys.readouterr().err)
+        assert len(forks) == 1  # epoch 0's eval, still unread when step 3 failed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_blas_threads_are_one_for_the_stage_and_restored(self, tmp_path, monkeypatch,
+                                                             forks):
+        blas = _fork._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set through ctypes")
+        get, set_ = blas
+        cfg, data = self.data(tmp_path)
+        seen, real_loop = [], enc.train_loop
+
+        def loop(*args, **kwargs):
+            seen.append(get())
+            return real_loop(*args, **kwargs)
+
+        monkeypatch.setattr(enc, "train_loop", loop)
+        self.force(monkeypatch)
+        before = get()
+        try:
+            set_(2)
+            assert self.train(cfg, data, tmp_path / "ok") == EXIT_OK
+            assert get() == 2
+            monkeypatch.setattr(enc, "batch_logits", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                self.train(cfg, data, tmp_path / "error")
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1, 1]
+        assert len(forks) == 4
 
 
 class TestMergedExport:

@@ -2,10 +2,15 @@
 load-time checks that name the tensor or field a corrupt file gets wrong;
 plus the classifier's batched prediction."""
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from finsent.cli import EXIT_DATA, main
 from finsent.corpus import LABELS
@@ -20,6 +25,7 @@ from finsent.encoder import (
     save_checkpoint,
 )
 from finsent.encoder import model
+from finsent.encoder.lora import VALID_TARGETS
 from finsent.features import build_vocabulary
 
 from conftest import NEG, NEU, POS, make_dataset
@@ -91,6 +97,50 @@ class TestRoundTrip:
             assert got.B.tobytes() == ad.B.tobytes()
         for text in TEXTS:
             assert loaded.logits(text).tobytes() == clf.logits(text).tobytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           words=st.lists(st.text("abcdef", min_size=1, max_size=4), min_size=1, max_size=8),
+           n_heads=st.integers(1, 3), d_k=st.integers(1, 3), d_ff=st.integers(1, 5),
+           n_layers=st.integers(0, 2), max_seq_len=st.integers(1, 6),
+           eps=st.floats(1e-12, 1.0),
+           targets=st.lists(st.sampled_from(VALID_TARGETS), unique=True, max_size=4),
+           rank=st.integers(1, 3), alpha=st.floats(1e-3, 1e3), merged=st.booleans())
+    def test_any_checkpoint_round_trips(self, data, words, n_heads, d_k, d_ff, n_layers,
+                                        max_seq_len, eps, targets, rank, alpha, merged):
+        vocab = build_vocabulary(make_dataset([(w, POS) for w in words]), min_df=1)
+        config = EncoderConfig(vocab_size=encoder_vocab_size(vocab), d_model=n_heads * d_k,
+                               n_heads=n_heads, d_ff=d_ff, n_layers=n_layers,
+                               max_seq_len=max_seq_len, layernorm_eps=eps)
+        finite = st.floats(allow_nan=False, width=64)
+        params = init_params(config, seed=0)
+        for name, tensor in params.items():
+            params[name] = data.draw(hnp.arrays(np.float64, tensor.shape, elements=finite))
+        adapters = init_adapters(config, targets=targets, rank=rank, alpha=alpha,
+                                 seed=1) or None
+        for ad in (adapters or {}).values():
+            ad.A[:] = data.draw(hnp.arrays(np.float64, ad.A.shape, elements=finite))
+            ad.B[:] = data.draw(hnp.arrays(np.float64, ad.B.shape, elements=finite))
+        clf = EncoderTextClassifier(config=config, params=params, vocab=vocab,
+                                    max_len=data.draw(st.integers(1, max_seq_len)),
+                                    adapters=adapters)
+        # Merging drawn extremes may overflow, into the same inf and nan both times.
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            path = Path(tmp) / "encoder.npz"
+            save_checkpoint(clf, path, merged=merged)
+            loaded = load_checkpoint(path)
+            if merged and adapters:
+                params, adapters = merge_all(params, adapters), None
+        assert (loaded.config, loaded.max_len, loaded.vocab) == (config, clf.max_len, vocab)
+        assert list(loaded.params) == list(params)
+        for name, tensor in params.items():
+            assert np.array_equal(loaded.params[name], tensor, equal_nan=merged), name
+        assert list(loaded.adapters or {}) == list(adapters or {})
+        for target, ad in (adapters or {}).items():
+            got = loaded.adapters[target]
+            assert (got.rank, got.alpha) == (ad.rank, ad.alpha)
+            assert np.array_equal(got.A, ad.A) and np.array_equal(got.B, ad.B), target
 
 
 class TestPredictLabels:

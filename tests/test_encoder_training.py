@@ -1,8 +1,10 @@
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from finsent.encoder import train as train_mod
 from finsent.encoder import (
     AdamWConfig,
     EncoderConfig,
@@ -249,6 +251,50 @@ class TestTrainLoop:
         assert trace[-1].train_acc is not None
         assert trace[-1].train_acc >= 0.95
         assert trace[-1].loss < trace[0].loss
+
+    def test_hook_result_is_read_after_the_next_epochs_steps(self, monkeypatch):
+        """A lazy result (the CLI's forked eval) may be computed while the next
+        epoch trains: train_loop reads it only after that epoch's steps, or at
+        the end, and never tests it for truth (that would call __len__)."""
+        events = []
+        real_step = train_mod.adamw_step
+
+        def step(*args, **kwargs):
+            events.append("step")
+            return real_step(*args, **kwargs)
+
+        class Recorded(Mapping):
+            def __init__(self, epoch):
+                self.epoch = epoch
+
+            def _read(self):
+                if events[-1] != ("read", self.epoch):
+                    events.append(("read", self.epoch))
+                return {"train_acc": self.epoch / 10, "val_acc": 0.5}
+
+            def __getitem__(self, key):
+                return self._read()[key]
+
+            def __iter__(self):
+                return iter(self._read())
+
+            def __len__(self):
+                return len(self._read())
+
+        def hook(epoch, params_, adapters_):
+            events.append(("hook", epoch))
+            return Recorded(epoch)
+
+        monkeypatch.setattr(train_mod, "adamw_step", step)
+        cfg = TrainConfig(epochs=3, per_device_batch=2, grad_accum_steps=2, seed=4)
+        trace = train_loop(make_examples(8, seed=5), init_params(TINY, seed=6), TINY, cfg,
+                           eval_hook=hook)
+        steps = ["step", "step"]
+        assert events == (steps + [("hook", 0)] + steps + [("read", 0), ("hook", 1)]
+                          + steps + [("read", 1), ("hook", 2), ("read", 2)])
+        assert [(r.train_acc, r.val_acc, r.val_loss) for r in trace] == [
+            (None, None, None), (0.0, 0.5, None), (None, None, None), (0.1, 0.5, None),
+            (None, None, None), (0.2, 0.5, None)]
 
     def test_empty_training_set(self):
         params = init_params(TINY, seed=15)

@@ -1,9 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from finsent import linear_model
 from finsent._rng import OP_LINEAR_TRAIN, substream
@@ -308,6 +313,20 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.W, params.W)
         np.testing.assert_array_equal(loaded.b, params.b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_classes=st.integers(1, 4), dim=st.integers(0, 6))
+    def test_any_parameters_round_trip(self, data, n_classes, dim):
+        finite = st.floats(allow_nan=False, width=64)
+        params = LinearParams(
+            W=data.draw(hnp.arrays(np.float64, (n_classes, dim), elements=finite)),
+            b=data.draw(hnp.arrays(np.float64, (n_classes,), elements=finite)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "linear.json"
+            save_checkpoint(params, path)
+            loaded = load_checkpoint(path)
+        assert loaded.W.shape == params.W.shape and loaded.b.shape == params.b.shape
+        assert np.array_equal(loaded.W, params.W) and np.array_equal(loaded.b, params.b)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,18 +1,21 @@
-"""Calls run in forked children, and the BLAS thread count beside them.
+"""Work run in forked processes, and the BLAS thread count beside them.
 
 A `Child` runs one call on a copy-on-write snapshot of the process and sends
-back its pickled result, or the exception it raised, through a pipe.  It ends
-with `os._exit`, so it runs no exit handlers and flushes no buffer it
-inherited.  `augment` runs its record ranges in children, and `train-encoder`
-its per-epoch eval (`beside`).
+back its pickled result, or the exception it raised, through a pipe.  A
+`Peer` serves its parent's requests, one at a time, for the length of a
+`with peer(...)` block.  Both end with `os._exit`, so they run no exit
+handlers and flush no buffer they inherited.  `augment` runs its record
+ranges in children, and `train-encoder` shares its steps, eval passes and
+AdamW update with a peer (`finsent.encoder.train.paired`).
 """
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
 import pickle
-from collections.abc import Mapping
 from contextlib import contextmanager
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -65,25 +68,94 @@ class Child:
             os.waitpid(self.pid, 0)
 
 
-class LazyMapping(Mapping):
-    """The dict a `Child` returns, read (and the child reaped) on first access."""
+class Peer:
+    """A forked process that answers each `send(name, *args)` with
+    `handlers[name](*args)`, which the next `recv()` returns (or raises, with
+    its type and message).  Requests and replies alternate strictly, so
+    neither process can block on a full pipe while the other writes.  A peer
+    that has ended (killed, say) fails the next `send` or `recv` with a
+    RuntimeError naming it, and is reaped then.  `close()` ends and reaps it:
+    the peer reads the end of its request pipe and exits."""
 
-    def __init__(self, child: Child):
-        self._child, self._value = child, None
+    def __init__(self, handlers: dict):
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                _serve(handlers, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(req_r)
+        os.close(rep_w)
+        self.pid, self._status = pid, None
+        self._w, self._r = os.fdopen(req_w, "wb"), os.fdopen(rep_r, "rb")
 
-    def _get(self) -> dict:
-        if self._value is None:
-            self._value = self._child.result()
-        return self._value
+    def send(self, name: str, *args) -> None:
+        if self._status is not None:
+            raise self._gone()
+        try:
+            pickle.dump((name, args), self._w, pickle.HIGHEST_PROTOCOL)
+            self._w.flush()
+        except BrokenPipeError:
+            raise self._gone() from None
 
-    def __getitem__(self, key):
-        return self._get()[key]
+    def recv(self):
+        if self._status is not None:
+            raise self._gone()
+        try:
+            value = pickle.load(self._r)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._gone() from None
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
-    def __iter__(self):
-        return iter(self._get())
+    def _gone(self) -> RuntimeError:
+        """The error for a peer that has ended, reaped first."""
+        self.close()
+        how = (f"killed by signal {os.WTERMSIG(self._status)}"
+               if os.WIFSIGNALED(self._status) else
+               f"exit status {os.waitstatus_to_exitcode(self._status)}")
+        return RuntimeError(f"peer {self.pid} ended without a result ({how})")
 
-    def __len__(self) -> int:
-        return len(self._get())
+    def close(self) -> None:
+        if self._status is None:
+            for fh in (self._r, self._w):
+                try:
+                    fh.close()
+                except BrokenPipeError:  # unflushed bytes for an ended peer
+                    pass
+            self._status = os.waitpid(self.pid, 0)[1]
+
+
+def _serve(handlers: dict, requests, replies) -> None:
+    """The peer's loop, until its parent closes the request pipe."""
+    while True:
+        try:
+            name, args = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            value = handlers[name](*args)
+        except BaseException as exc:
+            value = exc
+        pickle.dump(value, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
+def shared(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Zeroed float64 arrays of `shapes`, views of one anonymous shared
+    mapping: a process forked after this call writes to the same memory."""
+    sizes = [prod(shape) for shape in shapes.values()]
+    buf = mmap.mmap(-1, max(1, 8 * sum(sizes)))
+    out, offset = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        out[name] = np.frombuffer(buf, np.float64, size, 8 * offset).reshape(shape)
+        offset += size
+    return out
 
 
 def _openblas_threads():
@@ -104,30 +176,24 @@ def _openblas_threads():
 
 
 @contextmanager
-def beside(fn, fork: bool):
-    """Yields `fn`, to run inline, unless `fork` holds (the caller's rule:
-    work enough to pay for a child, 2 usable CPUs and `os.fork`) and numpy's
-    OpenBLAS thread count can be set.  Then OpenBLAS runs one thread until
-    the block ends, in parent and children alike (on a 2-core host, two
-    processes with two BLAS threads each ran `train-encoder` 5-14x slower),
-    and the function yielded runs each call of `fn` in a `Child`, returning
-    at once a `LazyMapping` of the dict it returns.  At the end, by success
-    or error, every child is reaped and the old thread count comes back."""
-    blas = _openblas_threads() if fork else None
+def peer(start):
+    """Yields a `Peer` serving `start()`'s handlers, or None where numpy's
+    OpenBLAS thread count cannot be set; `start` runs only if a peer is
+    forked, just before the fork.  OpenBLAS runs one thread until the block
+    ends, in parent and peer alike: on a 2-core host, two processes with two
+    BLAS threads each ran `train-encoder` 3x slower.  At the end, by success
+    or error, the peer is reaped and the old thread count comes back."""
+    blas = _openblas_threads()
     if blas is None:
-        yield fn
+        yield None
         return
     get, set_ = blas
-    threads, children = get(), []
-
-    def in_child(*args):
-        children.append(Child(fn, *args, siblings=children))
-        return LazyMapping(children[-1])
-
+    threads, served = get(), None
     set_(1)
     try:
-        yield in_child
+        served = Peer(start())
+        yield served
     finally:
-        for child in children:
-            child.close()
+        if served is not None:
+            served.close()
         set_(threads)

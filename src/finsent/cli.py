@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from . import _fork
 from . import analysis as analysis_mod
 from . import augment as augment_mod
 from . import encoder as enc
@@ -69,10 +68,6 @@ from .corpus import (
 from .encoder.lora import VALID_TARGETS
 
 DEFAULT_SEED = 7
-# Least eval work per epoch worth a forked child beside the next epoch, in
-# real tokens x d_model x n_layers summed over the eval sets (sweep:
-# BENCH_16.json).
-EVAL_FORK_MIN_WORK = 400_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -413,6 +408,16 @@ def cmd_train_linear(args, cfg, out):
 
 
 def cmd_train_encoder(args, cfg, out):
+    """Trains the encoder and re-scores the eval sets after each epoch.
+
+    A training step of per_device_batch x grad_accum_steps rows of the
+    longest training row's length spans two sub-batches when, times
+    d_model, it exceeds SUB_BATCH_BUDGET.  Then, with 2 usable CPUs,
+    `os.fork` and an OpenBLAS whose thread count can be set, a forked peer
+    shares the stage (`enc.paired`): the first part of every step's and
+    every eval pass's sub-batches, and half the AdamW update, with OpenBLAS
+    at one thread.  Otherwise the stage runs inline.  Its outputs are the
+    same bytes either way."""
     section = cfg["encoder"]
     train_config = _build("encoder.train", enc.TrainConfig, **dict(
         section["train"], epochs=args.epochs, seed=args.seed))
@@ -447,28 +452,24 @@ def cmd_train_encoder(args, cfg, out):
     examples = list(zip(*eval_sets["train"]))
 
     def eval_hook(epoch, params_, adapters_):
-        """Accuracy on each eval set, and the validation loss.  With at least
-        EVAL_FORK_MIN_WORK of work, 2 usable CPUs, `os.fork` and an OpenBLAS
-        whose thread count can be set, each call runs in a forked child beside
-        the next epoch, with OpenBLAS at one thread for the stage, and returns
-        a lazy mapping (`_fork.beside`); otherwise it runs inline."""
+        """Accuracy on each eval set, and the validation loss."""
         metrics = {}
         for name, (ids, mask, labels) in eval_sets.items():
-            logits = enc.batch_logits(ids, mask, params_, config, adapters_)
+            logits = enc.batch_logits(ids, mask, params_, config, adapters_, peer=peer)
             hits = int(np.sum(logits.argmax(axis=1) == labels))
             metrics[f"{name}_acc"] = hits / len(labels)
             if name == "val":
                 metrics["val_loss"] = enc.mean_nll(logits, labels)
         return metrics
 
-    work = config.d_model * config.n_layers * sum(
-        int(mask.sum()) for _, mask, _ in eval_sets.values())
-    fork = (work >= EVAL_FORK_MIN_WORK and augment_mod._usable_cpus() >= 2
-            and hasattr(os, "fork"))
-    with _fork.beside(eval_hook, fork) as hook:
+    longest = int(eval_sets["train"][1].sum(axis=1).max())
+    fork = (train_config.per_device_batch * train_config.grad_accum_steps * longest
+            * config.d_model > enc.model.SUB_BATCH_BUDGET
+            and augment_mod._usable_cpus() >= 2 and hasattr(os, "fork"))
+    with enc.paired(params, adapters, config, args.peft, fork) as peer:
         trace = enc.train_loop(examples, params, config, train_config,
                                adapters=adapters, peft_mode=args.peft,
-                               adamw=adamw, eval_hook=hook)
+                               adamw=adamw, eval_hook=eval_hook, peer=peer)
 
     ckpt_path = out / "encoder.npz"
     enc.save_checkpoint(clf, ckpt_path, merged=args.merge)

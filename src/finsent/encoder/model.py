@@ -38,6 +38,15 @@ once that layer's gradients are done, and can add its gradients in place
 into the set of an earlier sub-batch.  With peft_mode it computes only
 what the adapters' gradients need (see its docstring).
 
+`loss_and_grad` and `batch_logits` cut a batch's sub-batches (sorted by
+length) into a first and a second part by token cost, rows x trimmed
+length (`_parts`); a batch of one sub-batch is all second part.  Each
+part's gradients accumulate in order, then the first part's sum is added
+into the second's.  Inline, one process runs both parts; with a peer
+(`train.paired`), a forked process runs the first part of every training
+step and eval pass, and adds its sum into a shared gradient store that the
+second part was written into.  Both ways give the same bits.
+
 The kernels `encoder_forward` runs are `multi_head_attention` with
 `attention` (scores scaled and masked in place, then `softmax_rows`,
 which exponentiates and normalizes its own copy), `_ln_fwd` (one mean,
@@ -470,6 +479,25 @@ def _sub_batches(mask, d_model: int) -> list[np.ndarray]:
     return [np.array(rows) for rows in chunks]
 
 
+def _parts(subs: list[np.ndarray], mask) -> tuple[list, list]:
+    """`subs` (in `_sub_batches` order) cut into a first and a second part at
+    the point that best balances their token cost, rows x trimmed length;
+    a single sub-batch is all second part."""
+    if len(subs) < 2:
+        return [], subs
+    lengths = _real_lengths(mask)
+    costs = np.cumsum([len(rows) * int(lengths[rows].max()) for rows in subs])
+    cut = min(range(1, len(subs)),
+              key=lambda k: max(costs[k - 1], costs[-1] - costs[k - 1]))
+    return subs[:cut], subs[cut:]
+
+
+def _local(subs: list[np.ndarray]) -> list[np.ndarray]:
+    """The sub-batches of `subs`, indexed into their rows concatenated."""
+    bounds = np.cumsum([0] + [len(rows) for rows in subs])
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _stack(batch):
     """(ids, mask, label) examples as (B, n) ids and masks, short rows padded
     with masked id 0, and (B,) labels."""
@@ -486,12 +514,28 @@ def _stack(batch):
 
 
 def batch_logits(ids, mask, params: EncoderParams, config: EncoderConfig,
-                 adapters: dict[str, LoraAdapter] | None = None) -> np.ndarray:
+                 adapters: dict[str, LoraAdapter] | None = None,
+                 peer=None) -> np.ndarray:
     """(B, n_classes) logits for (B, n) ids and mask, in input order, from one
-    `encoder_forward` per sub-batch."""
+    `encoder_forward` per sub-batch.  With a `peer` (`train.paired`, forked
+    with these params and adapters), it runs the first part (`_parts`).  A
+    row's logits depend on its sub-batch alone, so they are the same bits."""
     ids, mask = _check_inputs(ids, mask, config)
     logits = np.empty((len(ids), config.n_classes))
-    for rows in _sub_batches(mask, config.d_model):
+    first, second = _parts(_sub_batches(mask, config.d_model), mask)
+    if peer is not None and first:
+        theirs = np.concatenate(first)
+        peer.send("logits", ids[theirs], mask[theirs], _local(first))
+    _forward(ids, mask, second if peer is not None else first + second, params,
+             config, adapters, logits)
+    if peer is not None and first:
+        logits[theirs] = peer.recv()
+    return logits
+
+
+def _forward(ids, mask, subs, params, config, adapters, logits) -> np.ndarray:
+    """Writes the logits of each sub-batch of `subs` (row indices) into `logits`."""
+    for rows in subs:
         logits[rows] = encoder_forward(ids[rows], mask[rows], params, config, adapters)
     return logits
 
@@ -509,22 +553,60 @@ def mean_nll(logits, labels) -> float:
 
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
-                  peft_mode: bool = False, weights=None):
+                  peft_mode: bool = False, weights=None, peer=None):
     """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
     `weights` holds each example's weight (default 1/len(batch): the mean).
-    Each sub-batch's gradients are added in place into one set of arrays,
-    new to this call.  With peft_mode=True only adapter gradients are
-    returned; base tensors are untouched by construction.
+    With peft_mode=True only adapter gradients are returned; base tensors
+    are untouched by construction.
+
+    The sub-batches are cut into two parts (`_parts`).  Each part's
+    gradients are added in place, sub-batch by sub-batch, into one set of
+    arrays; then the first part's set is added into the second's, which is
+    returned.  Inline, one process computes both.  With a `peer`
+    (`train.paired`, forked with these params and adapters), the peer
+    computes the first part while this process writes the second straight
+    into the shared gradient store, and then the peer adds its set into
+    that store: the same sums in the same order, so the same bits.  The
+    arrays returned are then the store's views, which the next call
+    overwrites.  A batch of one sub-batch is all second part, computed here
+    as it always was.
     """
     ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
         raise ValueError("peft_mode requires adapters")
     weights = (np.full(len(labels), 1.0 / len(labels)) if weights is None
                else np.asarray(weights, dtype=np.float64))
-    grads: dict[str, np.ndarray] = {}
     nll = np.empty(len(labels))
-    for rows in _sub_batches(mask, config.d_model):
+    first, second = _parts(_sub_batches(mask, config.d_model), mask)
+    if peer is not None:
+        if first:
+            theirs = np.concatenate(first)
+            peer.send("grads", ids[theirs], mask[theirs], labels[theirs],
+                      weights[theirs], _local(first))
+        grads = _accumulate(ids, mask, labels, weights, second, params, config,
+                            adapters, peft_mode, GradStore(peer.grad_views), nll)
+        if first:
+            nll[theirs] = peer.recv()
+            peer.send("add", list(grads))
+            for name in peer.recv():  # names only the first part had, in its order
+                dict.__setitem__(grads, name, grads.views[name])
+        return float(weights @ nll), grads
+    grads = _accumulate(ids, mask, labels, weights, second, params, config,
+                        adapters, peft_mode, {}, nll)
+    if first:
+        part = _accumulate(ids, mask, labels, weights, first, params, config,
+                           adapters, peft_mode, {}, nll)
+        for name, g in part.items():
+            _add(grads, name, g)
+    return float(weights @ nll), grads
+
+
+def _accumulate(ids, mask, labels, weights, subs, params, config, adapters,
+                peft_mode, grads: dict, nll) -> dict:
+    """Adds the gradients of each sub-batch of `subs` (row indices), in
+    order, into `grads`, and writes each row's loss into `nll`."""
+    for rows in subs:
         logits, cache = encoder_forward(ids[rows], mask[rows], params, config,
                                         adapters, return_cache=True)
         probs = softmax_rows(logits)
@@ -532,7 +614,24 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
         probs[np.arange(len(rows)), labels[rows]] -= 1.0
         encoder_backward(probs * weights[rows, None], cache, params, config, adapters,
                          peft_mode=peft_mode, grads=grads)
-    return float(weights @ nll), grads
+    return grads
+
+
+class GradStore(dict):
+    """A gradient dict whose tensors live in the preallocated `views` (the
+    shared gradient store of `train.paired`).  It keeps `_add`'s semantics:
+    a name's first value is copied into its view, not added to zeros (so a
+    -0.0 stays -0.0), and later values are added into the view in place."""
+
+    def __init__(self, views: dict[str, np.ndarray]):
+        super().__init__()
+        self.views = views
+
+    def __setitem__(self, name: str, g) -> None:
+        view = self.views[name]
+        if g is not view:
+            np.copyto(view, g)
+        super().__setitem__(name, view)
 
 
 def batch_loss(params: EncoderParams, batch, config: EncoderConfig,

@@ -44,15 +44,7 @@ def adamw_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     if lr is None:
         lr = state.hyper.lr
-    for name, g in grads.items():
-        if name not in tensors:
-            raise KeyError(f"gradient for unknown tensor {name!r}")
-        if tensors[name].shape != np.shape(g):
-            raise ValueError(f"gradient shape {np.shape(g)} != tensor shape "
-                             f"{tensors[name].shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for {name!r}; step aborted")
-
+    check_grads(tensors, grads)
     h = state.hyper
     state.step += 1
     t = state.step
@@ -76,6 +68,19 @@ def adamw_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             b += np.multiply(p, h.weight_decay, out=a)
         p -= np.multiply(b, lr, out=b)
     return state
+
+
+def check_grads(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    """Raises on the first gradient, in order, that names no tensor, has
+    another shape than its tensor, or holds a non-finite value."""
+    for name, g in grads.items():
+        if name not in tensors:
+            raise KeyError(f"gradient for unknown tensor {name!r}")
+        if tensors[name].shape != np.shape(g):
+            raise ValueError(f"gradient shape {np.shape(g)} != tensor shape "
+                             f"{tensors[name].shape} for {name!r}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for {name!r}; step aborted")
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_ratio: float) -> float:

@@ -1,15 +1,26 @@
-"""Microbatched training loop with gradient accumulation and loss tracing."""
+"""Microbatched training loop with gradient accumulation and loss tracing,
+inline or paired with a forked peer (`paired`)."""
 from __future__ import annotations
 
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
+from .. import _fork
 from .._rng import OP_ENCODER_TRAIN, substream
 from .lora import LoraAdapter, adapters_to_dict
-from .model import EncoderConfig, EncoderParams, loss_and_grad
-from .optim import AdamWConfig, OptimizerState, adamw_step, lr_at
+from .model import (
+    EncoderConfig,
+    EncoderParams,
+    _accumulate,
+    _forward,
+    loss_and_grad,
+)
+from .optim import AdamWConfig, OptimizerState, adamw_step, check_grads, lr_at
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                adapters: dict[str, LoraAdapter] | None = None,
                peft_mode: bool = False,
                adamw: AdamWConfig | None = None,
-               eval_hook=None) -> list[TraceRow]:
+               eval_hook=None, peer: Pair | None = None) -> list[TraceRow]:
     """Train in place; returns the per-optimizer-step loss trace.
 
     Each optimizer step averages gradients over up to `grad_accum_steps`
@@ -74,11 +85,12 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     The learning rate follows the warmup/decay schedule over the total
     number of optimizer steps.
     `eval_hook(epoch, params, adapters)`, when given, runs after each epoch
-    and may return a mapping with train_acc / val_loss / val_acc entries
-    that are recorded on the epoch's final trace row.  The mapping is read
-    only after the next epoch's steps (after the last epoch: at the end),
-    so it may be a lazy one whose values are computed meanwhile elsewhere
-    (the CLI's forked eval); at most one is pending at a time.
+    and may return a dict with train_acc / val_loss / val_acc entries that
+    are recorded on the epoch's final trace row.
+    With a `peer` (`paired`), each step's sub-batches are shared with it
+    (`loss_and_grad`); then every gradient is checked here, before either
+    process updates a tensor, and each runs AdamW on its own half of the
+    tensors, with its own moments.
     """
     examples = list(examples)
     if not examples:
@@ -96,7 +108,6 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
     trace: list[TraceRow] = []
-    pending = None  # (row, metrics) of the last eval, not read yet
     step = 0
     for epoch in range(train_config.epochs):
         order = substream(train_config.seed, OP_ENCODER_TRAIN, epoch).permutation(n)
@@ -107,27 +118,124 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
             batch = [examples[i] for micro in group for i in micro]
             weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
             loss, grads = loss_and_grad(params, batch, config, adapters,
-                                        peft_mode=peft_mode, weights=weights)
+                                        peft_mode=peft_mode, weights=weights, peer=peer)
             step += 1
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite training loss {loss} at optimizer "
                                  f"step {step} (epoch {epoch})")
             lr = lr_at(step, total_steps, train_config.base_lr,
                        train_config.warmup_ratio)
-            adamw_step(tensors, grads, state, lr=lr)
+            if peer is None:
+                adamw_step(tensors, grads, state, lr=lr)
+            else:
+                check_grads(tensors, grads)
+                peer.send("adamw", state.hyper, lr, list(grads))
+                adamw_step(tensors, {name: g for name, g in grads.items()
+                                     if name in peer.parent_half}, state, lr=lr)
+                peer.recv()
             del grads  # not held while the next step's gradients are built
             trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
-        if pending is not None:
-            _record(*pending)
         if eval_hook is not None and trace:
-            pending = (trace[-1], eval_hook(epoch, params, adapters))
-    if pending is not None:
-        _record(*pending)
+            metrics = eval_hook(epoch, params, adapters) or {}
+            last = trace[-1]
+            last.train_acc = metrics.get("train_acc", last.train_acc)
+            last.val_loss = metrics.get("val_loss", last.val_loss)
+            last.val_acc = metrics.get("val_acc", last.val_acc)
     return trace
 
 
-def _record(row: TraceRow, metrics) -> None:
-    if metrics is not None:  # not truth: that would read a lazy mapping now
-        row.train_acc = metrics.get("train_acc", row.train_acc)
-        row.val_loss = metrics.get("val_loss", row.val_loss)
-        row.val_acc = metrics.get("val_acc", row.val_acc)
+@dataclass
+class Pair:
+    """The parent's side of `paired`: the peer, the views of the shared
+    gradient store, and the names whose AdamW update runs in the parent."""
+
+    peer: _fork.Peer
+    grad_views: dict[str, np.ndarray]
+    parent_half: frozenset[str]
+
+    def send(self, name: str, *args) -> None:
+        self.peer.send(name, *args)
+
+    def recv(self):
+        return self.peer.recv()
+
+
+@contextmanager
+def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
+           config: EncoderConfig, peft_mode: bool, fork: bool):
+    """Yields a `Pair` for `train_loop` and `batch_logits`, or None (run
+    inline) unless `fork` holds (the caller's rule) and `_fork.peer` can
+    pin numpy's OpenBLAS to one thread.
+
+    Before the fork, the trainable tensors (every parameter, or under
+    peft_mode the adapters' A and B only) move into one shared anonymous
+    mapping: the entries of `params` and the adapters' attributes become
+    views of it, so both processes read and update the same weights.  The
+    frozen tensors stay private; the fork's copy-on-write snapshot holds
+    them.  A second mapping is the gradient store.  The tensors are split
+    between the processes, largest first to the side with fewer elements.
+    The peer serves four requests: the first part of a step's sub-batches
+    ("grads", then "add" into the store), the first part of an eval pass
+    ("logits"), and AdamW on its half ("adamw").  It is reaped when the
+    block ends, by success or error.
+    """
+    if not fork:
+        yield None
+        return
+    adapters = adapters or {}
+    parent = {}
+
+    def start():
+        trainable = {**({} if peft_mode else params), **adapters_to_dict(adapters)}
+        shapes = {name: t.shape for name, t in trainable.items()}
+        store = _fork.shared(shapes)
+        for name, view in store.items():
+            np.copyto(view, trainable[name])
+        params.update({name: store[name] for name in params if name in store})
+        for target, ad in adapters.items():
+            ad.A, ad.B = store[f"adapters.{target}.A"], store[f"adapters.{target}.B"]
+        halves, sizes = ([], []), [0, 0]
+        for name in sorted(store, key=lambda k: -store[k].size):
+            side = int(sizes[1] <= sizes[0])  # 1: the peer's half
+            halves[side].append(name)
+            sizes[side] += store[name].size
+        parent.update(grad_views=_fork.shared(shapes), parent_half=frozenset(halves[0]))
+        return _peer_handlers(store, params, adapters, config, peft_mode,
+                              parent["grad_views"], frozenset(halves[1]))
+
+    with _fork.peer(start) as peer:
+        yield None if peer is None else Pair(peer, **parent)
+
+
+def _peer_handlers(tensors, params, adapters, config, peft_mode, grad_views, half):
+    """The requests a `paired` peer serves.  `tensors` and `grad_views` are
+    the shared stores; AdamW updates the tensors of `half` here, with the
+    peer's own moments."""
+    state, pending = OptimizerState(), {}
+
+    def grads(ids, mask, labels, weights, subs):
+        nll = np.empty(len(labels))
+        pending["grads"] = _accumulate(ids, mask, labels, weights, subs, params, config,
+                                       adapters, peft_mode, {}, nll)
+        return nll
+
+    def add(names):
+        known, new = set(names), []
+        for name, g in pending.pop("grads").items():
+            if name in known:
+                grad_views[name] += g
+            else:
+                np.copyto(grad_views[name], g)
+                new.append(name)
+        return new
+
+    def adamw(hyper, lr, names):
+        state.hyper = hyper
+        adamw_step(tensors, {name: grad_views[name] for name in names if name in half},
+                   state, lr=lr)
+
+    def logits(ids, mask, subs):
+        return _forward(ids, mask, subs, params, config, adapters,
+                        np.empty((len(ids), config.n_classes)))
+
+    return {"grads": grads, "add": add, "adamw": adamw, "logits": logits}

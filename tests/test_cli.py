@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -575,13 +576,14 @@ class TestTrainPredictEvaluate:
         assert not (out / "manifest_compare.json").exists()
 
 
-class TestForkedEval:
-    """Each epoch's eval in a forked child beside the next epoch gives the
-    inline stage's outputs and errors, and leaves no child behind."""
+class TestPairedTraining:
+    """`train-encoder` with a forked peer (forced by a small SUB_BATCH_BUDGET
+    and 2 usable CPUs) gives the inline stage's outputs and errors, pins
+    OpenBLAS to one thread for the stage, and leaves no process behind."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Pids of the children forked during a test; all reaped at its end."""
+        """Pids of the processes forked during a test; all reaped at its end."""
         pids, real_fork = [], os.fork
 
         def fork():
@@ -597,12 +599,17 @@ class TestForkedEval:
                 os.waitpid(pid, os.WNOHANG)
 
     @staticmethod
-    def force(monkeypatch):
-        monkeypatch.setattr(cli_mod, "EVAL_FORK_MIN_WORK", 0)
-        monkeypatch.setattr(augment, "_usable_cpus", lambda: 2)
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(augment, "_usable_cpus", lambda: n)
         if _fork._openblas_threads() is None:  # another BLAS: nothing to pin
             monkeypatch.setattr(_fork, "_openblas_threads",
                                 lambda: (lambda: 1, lambda threads: None))
+
+    @classmethod
+    def force(cls, monkeypatch, cpus=2):
+        """Groups of several sub-batches; a peer with 2 CPUs, inline with 1."""
+        monkeypatch.setattr(enc.model, "SUB_BATCH_BUDGET", 200)
+        cls.cpus(monkeypatch, cpus)
 
     @staticmethod
     def data(tmp_path):
@@ -620,31 +627,58 @@ class TestForkedEval:
     @pytest.mark.parametrize("flags", [(), ("--peft",)])
     def test_outputs_equal_inline(self, tmp_path, monkeypatch, forks, flags):
         cfg, data = self.data(tmp_path)
-        assert self.train(cfg, data, tmp_path / "inline", *flags) == EXIT_OK
-        assert forks == []
-        self.force(monkeypatch)
-        assert self.train(cfg, data, tmp_path / "forked", *flags) == EXIT_OK
-        assert len(forks) == 3
-        for name in ("encoder.npz", "encoder_trace.csv"):
-            assert ((tmp_path / "forked" / name).read_bytes()
+        for side, cpus in (("inline", 1), ("paired", 2)):
+            self.force(monkeypatch, cpus)
+            assert self.train(cfg, data, tmp_path / side, *flags) == EXIT_OK
+            assert len(forks) == (cpus == 2)
+            assert run_cli("predict", "--config", cfg, "--out", tmp_path / side, "--backend",
+                           "encoder", "--input", data / "test.csv") == EXIT_OK
+        for name in ("encoder.npz", "encoder_trace.csv", "predictions.csv"):
+            assert ((tmp_path / "paired" / name).read_bytes()
                     == (tmp_path / "inline" / name).read_bytes()), name
 
-    def test_eval_error_in_child_is_the_inline_error(self, tmp_path, monkeypatch, capsys,
-                                                     forks):
+    def test_only_a_step_wider_than_the_budget_forks(self, tmp_path, monkeypatch, forks):
+        """The rule reads the config and the data: per_device_batch x
+        grad_accum_steps x longest row x d_model > SUB_BATCH_BUDGET."""
         cfg, data = self.data(tmp_path)
+        with open(data / "train.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(data / "train.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows[:1] + [[label, " ".join([text] * 4)]
+                                                 for label, text in rows[1:]])
+        self.cpus(monkeypatch, 2)
+        paper = tiny_config(tmp_path, features={"max_seq_len": 24},
+                            encoder={"d_model": 32, "n_heads": 4, "d_ff": 64,
+                                     "train": {"epochs": 1}})
+        assert self.train(paper, data, tmp_path / "paper") == EXIT_OK  # 8x24x32 = 6,144
+        assert forks == []
+        wide = tiny_config(tmp_path, features={"max_seq_len": 48},
+                           encoder={"d_model": 64, "n_heads": 2, "train": {"epochs": 1}})
+        assert self.train(wide, data, tmp_path / "wide") == EXIT_OK  # 8x48x64 = 24,576
+        assert len(forks) == 1
 
-        def broken(*args, **kwargs):
-            raise ValueError("no logits today")
+    def test_eval_error_in_the_peer_is_the_inline_error(self, tmp_path, monkeypatch,
+                                                        capsys, forks):
+        cfg, data = self.data(tmp_path)
+        real, test_pid = enc.model.encoder_forward, os.getpid()
 
-        monkeypatch.setattr(enc, "batch_logits", broken)
+        def broken(*args, return_cache=False, **kwargs):
+            if not return_cache and (os.getpid() != test_pid or not forks):
+                raise ValueError("no logits today")  # inline: here; paired: in the peer
+            return real(*args, return_cache=return_cache, **kwargs)
+
+        monkeypatch.setattr(enc.model, "encoder_forward", broken)
         capsys.readouterr()
-        inline = self.train(cfg, data, tmp_path / "inline"), capsys.readouterr().err
-        self.force(monkeypatch)
-        forked = self.train(cfg, data, tmp_path / "forked"), capsys.readouterr().err
-        assert inline == forked == (EXIT_DATA, "data error: no logits today\n")
-        assert len(forks) == 1  # read, and raised, before a second eval forks
+        outcomes = []
+        for side, cpus in (("inline", 1), ("paired", 2)):
+            self.force(monkeypatch, cpus)
+            outcomes.append((self.train(cfg, data, tmp_path / side),
+                             capsys.readouterr().err))
+        assert outcomes == [(EXIT_DATA, "data error: no logits today\n")] * 2
+        assert len(forks) == 1
 
-    def test_no_child_left_when_training_fails(self, tmp_path, monkeypatch, capsys, forks):
+    def test_no_process_left_when_training_fails(self, tmp_path, monkeypatch, capsys,
+                                                 forks):
         cfg, data = self.data(tmp_path)
         real, calls = enc.train.loss_and_grad, []
 
@@ -659,7 +693,7 @@ class TestForkedEval:
         assert self.train(cfg, data, tmp_path / "run") == EXIT_DATA
         assert "non-finite training loss nan at optimizer step 3 (epoch 1)" in (
             capsys.readouterr().err)
-        assert len(forks) == 1  # epoch 0's eval, still unread when step 3 failed
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -683,14 +717,61 @@ class TestForkedEval:
             set_(2)
             assert self.train(cfg, data, tmp_path / "ok") == EXIT_OK
             assert get() == 2
-            monkeypatch.setattr(enc, "batch_logits", lambda *args: 1 / 0)
+            monkeypatch.setattr(enc, "batch_logits", lambda *args, **kwargs: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 self.train(cfg, data, tmp_path / "error")
             assert get() == 2
         finally:
             set_(before)
         assert seen == [1, 1]
-        assert len(forks) == 4
+        assert len(forks) == 2
+
+    def test_a_killed_peer_fails_the_stage_at_once_naming_it(self, tmp_path):
+        """The peer gets SIGKILL during the second step: the stage raises at its
+        next exchange with the peer, naming it, and leaves no process."""
+        cfg, data = self.data(tmp_path)
+        script = (
+            "import json, os, signal, sys\n"
+            "import finsent.cli as cli\n"
+            "from finsent import augment\n"
+            "from finsent.encoder import model, train\n"
+            "model.SUB_BATCH_BUDGET = 200\n"
+            "augment._usable_cpus = lambda: 2\n"
+            "pids, real_fork, steps = [], os.fork, []\n"
+            "def fork():\n"
+            "    pid = real_fork()\n"
+            "    pids.extend([pid] if pid else [])\n"
+            "    return pid\n"
+            "os.fork, real_step, parent = fork, train.adamw_step, os.getpid()\n"
+            "def adamw_step(*args, **kwargs):\n"
+            "    if os.getpid() == parent:  # the peer runs this too, on its half\n"
+            "        steps.append(1)\n"
+            "        if len(steps) == 2:\n"
+            "            os.kill(pids[0], signal.SIGKILL)\n"
+            "    return real_step(*args, **kwargs)\n"
+            "train.adamw_step = adamw_step\n"
+            "try:\n"
+            "    sys.exit(cli.main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "        left = True\n"
+            "    except ChildProcessError:\n"
+            "        left = False\n"
+            "    print(json.dumps({'left': left, 'pids': pids, 'steps': len(steps)}))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train-encoder", "--config", str(cfg),
+             "--out", str(tmp_path / "run"), "--train", str(data / "train.csv"),
+             "--test", str(data / "test.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(finsent.__file__).parent.parent)})
+        facts = json.loads(proc.stdout.splitlines()[-1])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            f"RuntimeError: peer {facts['pids'][0]} ended without a result "
+            "(killed by signal 9)")
+        assert not facts["left"] and len(facts["pids"]) == 1
+        assert facts["steps"] in (2, 3)  # failed at its next exchange, not later
 
 
 class TestMergedExport:

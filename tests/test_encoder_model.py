@@ -533,6 +533,65 @@ class TestBatching:
                                    (np.arange(7) % 11, np.ones(7), 1)], TINY)
 
 
+class TestParts:
+    """`loss_and_grad` and `batch_logits` cut the sub-batches into two parts;
+    the gradients are the second part's sum plus the first part's."""
+
+    @pytest.mark.parametrize("peft", [False, True])
+    def test_loss_and_grad_is_the_second_parts_sum_plus_the_firsts(self, peft):
+        rng = np.random.default_rng(50)
+        params, ads = tiny_setup(seed=4, adapters=True, nonzero_b=True)
+        rows, _, _ = ragged_rows(rng, size=9)
+        weights = rng.random(9)
+        ids, mask, labels = model._stack(rows)
+        with mock.patch.object(model, "SUB_BATCH_BUDGET", TINY.d_model * 6):
+            first, second = model._parts(model._sub_batches(mask, TINY.d_model), mask)
+            loss, grads = loss_and_grad(params, rows, TINY, ads, peft_mode=peft,
+                                        weights=weights)
+        assert len(first) >= 1 and len(second) >= 1
+        sums, nll = [], np.empty(9)
+        for part in (second, first):
+            acc = {}
+            for sub in part:
+                logits, cache = encoder_forward(ids[sub], mask[sub], params, TINY, ads,
+                                                return_cache=True)
+                probs = model.softmax_rows(logits)
+                nll[sub] = model._nll(probs, labels[sub])
+                probs[np.arange(len(sub)), labels[sub]] -= 1.0
+                model.encoder_backward(probs * weights[sub, None], cache, params, TINY,
+                                       ads, peft_mode=peft, grads=acc)
+            sums.append(acc)
+        want = {name: g + sums[1][name] for name, g in sums[0].items()}
+        assert list(grads) == list(want)
+        for name, g in want.items():
+            assert np.array_equal(grads[name], g), name
+        assert loss == float(weights @ nll)
+
+    def test_a_single_sub_batch_is_all_second_part(self):
+        subs = [np.array([2, 0, 1])]
+        assert model._parts(subs, np.ones((3, 4))) == ([], subs)
+
+    def test_the_cut_balances_rows_times_trimmed_length(self):
+        mask = np.zeros((6, 8), dtype=np.int64)
+        for row, length in enumerate([1, 1, 2, 2, 4, 8]):
+            mask[row, :length] = 1
+        subs = [np.array([0, 1]), np.array([2, 3]), np.array([4]), np.array([5])]
+        first, second = model._parts(subs, mask)  # costs 2, 4, 4, 8
+        assert [list(rows) for rows in first] == [[0, 1], [2, 3], [4]]
+        assert [list(rows) for rows in second] == [[5]]
+        assert [list(rows) for rows in model._local(first)] == [[0, 1], [2, 3], [4]]
+
+    def test_grad_store_copies_a_first_value_and_adds_later_ones(self):
+        views = {"g": np.full(3, 7.0)}
+        store = model.GradStore(views)
+        assert "g" not in store
+        model._add(store, "g", np.array([-0.0, 1.0, 2.0]))
+        assert store["g"] is views["g"]
+        assert np.signbit(views["g"][0]) and list(views["g"]) == [0.0, 1.0, 2.0]
+        model._add(store, "g", np.array([0.5, 0.5, 0.5]))
+        assert list(views["g"]) == [0.5, 1.5, 2.5]
+
+
 class TestLora:
     def test_zero_init_adapter_is_noop(self):
         rng = np.random.default_rng(19)

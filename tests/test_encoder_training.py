@@ -1,9 +1,11 @@
+import dataclasses
 import math
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from finsent import _fork
+from finsent.encoder import model
 from finsent.encoder import train as train_mod
 from finsent.encoder import (
     AdamWConfig,
@@ -12,6 +14,7 @@ from finsent.encoder import (
     TrainConfig,
     adamw_step,
     adapters_to_dict,
+    batch_logits,
     batch_loss,
     init_adapters,
     init_params,
@@ -252,10 +255,7 @@ class TestTrainLoop:
         assert trace[-1].train_acc >= 0.95
         assert trace[-1].loss < trace[0].loss
 
-    def test_hook_result_is_read_after_the_next_epochs_steps(self, monkeypatch):
-        """A lazy result (the CLI's forked eval) may be computed while the next
-        epoch trains: train_loop reads it only after that epoch's steps, or at
-        the end, and never tests it for truth (that would call __len__)."""
+    def test_hook_runs_after_its_epochs_steps_and_fills_its_last_row(self, monkeypatch):
         events = []
         real_step = train_mod.adamw_step
 
@@ -263,35 +263,17 @@ class TestTrainLoop:
             events.append("step")
             return real_step(*args, **kwargs)
 
-        class Recorded(Mapping):
-            def __init__(self, epoch):
-                self.epoch = epoch
-
-            def _read(self):
-                if events[-1] != ("read", self.epoch):
-                    events.append(("read", self.epoch))
-                return {"train_acc": self.epoch / 10, "val_acc": 0.5}
-
-            def __getitem__(self, key):
-                return self._read()[key]
-
-            def __iter__(self):
-                return iter(self._read())
-
-            def __len__(self):
-                return len(self._read())
-
         def hook(epoch, params_, adapters_):
             events.append(("hook", epoch))
-            return Recorded(epoch)
+            return {"train_acc": epoch / 10, "val_acc": 0.5}
 
         monkeypatch.setattr(train_mod, "adamw_step", step)
         cfg = TrainConfig(epochs=3, per_device_batch=2, grad_accum_steps=2, seed=4)
         trace = train_loop(make_examples(8, seed=5), init_params(TINY, seed=6), TINY, cfg,
                            eval_hook=hook)
         steps = ["step", "step"]
-        assert events == (steps + [("hook", 0)] + steps + [("read", 0), ("hook", 1)]
-                          + steps + [("read", 1), ("hook", 2), ("read", 2)])
+        assert events == (steps + [("hook", 0)] + steps + [("hook", 1)]
+                          + steps + [("hook", 2)])
         assert [(r.train_acc, r.val_acc, r.val_loss) for r in trace] == [
             (None, None, None), (0.0, 0.5, None), (None, None, None), (0.1, 0.5, None),
             (None, None, None), (0.2, 0.5, None)]
@@ -310,6 +292,116 @@ class TestTrainLoop:
             TrainConfig(base_lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(warmup_ratio=1.0)
+
+
+@pytest.fixture
+def paired_inputs(monkeypatch):
+    """Groups of several sub-batches, and an OpenBLAS pin (a no-op one where
+    ctypes cannot reach it)."""
+    monkeypatch.setattr(model, "SUB_BATCH_BUDGET", TINY.d_model * 6)
+    if _fork._openblas_threads() is None:
+        monkeypatch.setattr(_fork, "_openblas_threads",
+                            lambda: (lambda: 1, lambda threads: None))
+    return make_examples(20, seed=8)
+
+
+class TestPaired:
+    CFG = TrainConfig(epochs=2, per_device_batch=2, grad_accum_steps=3, base_lr=0.05,
+                      seed=3)
+
+    @staticmethod
+    def model_state(peft):
+        params = init_params(TINY, seed=9)
+        ads = (init_adapters(TINY, targets=("W_Q", "W_V", "W_o"), rank=2, alpha=4.0,
+                             seed=10) if peft else None)
+        return params, ads
+
+    # Groups of 6 rows span 2-6 sub-batches; groups of one row are one sub-batch
+    # each, so the peer shares only the eval and AdamW.
+    @pytest.mark.parametrize("cfg", [CFG, dataclasses.replace(CFG, per_device_batch=1,
+                                                              grad_accum_steps=1)],
+                             ids=["parts", "whole"])
+    @pytest.mark.parametrize("peft", [False, True])
+    def test_training_and_eval_equal_inline(self, paired_inputs, peft, cfg):
+        examples = paired_inputs
+        ids, mask, _ = model._stack(examples)
+        runs = []
+        for fork in (False, True):
+            params, ads = self.model_state(peft)
+            logits = []
+
+            def hook(epoch, params_, adapters_):
+                logits.append(batch_logits(ids, mask, params_, TINY, adapters_,
+                                           peer=peer))
+
+            with train_mod.paired(params, ads, TINY, peft, fork) as peer:
+                assert (peer is not None) == fork
+                trace = train_loop(examples, params, TINY, cfg, adapters=ads,
+                                   peft_mode=peft, eval_hook=hook, peer=peer)
+            runs.append((trace_to_csv(trace), {**params, **adapters_to_dict(ads or {})},
+                         logits))
+        (trace0, tensors0, logits0), (trace1, tensors1, logits1) = runs
+        assert trace1 == trace0
+        assert list(tensors1) == list(tensors0)
+        for name, t in tensors0.items():
+            assert np.array_equal(tensors1[name], t), name
+        assert len(logits1) == len(logits0) == cfg.epochs
+        for got, want in zip(logits1, logits0):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("peft", [False, True])
+    def test_only_trainable_tensors_move_to_the_shared_store(self, paired_inputs, peft):
+        params, ads = self.model_state(peft)
+        before = {**params, **adapters_to_dict(ads or {})}
+        with train_mod.paired(params, ads, TINY, peft, True) as peer:
+            after = {**params, **adapters_to_dict(ads or {})}
+            moved = {name for name in before if after[name] is not before[name]}
+            assert moved == set(before) - (set(params) if peft else set())
+            assert peer.parent_half < moved and len(peer.parent_half) >= len(moved) // 3
+            for name in before:
+                assert np.array_equal(after[name], before[name]), name
+
+    def test_the_parent_runs_only_the_second_part(self, paired_inputs, monkeypatch):
+        params, _ = self.model_state(False)
+        ids, mask, _ = model._stack(paired_inputs)
+        first, second = model._parts(model._sub_batches(mask, TINY.d_model), mask)
+        assert first and second
+        real, rows = model.encoder_forward, []
+
+        def forward(ids_, *args, **kwargs):
+            rows.append(len(ids_))  # the peer appends to its own copy, unseen here
+            return real(ids_, *args, **kwargs)
+
+        monkeypatch.setattr(model, "encoder_forward", forward)
+        with train_mod.paired(params, None, TINY, False, True) as peer:
+            batch_logits(ids, mask, params, TINY, peer=peer)
+            assert rows == [len(sub) for sub in second]
+            rows.clear()
+            loss_and_grad(params, paired_inputs, TINY, peer=peer)
+            assert rows == [len(sub) for sub in second]
+
+    def test_a_non_finite_gradient_aborts_both_halves_untouched(self, paired_inputs,
+                                                                monkeypatch):
+        params, _ = self.model_state(False)
+        real, seen = train_mod.loss_and_grad, []
+
+        def loss_and_grad(*args, peer=None, **kwargs):
+            loss, grads = real(*args, peer=peer, **kwargs)
+            seen.append({name: t.copy() for name, t in params.items()})
+            if len(seen) == 2:
+                theirs = next(name for name in grads if name not in peer.parent_half)
+                grads[theirs][...] = np.nan  # a view of the store the peer reads
+                seen.append(theirs)
+            return loss, grads
+
+        monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
+        with pytest.raises(ValueError) as info:
+            with train_mod.paired(params, None, TINY, False, True) as peer:
+                train_loop(paired_inputs, params, TINY, self.CFG, peer=peer)
+        assert str(info.value) == f"non-finite gradient for {seen[2]!r}; step aborted"
+        for name, t in seen[1].items():
+            assert np.array_equal(params[name], t), name
+        assert any(not np.array_equal(seen[0][name], t) for name, t in seen[1].items())
 
 
 class TestTraceCsv:

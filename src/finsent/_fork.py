@@ -1,12 +1,14 @@
 """Work run in forked processes, and the BLAS thread count beside them.
 
-A `Child` runs one call on a copy-on-write snapshot of the process and sends
-back its pickled result, or the exception it raised, through a pipe.  A
-`Peer` serves its parent's requests, one at a time, for the length of a
-`with peer(...)` block.  Both end with `os._exit`, so they run no exit
-handlers and flush no buffer they inherited.  `augment` runs its record
-ranges in children, and `train-encoder` shares its steps, eval passes and
-AdamW update with a peer (`finsent.encoder.train.paired`).
+A `Peer` is a forked process that serves its parent's requests, one at a
+time, on a copy-on-write snapshot of the process, and sends back each pickled
+reply, or the exception a request raised.  It ends with `os._exit`, so it
+runs no exit handlers and flushes no buffer it inherited.  A peer inherits
+the parent's pipe ends of every peer forked before it, so peers that live
+at once are closed youngest first.  `augment` runs each record range after
+the first on a peer of its own, and `train-encoder` shares its steps, eval
+passes and AdamW update with one (`finsent.encoder.train.paired`), with
+OpenBLAS at one thread (`one_blas_thread`).
 """
 from __future__ import annotations
 
@@ -21,53 +23,6 @@ from pathlib import Path
 import numpy as np
 
 
-class Child:
-    """`fn(*args)` in a forked child: `result()` reads its value once and
-    reaps it, `close()` reaps it unread.  `fn` returns no exception object.
-    The child closes the read ends of `siblings` still open: one it kept
-    would hold that sibling blocked on a full pipe after the parent closed
-    its own copy."""
-
-    def __init__(self, fn, *args, siblings=()):
-        open_ends = [s._r for s in siblings if s._r is not None]
-        r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                for fd in [r, *open_ends]:
-                    os.close(fd)
-                try:
-                    value = fn(*args)
-                except BaseException as exc:
-                    value = exc
-                with os.fdopen(w, "wb") as fh:
-                    fh.write(pickle.dumps(value))
-            finally:
-                os._exit(0)
-        os.close(w)
-        self.pid, self._r = pid, r
-
-    def result(self):
-        """The child's value; its exception is raised here, with its type and
-        message (nothing sent, say an unpicklable value: RuntimeError)."""
-        with os.fdopen(self._r, "rb", closefd=False) as fh:
-            data = fh.read()
-        self.close()
-        value = pickle.loads(data) if data else RuntimeError(
-            f"worker {self.pid} ended without a result")
-        if isinstance(value, BaseException):
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Reap the child, read or not.  The read end is closed first, so that
-        a child blocked writing to a full pipe gets EPIPE and ends."""
-        if self._r is not None:
-            r, self._r = self._r, None
-            os.close(r)
-            os.waitpid(self.pid, 0)
-
-
 class Peer:
     """A forked process that answers each `send(name, *args)` with
     `handlers[name](*args)`, which the next `recv()` returns (or raises, with
@@ -75,7 +30,11 @@ class Peer:
     neither process can block on a full pipe while the other writes.  A peer
     that has ended (killed, say) fails the next `send` or `recv` with a
     RuntimeError naming it, and is reaped then.  `close()` ends and reaps it:
-    the peer reads the end of its request pipe and exits."""
+    the peer reads the end of its request pipe, or fails to write a reply
+    nobody will read, and exits.  Close peers that live at once youngest
+    first: each holds the parent's pipe ends of every peer forked before it,
+    so an elder peer closed first would wait for an end still open in a
+    younger one, and its reap would hang."""
 
     def __init__(self, handlers: dict):
         req_r, req_w = os.pipe()
@@ -176,24 +135,20 @@ def _openblas_threads():
 
 
 @contextmanager
-def peer(start):
-    """Yields a `Peer` serving `start()`'s handlers, or None where numpy's
-    OpenBLAS thread count cannot be set; `start` runs only if a peer is
-    forked, just before the fork.  OpenBLAS runs one thread until the block
-    ends, in parent and peer alike: on a 2-core host, two processes with two
-    BLAS threads each ran `train-encoder` 3x slower.  At the end, by success
-    or error, the peer is reaped and the old thread count comes back."""
+def one_blas_thread():
+    """Pins numpy's OpenBLAS to one thread until the block ends, by success or
+    error, and yields True; yields False, pinning nothing, where its thread
+    count cannot be set.  A process forked inside the block inherits the pin:
+    on a 2-core host, two processes with two BLAS threads each ran
+    `train-encoder` 3x slower."""
     blas = _openblas_threads()
     if blas is None:
-        yield None
+        yield False
         return
     get, set_ = blas
-    threads, served = get(), None
+    threads = get()
     set_(1)
     try:
-        served = Peer(start())
-        yield served
+        yield True
     finally:
-        if served is not None:
-            served.close()
         set_(threads)

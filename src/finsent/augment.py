@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import Child
+from ._fork import Peer
 from ._rng import OP_AUGMENT, substream
 from .corpus import Dataset, HeadlineRecord
 
@@ -166,16 +166,17 @@ def _usable_cpus() -> int:
 
 def _in_ranges(fn, bounds: list[int]) -> list:
     """`[fn(lo, hi) for each range of bounds]`; each range after the first
-    runs in a forked `Child`, whose exception is raised here.  Every child
-    is reaped, also on error."""
-    children = []
+    runs on a forked `Peer`, whose exception is raised here.  Every peer is
+    reaped, also on error, youngest first (see `Peer`)."""
+    peers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(Child(fn, lo, hi, siblings=children))
-        return [fn(bounds[0], bounds[1])] + [child.result() for child in children]
+            peers.append(Peer({"run": fn}))
+            peers[-1].send("run", lo, hi)
+        return [fn(bounds[0], bounds[1])] + [peer.recv() for peer in peers]
     finally:
-        for child in children:
-            child.close()
+        for peer in reversed(peers):
+            peer.close()
 
 
 def augment_dataset(dataset: Dataset, config: AugmentConfig,

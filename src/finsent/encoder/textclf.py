@@ -65,9 +65,6 @@ class EncoderTextClassifier:
         logits = batch_logits(ids, mask, self.params, self.config, self.adapters)
         return [LABELS[i] for i in np.argmax(logits, axis=1)]
 
-    def predict_label(self, text: str) -> SentimentLabel:
-        return self.predict_labels([text])[0]
-
 
 def save_checkpoint(clf: EncoderTextClassifier, path, merged: bool = False) -> None:
     """Versioned npz container: config, vocabulary, tensors, adapter tensors.
@@ -116,7 +113,8 @@ def load_checkpoint(path) -> EncoderTextClassifier:
     """Read a `save_checkpoint` file, checking every tensor against the config.
 
     A `__meta__` member that is missing or no mapping, a missing or mistyped
-    meta entry (config value, adapter rank or alpha, vocabulary field),
+    meta entry (config value, adapter rank or alpha, vocabulary field, token
+    or document frequency),
     unknown or missing config key, member set, tensor shape, adapter shape,
     vocabulary size or `max_len` that does not fit raises a ValueError naming it.
     """
@@ -133,6 +131,11 @@ def load_checkpoint(path) -> EncoderTextClassifier:
                      {"config": dict, "max_len": int, "adapters": dict, "vocab": dict})
         _check_entry(path, "vocab", meta["vocab"],
                      {"tokens": list, "document_frequency": list, "n_documents": int})
+        tokens, df = meta["vocab"]["tokens"], meta["vocab"]["document_frequency"]
+        if len(tokens) != len(df) or not all(isinstance(t, str) for t in tokens) or any(
+                isinstance(n, bool) or not isinstance(n, int) for n in df):
+            raise ValueError(f"checkpoint {path}: vocab needs one integer "
+                             "document_frequency per string token")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(EncoderConfig)})
         missing = [f.name for f in fields(EncoderConfig)
                    if f.default is MISSING and f.name not in meta["config"]]

@@ -144,28 +144,22 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     return trace
 
 
-@dataclass
-class Pair:
-    """The parent's side of `paired`: the peer, the views of the shared
-    gradient store, and the names whose AdamW update runs in the parent."""
+class Pair(_fork.Peer):
+    """The parent's side of `paired`: the peer, with the views of the shared
+    gradient store and the names whose AdamW update runs in the parent."""
 
-    peer: _fork.Peer
-    grad_views: dict[str, np.ndarray]
-    parent_half: frozenset[str]
-
-    def send(self, name: str, *args) -> None:
-        self.peer.send(name, *args)
-
-    def recv(self):
-        return self.peer.recv()
+    def __init__(self, handlers: dict, grad_views: dict[str, np.ndarray],
+                 parent_half: frozenset[str]):
+        super().__init__(handlers)
+        self.grad_views, self.parent_half = grad_views, parent_half
 
 
 @contextmanager
 def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
            config: EncoderConfig, peft_mode: bool, fork: bool):
     """Yields a `Pair` for `train_loop` and `batch_logits`, or None (run
-    inline) unless `fork` holds (the caller's rule) and `_fork.peer` can
-    pin numpy's OpenBLAS to one thread.
+    inline) unless `fork` holds (the caller's rule) and
+    `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
 
     Before the fork, the trainable tensors (every parameter, or under
     peft_mode the adapters' A and B only) move into one shared anonymous
@@ -182,15 +176,17 @@ def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
     if not fork:
         yield None
         return
-    adapters = adapters or {}
-    parent = {}
-
-    def start():
+    with _fork.one_blas_thread() as pinned:
+        if not pinned:
+            yield None
+            return
+        adapters = adapters or {}
         trainable = {**({} if peft_mode else params), **adapters_to_dict(adapters)}
         shapes = {name: t.shape for name, t in trainable.items()}
         store = _fork.shared(shapes)
         for name, view in store.items():
             np.copyto(view, trainable[name])
+        del trainable  # the private copies are not held for the stage
         params.update({name: store[name] for name in params if name in store})
         for target, ad in adapters.items():
             ad.A, ad.B = store[f"adapters.{target}.A"], store[f"adapters.{target}.B"]
@@ -199,12 +195,14 @@ def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
             side = int(sizes[1] <= sizes[0])  # 1: the peer's half
             halves[side].append(name)
             sizes[side] += store[name].size
-        parent.update(grad_views=_fork.shared(shapes), parent_half=frozenset(halves[0]))
-        return _peer_handlers(store, params, adapters, config, peft_mode,
-                              parent["grad_views"], frozenset(halves[1]))
-
-    with _fork.peer(start) as peer:
-        yield None if peer is None else Pair(peer, **parent)
+        grad_views = _fork.shared(shapes)
+        pair = Pair(_peer_handlers(store, params, adapters, config, peft_mode,
+                                   grad_views, frozenset(halves[1])),
+                    grad_views, frozenset(halves[0]))
+        try:
+            yield pair
+        finally:
+            pair.close()
 
 
 def _peer_handlers(tensors, params, adapters, config, peft_mode, grad_views, half):

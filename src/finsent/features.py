@@ -1,8 +1,6 @@
 """Tokenization, vocabulary construction and TF-IDF features."""
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from collections import Counter
@@ -134,24 +132,6 @@ class DocTermMatrix:
                 f"{r},{c},{w!r}\n" for r, c, w in zip(
                     coo.row[cut].tolist(), coo.col[cut].tolist(), coo.data[cut].tolist())))
         return "".join(parts)
-
-    @classmethod
-    def from_triplet_csv(cls, text: str, n_rows: int | None = None,
-                         n_cols: int | None = None) -> "DocTermMatrix":
-        rows, cols, data = [], [], []
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["row", "col", "weight"]:
-            raise ValueError("expected 'row,col,weight' header")
-        for rec in reader:
-            if not rec:
-                continue
-            rows.append(int(rec[0]))
-            cols.append(int(rec[1]))
-            data.append(float(rec[2]))
-        shape = (n_rows if n_rows is not None else (max(rows) + 1 if rows else 0),
-                 n_cols if n_cols is not None else (max(cols) + 1 if cols else 0))
-        return cls(sp.csr_matrix((data, (rows, cols)), shape=shape))
 
 
 def tfidf(corpus, vocab: Vocabulary) -> DocTermMatrix:

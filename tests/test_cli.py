@@ -25,7 +25,7 @@ from finsent.cli import (
     load_config,
     main,
 )
-from finsent.corpus import load_corpus
+from finsent.corpus import LABELS, load_corpus
 
 
 def run_cli(*argv):
@@ -697,8 +697,11 @@ class TestPairedTraining:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("cpus, threads", [(2, 1), (1, 2)], ids=["paired", "inline"])
     def test_blas_threads_are_one_for_the_stage_and_restored(self, tmp_path, monkeypatch,
-                                                             forks):
+                                                             forks, cpus, threads):
+        """Paired, OpenBLAS runs one thread for the stage; inline, its thread
+        count is never touched."""
         blas = _fork._openblas_threads()
         if blas is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set through ctypes")
@@ -711,7 +714,7 @@ class TestPairedTraining:
             return real_loop(*args, **kwargs)
 
         monkeypatch.setattr(enc, "train_loop", loop)
-        self.force(monkeypatch)
+        self.force(monkeypatch, cpus)
         before = get()
         try:
             set_(2)
@@ -723,8 +726,8 @@ class TestPairedTraining:
             assert get() == 2
         finally:
             set_(before)
-        assert seen == [1, 1]
-        assert len(forks) == 2
+        assert seen == [threads, threads]
+        assert len(forks) == (2 if cpus == 2 else 0)
 
     def test_a_killed_peer_fails_the_stage_at_once_naming_it(self, tmp_path):
         """The peer gets SIGKILL during the second step: the stage raises at its
@@ -864,4 +867,5 @@ class TestWholeSurface:
         test_ds = load_corpus(out / "test.csv", format="csv_headered", encoding="utf8")
         preds = (out / "predictions.csv").read_text().splitlines()[1:]
         assert len(preds) == len(test_ds) > 0
-        assert preds == [clf.predict_label(rec.text).value for rec in test_ds]
+        assert preds == [LABELS[int(np.argmax(clf.logits(rec.text)))].value
+                         for rec in test_ds]

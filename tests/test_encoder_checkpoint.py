@@ -154,9 +154,8 @@ class TestPredictLabels:
                  for _ in range(30)]
         with mock.patch.object(model, "SUB_BATCH_BUDGET", budget):
             labels = clf.predict_labels(texts)
-            assert labels == [clf.predict_label(text) for text in texts]
+            assert labels == [LABELS[int(np.argmax(clf.logits(text)))] for text in texts]
             assert clf.predict_labels(texts[::-1]) == labels[::-1]
-        assert labels == [LABELS[int(np.argmax(clf.logits(text)))] for text in texts]
         assert len(set(labels)) > 1
 
     def test_no_texts_no_labels(self):
@@ -228,6 +227,26 @@ def _drop_vocab_tokens(arrays, meta):
     del meta["vocab"]["tokens"]
 
 
+def _mapping_token(arrays, meta):
+    meta["vocab"]["tokens"][0] = {"profit": 1}
+
+
+def _integer_token(arrays, meta):
+    meta["vocab"]["tokens"][0] = 7
+
+
+def _bool_document_frequency(arrays, meta):
+    meta["vocab"]["document_frequency"][0] = True
+
+
+def _float_document_frequency(arrays, meta):
+    meta["vocab"]["document_frequency"][0] = 2.0
+
+
+def _drop_document_frequency(arrays, meta):
+    meta["vocab"]["document_frequency"].pop()
+
+
 def _string_d_model(arrays, meta):
     meta["config"]["d_model"] = "x"
 
@@ -248,6 +267,11 @@ class TestCorruptCheckpoint:
         (_drop_adapters, "adapters"),
         (_drop_adapter_rank, "rank"),
         (_drop_vocab_tokens, "tokens"),
+        (_mapping_token, "vocab needs"),
+        (_integer_token, "vocab needs"),
+        (_bool_document_frequency, "vocab needs"),
+        (_float_document_frequency, "vocab needs"),
+        (_drop_document_frequency, "vocab needs"),
         (_string_d_model, "d_model"),
         (_zero_layernorm_eps, "layernorm_eps"),
         (_drop_meta, "lacks its __meta__ member"),

@@ -179,14 +179,6 @@ class TestTfidf:
         with pytest.raises(ValueError):
             tfidf(ds, empty)
 
-    def test_triplet_csv_round_trip(self):
-        ds = corpus_of("a a b", "c", "zz")
-        vocab = build_vocabulary(corpus_of("a b", "c d"), min_df=1)
-        mat = tfidf(ds, vocab)
-        back = DocTermMatrix.from_triplet_csv(mat.to_triplet_csv(),
-                                              n_rows=mat.n_rows, n_cols=mat.n_cols)
-        np.testing.assert_array_equal(back.to_dense(), mat.to_dense())
-
 
 # Headline pieces: words a vocabulary may hold, words it never holds, and
 # punctuation that tokenizes to nothing.

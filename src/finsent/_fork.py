@@ -6,9 +6,10 @@ reply, or the exception a request raised.  It ends with `os._exit`, so it
 runs no exit handlers and flushes no buffer it inherited.  A peer inherits
 the parent's pipe ends of every peer forked before it, so peers that live
 at once are closed youngest first.  `augment` runs each record range after
-the first on a peer of its own, and `train-encoder` shares its steps, eval
+the first on a peer of its own, and `train_loop` shares its steps, eval
 passes and AdamW update with one (`finsent.encoder.train.paired`), with
-OpenBLAS at one thread (`one_blas_thread`).
+OpenBLAS at one thread (`one_blas_thread`).  Both size their work by
+`usable_cpus`.
 """
 from __future__ import annotations
 
@@ -21,6 +22,13 @@ from math import prod
 from pathlib import Path
 
 import numpy as np
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork or ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class Peer:

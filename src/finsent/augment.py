@@ -7,7 +7,6 @@ delete.  Labels are always carried over unchanged.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import Peer
+from . import _fork
 from ._rng import OP_AUGMENT, substream
 from .corpus import Dataset, HeadlineRecord
 
@@ -160,10 +159,6 @@ def random_swap(tokens, n: int, rng: np.random.Generator) -> list[str]:
 FORK_MIN_RECORDS = 2000  # fewest records worth a worker process of their own
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _in_ranges(fn, bounds: list[int]) -> list:
     """`[fn(lo, hi) for each range of bounds]`; each range after the first
     runs on a forked `Peer`, whose exception is raised here.  Every peer is
@@ -171,7 +166,7 @@ def _in_ranges(fn, bounds: list[int]) -> list:
     peers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            peers.append(Peer({"run": fn}))
+            peers.append(_fork.Peer({"run": fn}))
             peers[-1].send("run", lo, hi)
         return [fn(bounds[0], bounds[1])] + [peer.recv() for peer in peers]
     finally:
@@ -204,7 +199,7 @@ def augment_dataset(dataset: Dataset, config: AugmentConfig,
         return texts
 
     n = len(dataset)
-    workers = max(1, min(_usable_cpus(), n // FORK_MIN_RECORDS))
+    workers = max(1, min(_fork.usable_cpus(), n // FORK_MIN_RECORDS))
     texts = iter(chain.from_iterable(
         _in_ranges(variants, [n * k // workers for k in range(workers + 1)])))
     records: list[HeadlineRecord] = []

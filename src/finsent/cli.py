@@ -34,7 +34,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from functools import reduce
@@ -408,16 +407,7 @@ def cmd_train_linear(args, cfg, out):
 
 
 def cmd_train_encoder(args, cfg, out):
-    """Trains the encoder and re-scores the eval sets after each epoch.
-
-    A training step of per_device_batch x grad_accum_steps rows of the
-    longest training row's length spans two sub-batches when, times
-    d_model, it exceeds SUB_BATCH_BUDGET.  Then, with 2 usable CPUs,
-    `os.fork` and an OpenBLAS whose thread count can be set, a forked peer
-    shares the stage (`enc.paired`): the first part of every step's and
-    every eval pass's sub-batches, and half the AdamW update, with OpenBLAS
-    at one thread.  Otherwise the stage runs inline.  Its outputs are the
-    same bytes either way."""
+    """Trains the encoder and re-scores the eval sets after each epoch."""
     section = cfg["encoder"]
     train_config = _build("encoder.train", enc.TrainConfig, **dict(
         section["train"], epochs=args.epochs, seed=args.seed))
@@ -442,8 +432,7 @@ def cmd_train_encoder(args, cfg, out):
         max_len=config.max_seq_len, adapters=adapters)
 
     def encoded(ds):
-        ids, mask = clf.encode([rec.text for rec in ds])
-        return ids, mask, np.array([rec.label.index for rec in ds])
+        return (*clf.encode([rec.text for rec in ds]), _labels_to_indices(ds))
 
     # Tokenized once; each epoch's eval is one batched pass over each set.
     eval_sets = {"train": encoded(train_ds)}
@@ -451,25 +440,20 @@ def cmd_train_encoder(args, cfg, out):
         eval_sets["val"] = encoded(_load_canonical(args.test))
     examples = list(zip(*eval_sets["train"]))
 
-    def eval_hook(epoch, params_, adapters_):
+    def eval_hook(batch_logits):
         """Accuracy on each eval set, and the validation loss."""
         metrics = {}
         for name, (ids, mask, labels) in eval_sets.items():
-            logits = enc.batch_logits(ids, mask, params_, config, adapters_, peer=peer)
+            logits = batch_logits(ids, mask)
             hits = int(np.sum(logits.argmax(axis=1) == labels))
             metrics[f"{name}_acc"] = hits / len(labels)
             if name == "val":
                 metrics["val_loss"] = enc.mean_nll(logits, labels)
         return metrics
 
-    longest = int(eval_sets["train"][1].sum(axis=1).max())
-    fork = (train_config.per_device_batch * train_config.grad_accum_steps * longest
-            * config.d_model > enc.model.SUB_BATCH_BUDGET
-            and augment_mod._usable_cpus() >= 2 and hasattr(os, "fork"))
-    with enc.paired(params, adapters, config, args.peft, fork) as peer:
-        trace = enc.train_loop(examples, params, config, train_config,
-                               adapters=adapters, peft_mode=args.peft,
-                               adamw=adamw, eval_hook=eval_hook, peer=peer)
+    trace = enc.train_loop(examples, params, config, train_config,
+                           adapters=adapters, peft_mode=args.peft,
+                           adamw=adamw, eval_hook=eval_hook)
 
     ckpt_path = out / "encoder.npz"
     enc.save_checkpoint(clf, ckpt_path, merged=args.merge)

@@ -31,7 +31,7 @@ from .textclf import (
     load_checkpoint,
     save_checkpoint,
 )
-from .train import TrainConfig, TraceRow, paired, trace_to_csv, train_loop
+from .train import TrainConfig, TraceRow, trace_to_csv, train_loop
 
 __all__ = [
     "AdamWConfig", "DEFAULT_TARGETS", "EncoderConfig", "EncoderParams",
@@ -40,6 +40,6 @@ __all__ = [
     "batch_loss", "encoder_backward", "encoder_forward", "encoder_vocab_size",
     "gelu", "init_adapter", "init_adapters", "init_params", "layer_norm",
     "load_checkpoint", "loss_and_grad", "lr_at", "mean_nll", "merge_adapter",
-    "merge_all", "multi_head_attention", "paired", "param_shapes", "save_checkpoint",
+    "merge_all", "multi_head_attention", "param_shapes", "save_checkpoint",
     "trace_to_csv", "train_loop",
 ]

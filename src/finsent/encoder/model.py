@@ -492,12 +492,6 @@ def _parts(subs: list[np.ndarray], mask) -> tuple[list, list]:
     return subs[:cut], subs[cut:]
 
 
-def _local(subs: list[np.ndarray]) -> list[np.ndarray]:
-    """The sub-batches of `subs`, indexed into their rows concatenated."""
-    bounds = np.cumsum([0] + [len(rows) for rows in subs])
-    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _stack(batch):
     """(ids, mask, label) examples as (B, n) ids and masks, short rows padded
     with masked id 0, and (B,) labels."""
@@ -524,12 +518,12 @@ def batch_logits(ids, mask, params: EncoderParams, config: EncoderConfig,
     logits = np.empty((len(ids), config.n_classes))
     first, second = _parts(_sub_batches(mask, config.d_model), mask)
     if peer is not None and first:
-        theirs = np.concatenate(first)
-        peer.send("logits", ids[theirs], mask[theirs], _local(first))
+        peer.send("logits", ids, mask, first)
     _forward(ids, mask, second if peer is not None else first + second, params,
              config, adapters, logits)
     if peer is not None and first:
-        logits[theirs] = peer.recv()
+        theirs = np.concatenate(first)
+        logits[theirs] = peer.recv()[theirs]
     return logits
 
 
@@ -581,16 +575,14 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     first, second = _parts(_sub_batches(mask, config.d_model), mask)
     if peer is not None:
         if first:
-            theirs = np.concatenate(first)
-            peer.send("grads", ids[theirs], mask[theirs], labels[theirs],
-                      weights[theirs], _local(first))
+            peer.send("grads", ids, mask, labels, weights, first)
         grads = _accumulate(ids, mask, labels, weights, second, params, config,
                             adapters, peft_mode, GradStore(peer.grad_views), nll)
         if first:
-            nll[theirs] = peer.recv()
-            peer.send("add", list(grads))
-            for name in peer.recv():  # names only the first part had, in its order
-                dict.__setitem__(grads, name, grads.views[name])
+            theirs = np.concatenate(first)
+            nll[theirs] = peer.recv()[theirs]
+            peer.send("add")
+            peer.recv()
         return float(weights @ nll), grads
     grads = _accumulate(ids, mask, labels, weights, second, params, config,
                         adapters, peft_mode, {}, nll)
@@ -625,10 +617,10 @@ class GradStore(dict):
 
     def __init__(self, views: dict[str, np.ndarray]):
         super().__init__()
-        self.views = views
+        self._views = views
 
     def __setitem__(self, name: str, g) -> None:
-        view = self.views[name]
+        view = self._views[name]
         if g is not view:
             np.copyto(view, g)
         super().__setitem__(name, view)

@@ -8,6 +8,7 @@ vocab_size is len(vocab) + 2.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -116,61 +117,65 @@ def load_checkpoint(path) -> EncoderTextClassifier:
     meta entry (config value, adapter rank or alpha, vocabulary field, token
     or document frequency),
     unknown or missing config key, member set, tensor shape, adapter shape,
-    vocabulary size or `max_len` that does not fit raises a ValueError naming it.
+    vocabulary size or `max_len` that does not fit raises a ValueError naming it,
+    and so does a file that is no readable zip archive.
     """
-    with np.load(path) as npz:
-        if "__meta__" not in npz.files:
-            raise ValueError(f"checkpoint {path} lacks its __meta__ member")
-        meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-        _check_entry(path, "__meta__", meta, {})
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not an encoder checkpoint: {path}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        _check_entry(path, "__meta__", meta,
-                     {"config": dict, "max_len": int, "adapters": dict, "vocab": dict})
-        _check_entry(path, "vocab", meta["vocab"],
-                     {"tokens": list, "document_frequency": list, "n_documents": int})
-        tokens, df = meta["vocab"]["tokens"], meta["vocab"]["document_frequency"]
-        if len(tokens) != len(df) or not all(isinstance(t, str) for t in tokens) or any(
-                isinstance(n, bool) or not isinstance(n, int) for n in df):
-            raise ValueError(f"checkpoint {path}: vocab needs one integer "
-                             "document_frequency per string token")
-        unknown = sorted(set(meta["config"]) - {f.name for f in fields(EncoderConfig)})
-        missing = [f.name for f in fields(EncoderConfig)
-                   if f.default is MISSING and f.name not in meta["config"]]
-        if unknown or missing:
-            raise ValueError(f"checkpoint {path}: config has unknown keys {unknown}, "
-                             f"lacks keys {missing}")
-        _check_entry(path, "config", meta["config"],
-                     {f.name: _JSON_TYPES[f.type] for f in fields(EncoderConfig)
-                      if f.name in meta["config"]})
-        config = EncoderConfig(**meta["config"])
-        shapes = param_shapes(config)
-        expected = [f"param::{name}" for name in shapes] + [
-            f"adapter::{target}::{part}" for target in meta["adapters"] for part in "AB"]
-        missing = sorted(set(expected) - set(npz.files))
-        unexpected = sorted(set(npz.files) - set(expected) - {"__meta__"})
-        if missing or unexpected:
-            raise ValueError(f"checkpoint {path}: missing tensors {missing}, "
-                             f"unexpected tensors {unexpected}")
-        params = EncoderParams()
-        for name, shape in shapes.items():
-            params[name] = npz[f"param::{name}"]
-            if params[name].shape != shape:
-                raise ValueError(f"checkpoint tensor {name} has shape "
-                                 f"{params[name].shape}, expected {shape}")
-        adapters = {}
-        for target, info in meta["adapters"].items():
-            _check_entry(path, f"adapter {target}", info,
-                         {"rank": int, "alpha": (int, float)})
-            A, B = npz[f"adapter::{target}::A"], npz[f"adapter::{target}::B"]
-            rank, base = info["rank"], shapes.get(target, ())
-            if len(base) != 2 or A.shape != (rank, base[1]) or B.shape != (base[0], rank):
-                raise ValueError(f"checkpoint adapter {target}: A {A.shape} and B "
-                                 f"{B.shape} do not fit rank {rank} and base weight "
-                                 f"{base or None}")
-            adapters[target] = LoraAdapter(A=A, B=B, rank=rank, alpha=info["alpha"])
+    try:
+        with np.load(path) as npz:
+            if "__meta__" not in npz.files:
+                raise ValueError(f"checkpoint {path} lacks its __meta__ member")
+            meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
+            _check_entry(path, "__meta__", meta, {})
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"not an encoder checkpoint: {path}")
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
+            _check_entry(path, "__meta__", meta,
+                         {"config": dict, "max_len": int, "adapters": dict, "vocab": dict})
+            _check_entry(path, "vocab", meta["vocab"],
+                         {"tokens": list, "document_frequency": list, "n_documents": int})
+            tokens, df = meta["vocab"]["tokens"], meta["vocab"]["document_frequency"]
+            if len(tokens) != len(df) or not all(isinstance(t, str) for t in tokens) or any(
+                    isinstance(n, bool) or not isinstance(n, int) for n in df):
+                raise ValueError(f"checkpoint {path}: vocab needs one integer "
+                                 "document_frequency per string token")
+            unknown = sorted(set(meta["config"]) - {f.name for f in fields(EncoderConfig)})
+            missing = [f.name for f in fields(EncoderConfig)
+                       if f.default is MISSING and f.name not in meta["config"]]
+            if unknown or missing:
+                raise ValueError(f"checkpoint {path}: config has unknown keys {unknown}, "
+                                 f"lacks keys {missing}")
+            _check_entry(path, "config", meta["config"],
+                         {f.name: _JSON_TYPES[f.type] for f in fields(EncoderConfig)
+                          if f.name in meta["config"]})
+            config = EncoderConfig(**meta["config"])
+            shapes = param_shapes(config)
+            expected = [f"param::{name}" for name in shapes] + [
+                f"adapter::{target}::{part}" for target in meta["adapters"] for part in "AB"]
+            missing = sorted(set(expected) - set(npz.files))
+            unexpected = sorted(set(npz.files) - set(expected) - {"__meta__"})
+            if missing or unexpected:
+                raise ValueError(f"checkpoint {path}: missing tensors {missing}, "
+                                 f"unexpected tensors {unexpected}")
+            params = EncoderParams()
+            for name, shape in shapes.items():
+                params[name] = npz[f"param::{name}"]
+                if params[name].shape != shape:
+                    raise ValueError(f"checkpoint tensor {name} has shape "
+                                     f"{params[name].shape}, expected {shape}")
+            adapters = {}
+            for target, info in meta["adapters"].items():
+                _check_entry(path, f"adapter {target}", info,
+                             {"rank": int, "alpha": (int, float)})
+                A, B = npz[f"adapter::{target}::A"], npz[f"adapter::{target}::B"]
+                rank, base = info["rank"], shapes.get(target, ())
+                if len(base) != 2 or A.shape != (rank, base[1]) or B.shape != (base[0], rank):
+                    raise ValueError(f"checkpoint adapter {target}: A {A.shape} and B "
+                                     f"{B.shape} do not fit rank {rank} and base weight "
+                                     f"{base or None}")
+                adapters[target] = LoraAdapter(A=A, B=B, rank=rank, alpha=info["alpha"])
+    except zipfile.BadZipFile as exc:  # truncated, or a member fails its CRC
+        raise ValueError(f"checkpoint {path} is not a readable npz archive: {exc}") from None
     vocab = Vocabulary.from_dict(meta["vocab"])
     if config.vocab_size != encoder_vocab_size(vocab):
         raise ValueError(f"checkpoint config.vocab_size {config.vocab_size} does not "

@@ -1,5 +1,6 @@
 """Microbatched training loop with gradient accumulation and loss tracing,
-inline or paired with a forked peer (`paired`)."""
+inline or, for steps wider than one sub-batch, paired with a forked peer
+(`paired`)."""
 from __future__ import annotations
 
 import csv
@@ -12,12 +13,14 @@ import numpy as np
 
 from .. import _fork
 from .._rng import OP_ENCODER_TRAIN, substream
+from . import model
 from .lora import LoraAdapter, adapters_to_dict
 from .model import (
     EncoderConfig,
     EncoderParams,
     _accumulate,
     _forward,
+    batch_logits,
     loss_and_grad,
 )
 from .optim import AdamWConfig, OptimizerState, adamw_step, check_grads, lr_at
@@ -76,7 +79,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                adapters: dict[str, LoraAdapter] | None = None,
                peft_mode: bool = False,
                adamw: AdamWConfig | None = None,
-               eval_hook=None, peer: Pair | None = None) -> list[TraceRow]:
+               eval_hook=None) -> list[TraceRow]:
     """Train in place; returns the per-optimizer-step loss trace.
 
     Each optimizer step averages gradients over up to `grad_accum_steps`
@@ -84,13 +87,15 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     `loss_and_grad` call; the traced loss is the mean of microbatch means.
     The learning rate follows the warmup/decay schedule over the total
     number of optimizer steps.
-    `eval_hook(epoch, params, adapters)`, when given, runs after each epoch
-    and may return a dict with train_acc / val_loss / val_acc entries that
-    are recorded on the epoch's final trace row.
-    With a `peer` (`paired`), each step's sub-batches are shared with it
-    (`loss_and_grad`); then every gradient is checked here, before either
-    process updates a tensor, and each runs AdamW on its own half of the
-    tensors, with its own moments.
+    `eval_hook(logits)`, when given, runs after each epoch, where
+    `logits(ids, mask)` is `batch_logits` under the current weights.  It
+    may return a dict with train_acc / val_loss / val_acc entries that are
+    recorded on the epoch's final trace row.
+    When `paired` forks a peer, each step's sub-batches and each eval pass
+    are shared with it (`loss_and_grad`, `batch_logits`); then every
+    gradient is checked here, before either process updates a tensor, and
+    each runs AdamW on its own half of the tensors, with its own moments.
+    The trace and the weights are the same bits either way.
     """
     examples = list(examples)
     if not examples:
@@ -104,44 +109,48 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     steps_per_epoch = math.ceil(micro_per_epoch / train_config.grad_accum_steps)
     total_steps = train_config.epochs * steps_per_epoch
 
-    tensors = {**params, **adapters_to_dict(adapters or {})}
-    state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
+    with paired(examples, params, config, train_config, adapters, peft_mode) as peer:
+        tensors = {**params, **adapters_to_dict(adapters or {})}
+        state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
-    trace: list[TraceRow] = []
-    step = 0
-    for epoch in range(train_config.epochs):
-        order = substream(train_config.seed, OP_ENCODER_TRAIN, epoch).permutation(n)
-        micros = [order[s:s + b] for s in range(0, n, b)]
-        for g0 in range(0, len(micros), train_config.grad_accum_steps):
-            group = micros[g0:g0 + train_config.grad_accum_steps]
-            # One call per group; weights keep the mean of microbatch means.
-            batch = [examples[i] for micro in group for i in micro]
-            weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
-            loss, grads = loss_and_grad(params, batch, config, adapters,
-                                        peft_mode=peft_mode, weights=weights, peer=peer)
-            step += 1
-            if not math.isfinite(loss):
-                raise ValueError(f"non-finite training loss {loss} at optimizer "
-                                 f"step {step} (epoch {epoch})")
-            lr = lr_at(step, total_steps, train_config.base_lr,
-                       train_config.warmup_ratio)
-            if peer is None:
-                adamw_step(tensors, grads, state, lr=lr)
-            else:
-                check_grads(tensors, grads)
-                peer.send("adamw", state.hyper, lr, list(grads))
-                adamw_step(tensors, {name: g for name, g in grads.items()
-                                     if name in peer.parent_half}, state, lr=lr)
-                peer.recv()
-            del grads  # not held while the next step's gradients are built
-            trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
-        if eval_hook is not None and trace:
-            metrics = eval_hook(epoch, params, adapters) or {}
-            last = trace[-1]
-            last.train_acc = metrics.get("train_acc", last.train_acc)
-            last.val_loss = metrics.get("val_loss", last.val_loss)
-            last.val_acc = metrics.get("val_acc", last.val_acc)
-    return trace
+        def logits(ids, mask):
+            return batch_logits(ids, mask, params, config, adapters, peer=peer)
+
+        trace: list[TraceRow] = []
+        step = 0
+        for epoch in range(train_config.epochs):
+            order = substream(train_config.seed, OP_ENCODER_TRAIN, epoch).permutation(n)
+            micros = [order[s:s + b] for s in range(0, n, b)]
+            for g0 in range(0, len(micros), train_config.grad_accum_steps):
+                group = micros[g0:g0 + train_config.grad_accum_steps]
+                # One call per group; weights keep the mean of microbatch means.
+                batch = [examples[i] for micro in group for i in micro]
+                weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
+                loss, grads = loss_and_grad(params, batch, config, adapters,
+                                            peft_mode=peft_mode, weights=weights, peer=peer)
+                step += 1
+                if not math.isfinite(loss):
+                    raise ValueError(f"non-finite training loss {loss} at optimizer "
+                                     f"step {step} (epoch {epoch})")
+                lr = lr_at(step, total_steps, train_config.base_lr,
+                           train_config.warmup_ratio)
+                if peer is None:
+                    adamw_step(tensors, grads, state, lr=lr)
+                else:
+                    check_grads(tensors, grads)
+                    peer.send("adamw", state.hyper, lr, list(grads))
+                    adamw_step(tensors, {name: g for name, g in grads.items()
+                                         if name in peer.parent_half}, state, lr=lr)
+                    peer.recv()
+                del grads  # not held while the next step's gradients are built
+                trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
+            if eval_hook is not None and trace:
+                metrics = eval_hook(logits) or {}
+                last = trace[-1]
+                last.train_acc = metrics.get("train_acc", last.train_acc)
+                last.val_loss = metrics.get("val_loss", last.val_loss)
+                last.val_acc = metrics.get("val_acc", last.val_acc)
+        return trace
 
 
 class Pair(_fork.Peer):
@@ -155,11 +164,14 @@ class Pair(_fork.Peer):
 
 
 @contextmanager
-def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
-           config: EncoderConfig, peft_mode: bool, fork: bool):
-    """Yields a `Pair` for `train_loop` and `batch_logits`, or None (run
-    inline) unless `fork` holds (the caller's rule) and
-    `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
+def paired(examples, params: EncoderParams, config: EncoderConfig,
+           train_config: TrainConfig, adapters: dict[str, LoraAdapter] | None,
+           peft_mode: bool):
+    """Yields a `Pair` for `train_loop`, or None (run inline).  It forks a
+    peer only for steps that span two sub-batches, where per_device_batch x
+    grad_accum_steps x the longest example x d_model exceeds
+    `model.SUB_BATCH_BUDGET`, with 2 usable CPUs (`_fork.usable_cpus`), and
+    where `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
 
     Before the fork, the trainable tensors (every parameter, or under
     peft_mode the adapters' A and B only) move into one shared anonymous
@@ -173,7 +185,9 @@ def paired(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
     ("logits"), and AdamW on its half ("adamw").  It is reaped when the
     block ends, by success or error.
     """
-    if not fork:
+    longest = max(int(np.sum(mask)) for _, mask, _ in examples)
+    if (train_config.per_device_batch * train_config.grad_accum_steps * longest
+            * config.d_model <= model.SUB_BATCH_BUDGET or _fork.usable_cpus() < 2):
         yield None
         return
     with _fork.one_blas_thread() as pinned:
@@ -217,15 +231,11 @@ def _peer_handlers(tensors, params, adapters, config, peft_mode, grad_views, hal
                                        adapters, peft_mode, {}, nll)
         return nll
 
-    def add(names):
-        known, new = set(names), []
+    def add():
+        """Every sub-batch's backward yields the same gradient names, so the
+        parent's part has already written each one into the store."""
         for name, g in pending.pop("grads").items():
-            if name in known:
-                grad_views[name] += g
-            else:
-                np.copyto(grad_views[name], g)
-                new.append(name)
-        return new
+            grad_views[name] += g
 
     def adamw(hyper, lr, names):
         state.hyper = hyper

@@ -110,10 +110,6 @@ class DocTermMatrix:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(strictly increasing column indices, weights) of row i."""
         start, end = self.matrix.indptr[i], self.matrix.indptr[i + 1]

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -11,6 +12,27 @@ from finsent.corpus import Dataset, HeadlineRecord, SentimentLabel
 POS = SentimentLabel.POSITIVE
 NEU = SentimentLabel.NEUTRAL
 NEG = SentimentLabel.NEGATIVE
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fails a test that runs past 120 s, where SIGALRM exists, instead of
+    letting it hang the suite (a forked peer that waits on a pipe end still
+    open elsewhere never exits).  A forked child does not inherit the alarm."""
+    if not hasattr(signal, "alarm"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 120 s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_dataset(rows):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsent import augment
+from finsent import _fork, augment
 from finsent.augment import (
     AugmentConfig,
     SynonymLexicon,
@@ -336,12 +336,12 @@ class TestForkedAugmentDataset:
                 os.waitpid(pid, os.WNOHANG)
 
     def force(self, monkeypatch, cpus, min_records=1):
-        monkeypatch.setattr(augment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(augment, "FORK_MIN_RECORDS", min_records)
 
     def inline(self, ds, cfg, lexicon, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(augment, "_usable_cpus", lambda: 1)
+            m.setattr(_fork, "usable_cpus", lambda: 1)
             return augment_dataset(ds, cfg, lexicon)
 
     @staticmethod
@@ -419,7 +419,15 @@ class TestForkedAugmentDataset:
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(augment, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 64)
         monkeypatch.setattr(os, "fork", no_fork)
         out = augment_dataset(self.corpus(45), AugmentConfig(seed=7), small_lexicon)
         assert len(out) == 90
+
+    def test_without_os_fork_runs_inline(self, small_lexicon, monkeypatch):
+        ds = self.corpus(2 * augment.FORK_MIN_RECORDS)
+        cfg = AugmentConfig(seed=4)
+        want = self.inline(ds, cfg, small_lexicon, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert self.rows(augment_dataset(ds, cfg, small_lexicon)) == self.rows(want)

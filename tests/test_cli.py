@@ -14,7 +14,7 @@ import yaml
 import finsent
 import finsent.cli as cli_mod
 import finsent.encoder as enc
-from finsent import _fork, augment
+from finsent import _fork
 from finsent.cli import (
     DEFAULT_CONFIG,
     EXIT_BACKEND,
@@ -349,9 +349,9 @@ class TestTrainPredictEvaluate:
             return made[-1]
 
         def loop(*args, eval_hook, **kwargs):
-            def recount(epoch, params_, adapters_):
-                metrics = eval_hook(epoch, params_, adapters_)
-                clf = made[0]  # trained in place: it holds params_ and adapters_
+            def recount(logits):
+                metrics = eval_hook(logits)
+                clf = made[0]  # trained in place: it holds the weights `logits` reads
                 nll = []
                 for name, file in (("train", "train.csv"), ("val", "test.csv")):
                     ds = load_corpus(out / file, format="csv_headered", encoding="utf8")
@@ -364,7 +364,7 @@ class TestTrainPredictEvaluate:
                             nll.append(math.log(np.exp(z).sum()) - z[rec.label.index])
                     assert metrics[f"{name}_acc"] == hits / len(ds)
                 assert abs(metrics["val_loss"] - sum(nll) / len(nll)) <= 1e-12
-                checked.append(epoch)
+                checked.append(len(checked))
                 return metrics
             return real_loop(*args, eval_hook=recount, **kwargs)
 
@@ -600,7 +600,7 @@ class TestPairedTraining:
 
     @staticmethod
     def cpus(monkeypatch, n):
-        monkeypatch.setattr(augment, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: n)
         if _fork._openblas_threads() is None:  # another BLAS: nothing to pin
             monkeypatch.setattr(_fork, "_openblas_threads",
                                 lambda: (lambda: 1, lambda threads: None))
@@ -707,26 +707,28 @@ class TestPairedTraining:
             pytest.skip("numpy's OpenBLAS thread count cannot be set through ctypes")
         get, set_ = blas
         cfg, data = self.data(tmp_path)
-        seen, real_loop = [], enc.train_loop
+        seen, real = [], enc.train.loss_and_grad
 
-        def loop(*args, **kwargs):
-            seen.append(get())
-            return real_loop(*args, **kwargs)
+        def loss_and_grad(*args, **kwargs):
+            seen[-1].add(get())
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(enc, "train_loop", loop)
+        monkeypatch.setattr(enc.train, "loss_and_grad", loss_and_grad)
         self.force(monkeypatch, cpus)
         before = get()
         try:
             set_(2)
+            seen.append(set())
             assert self.train(cfg, data, tmp_path / "ok") == EXIT_OK
             assert get() == 2
-            monkeypatch.setattr(enc, "batch_logits", lambda *args, **kwargs: 1 / 0)
+            monkeypatch.setattr(enc.train, "batch_logits", lambda *args, **kwargs: 1 / 0)
+            seen.append(set())
             with pytest.raises(ZeroDivisionError):
                 self.train(cfg, data, tmp_path / "error")
             assert get() == 2
         finally:
             set_(before)
-        assert seen == [threads, threads]
+        assert seen == [{threads}, {threads}]
         assert len(forks) == (2 if cpus == 2 else 0)
 
     def test_a_killed_peer_fails_the_stage_at_once_naming_it(self, tmp_path):
@@ -736,10 +738,10 @@ class TestPairedTraining:
         script = (
             "import json, os, signal, sys\n"
             "import finsent.cli as cli\n"
-            "from finsent import augment\n"
+            "from finsent import _fork\n"
             "from finsent.encoder import model, train\n"
             "model.SUB_BATCH_BUDGET = 200\n"
-            "augment._usable_cpus = lambda: 2\n"
+            "_fork.usable_cpus = lambda: 2\n"
             "pids, real_fork, steps = [], os.fork, []\n"
             "def fork():\n"
             "    pid = real_fork()\n"

@@ -289,3 +289,20 @@ class TestCorruptCheckpoint:
         assert main(["predict", "--out", str(out), "--backend", "encoder"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda data: data[:3000], "File is not a zip file"),
+        (lambda data: data[:500] + bytes(b ^ 0xFF for b in data[500:600]) + data[600:],
+         "Bad CRC-32 for file 'param::W_e.npy'"),  # inside W_e, the first member
+    ], ids=["truncated", "flipped"])
+    def test_a_broken_archive_fails_naming_the_path(self, tmp_path, capsys, damage,
+                                                    reason):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "encoder.npz"
+        save_checkpoint(make_classifier(peft=True), path)
+        path.write_bytes(damage(path.read_bytes()))
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n")
+        assert main(["predict", "--out", str(out), "--backend", "encoder"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: checkpoint {path} is not a readable npz archive: {reason}\n")

@@ -579,7 +579,6 @@ class TestParts:
         first, second = model._parts(subs, mask)  # costs 2, 4, 4, 8
         assert [list(rows) for rows in first] == [[0, 1], [2, 3], [4]]
         assert [list(rows) for rows in second] == [[5]]
-        assert [list(rows) for rows in model._local(first)] == [[0, 1], [2, 3], [4]]
 
     def test_grad_store_copies_a_first_value_and_adds_later_ones(self):
         views = {"g": np.full(3, 7.0)}

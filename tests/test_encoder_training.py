@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -239,16 +240,10 @@ class TestTrainLoop:
         params = init_params(TINY, seed=13)
         cfg = TrainConfig(epochs=50, per_device_batch=5, grad_accum_steps=1,
                           base_lr=5e-3, seed=14)
-        accs = {}
+        ids, mask, labels = model._stack(examples)
 
-        def hook(epoch, params_, adapters_):
-            hits = 0
-            for ids, mask, y in examples:
-                from finsent.encoder import encoder_forward
-                logits = encoder_forward(ids, mask, params_, TINY)
-                hits += int(np.argmax(logits)) == y
-            accs[epoch] = hits / len(examples)
-            return {"train_acc": accs[epoch]}
+        def hook(logits):
+            return {"train_acc": float(np.mean(logits(ids, mask).argmax(axis=1) == labels))}
 
         trace = train_loop(examples, params, TINY, cfg, eval_hook=hook)
         assert trace[-1].train_acc is not None
@@ -263,7 +258,8 @@ class TestTrainLoop:
             events.append("step")
             return real_step(*args, **kwargs)
 
-        def hook(epoch, params_, adapters_):
+        def hook(logits):
+            epoch = sum(1 for event in events if event != "step")
             events.append(("hook", epoch))
             return {"train_acc": epoch / 10, "val_acc": 0.5}
 
@@ -296,9 +292,10 @@ class TestTrainLoop:
 
 @pytest.fixture
 def paired_inputs(monkeypatch):
-    """Groups of several sub-batches, and an OpenBLAS pin (a no-op one where
-    ctypes cannot reach it)."""
+    """Groups of several sub-batches, 2 usable CPUs, and an OpenBLAS pin (a
+    no-op one where ctypes cannot reach it)."""
     monkeypatch.setattr(model, "SUB_BATCH_BUDGET", TINY.d_model * 6)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     if _fork._openblas_threads() is None:
         monkeypatch.setattr(_fork, "_openblas_threads",
                             lambda: (lambda: 1, lambda threads: None))
@@ -317,27 +314,34 @@ class TestPaired:
         return params, ads
 
     # Groups of 6 rows span 2-6 sub-batches; groups of one row are one sub-batch
-    # each, so the peer shares only the eval and AdamW.
-    @pytest.mark.parametrize("cfg", [CFG, dataclasses.replace(CFG, per_device_batch=1,
-                                                              grad_accum_steps=1)],
-                             ids=["parts", "whole"])
+    # each, so the peer shares only the eval and AdamW.  One-row steps fork only
+    # past a budget of one row of the longest example, 6 tokens.
+    @pytest.mark.parametrize("cfg, budget", [
+        (CFG, 6), (dataclasses.replace(CFG, per_device_batch=1, grad_accum_steps=1), 5),
+    ], ids=["parts", "whole"])
     @pytest.mark.parametrize("peft", [False, True])
-    def test_training_and_eval_equal_inline(self, paired_inputs, peft, cfg):
+    def test_training_and_eval_equal_inline(self, paired_inputs, monkeypatch, peft, cfg,
+                                            budget):
         examples = paired_inputs
+        monkeypatch.setattr(model, "SUB_BATCH_BUDGET", TINY.d_model * budget)
         ids, mask, _ = model._stack(examples)
-        runs = []
-        for fork in (False, True):
+        real_fork, runs = os.fork, []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
             params, ads = self.model_state(peft)
-            logits = []
+            logits, forks = [], []
 
-            def hook(epoch, params_, adapters_):
-                logits.append(batch_logits(ids, mask, params_, TINY, adapters_,
-                                           peer=peer))
+            def fork():
+                forks.append(1)
+                return real_fork()
 
-            with train_mod.paired(params, ads, TINY, peft, fork) as peer:
-                assert (peer is not None) == fork
-                trace = train_loop(examples, params, TINY, cfg, adapters=ads,
-                                   peft_mode=peft, eval_hook=hook, peer=peer)
+            def hook(logits_):
+                logits.append(logits_(ids, mask))
+
+            monkeypatch.setattr(os, "fork", fork)
+            trace = train_loop(examples, params, TINY, cfg, adapters=ads,
+                               peft_mode=peft, eval_hook=hook)
+            assert len(forks) == cpus - 1
             runs.append((trace_to_csv(trace), {**params, **adapters_to_dict(ads or {})},
                          logits))
         (trace0, tensors0, logits0), (trace1, tensors1, logits1) = runs
@@ -353,7 +357,7 @@ class TestPaired:
     def test_only_trainable_tensors_move_to_the_shared_store(self, paired_inputs, peft):
         params, ads = self.model_state(peft)
         before = {**params, **adapters_to_dict(ads or {})}
-        with train_mod.paired(params, ads, TINY, peft, True) as peer:
+        with train_mod.paired(paired_inputs, params, TINY, self.CFG, ads, peft) as peer:
             after = {**params, **adapters_to_dict(ads or {})}
             moved = {name for name in before if after[name] is not before[name]}
             assert moved == set(before) - (set(params) if peft else set())
@@ -373,7 +377,7 @@ class TestPaired:
             return real(ids_, *args, **kwargs)
 
         monkeypatch.setattr(model, "encoder_forward", forward)
-        with train_mod.paired(params, None, TINY, False, True) as peer:
+        with train_mod.paired(paired_inputs, params, TINY, self.CFG, None, False) as peer:
             batch_logits(ids, mask, params, TINY, peer=peer)
             assert rows == [len(sub) for sub in second]
             rows.clear()
@@ -396,8 +400,7 @@ class TestPaired:
 
         monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
         with pytest.raises(ValueError) as info:
-            with train_mod.paired(params, None, TINY, False, True) as peer:
-                train_loop(paired_inputs, params, TINY, self.CFG, peer=peer)
+            train_loop(paired_inputs, params, TINY, self.CFG)
         assert str(info.value) == f"non-finite gradient for {seen[2]!r}; step aborted"
         for name, t in seen[1].items():
             assert np.array_equal(params[name], t), name

@@ -62,7 +62,7 @@ def test_tfidf(benchmark, corpora, which):
     train_ds, held_out, vocab = corpora
     ds = train_ds if which == "train" else held_out
     matrix = benchmark.pedantic(tfidf, (ds, vocab), rounds=5, iterations=1)
-    assert matrix.n_rows == len(ds)
+    assert matrix.matrix.shape[0] == len(ds)
 
 
 def test_to_triplet_csv(benchmark, corpora):

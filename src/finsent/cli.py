@@ -407,7 +407,8 @@ def cmd_train_linear(args, cfg, out):
 
 
 def cmd_train_encoder(args, cfg, out):
-    """Trains the encoder and re-scores the eval sets after each epoch."""
+    """Trains the encoder; with --test, scores the validation set after each
+    epoch.  Training accuracy is counted in the training pass itself."""
     section = cfg["encoder"]
     train_config = _build("encoder.train", enc.TrainConfig, **dict(
         section["train"], epochs=args.epochs, seed=args.seed))
@@ -434,22 +435,18 @@ def cmd_train_encoder(args, cfg, out):
     def encoded(ds):
         return (*clf.encode([rec.text for rec in ds]), _labels_to_indices(ds))
 
-    # Tokenized once; each epoch's eval is one batched pass over each set.
-    eval_sets = {"train": encoded(train_ds)}
+    examples = list(zip(*encoded(train_ds)))
+    eval_hook = None
     if args.test:
-        eval_sets["val"] = encoded(_load_canonical(args.test))
-    examples = list(zip(*eval_sets["train"]))
+        # Tokenized once; each epoch's eval is one batched pass over it.
+        val_ids, val_mask, val_labels = encoded(_load_canonical(args.test))
 
-    def eval_hook(batch_logits):
-        """Accuracy on each eval set, and the validation loss."""
-        metrics = {}
-        for name, (ids, mask, labels) in eval_sets.items():
-            logits = batch_logits(ids, mask)
-            hits = int(np.sum(logits.argmax(axis=1) == labels))
-            metrics[f"{name}_acc"] = hits / len(labels)
-            if name == "val":
-                metrics["val_loss"] = enc.mean_nll(logits, labels)
-        return metrics
+        def eval_hook(batch_logits):
+            """Accuracy and loss on the validation set."""
+            logits = batch_logits(val_ids, val_mask)
+            hits = int(np.sum(logits.argmax(axis=1) == val_labels))
+            return {"val_acc": hits / len(val_labels),
+                    "val_loss": enc.mean_nll(logits, val_labels)}
 
     trace = enc.train_loop(examples, params, config, train_config,
                            adapters=adapters, peft_mode=args.peft,
@@ -462,10 +459,8 @@ def cmd_train_encoder(args, cfg, out):
     inputs = {"train": Path(args.train)}
     if args.test:
         inputs["test"] = Path(args.test)
-    last = trace[-1] if trace else None
-    message = (f"encoder trained: final loss {last.loss:.4f}, "
-               f"train acc {last.train_acc:.3f}"
-               if last is not None and last.train_acc is not None else "encoder trained")
+    message = (f"encoder trained: final loss {trace[-1].loss:.4f}, "
+               f"train acc {trace[-1].train_acc:.3f}" if trace else "encoder trained")
     return ({**asdict(train_config), "peft": args.peft, "merged": args.merge,
              "d_model": config.d_model, "n_heads": config.n_heads,
              "d_ff": config.d_ff, "n_layers": config.n_layers},

@@ -36,7 +36,8 @@ rebuilds G (only where a W2 gradient needs it) and takes gelu's slope
 `encoder_backward` consumes the cache, dropping each layer's activations
 once that layer's gradients are done, and can add its gradients in place
 into the set of an earlier sub-batch.  With peft_mode it computes only
-what the adapters' gradients need (see its docstring).
+what the adapters' gradients need (see its docstring).  `_accumulate`
+runs both per sub-batch and writes each row's loss and hit (argmax = label).
 
 `loss_and_grad` and `batch_logits` cut a batch's sub-batches (sorted by
 length) into a first and a second part by token cost, rows x trimmed
@@ -547,10 +548,11 @@ def mean_nll(logits, labels) -> float:
 
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
-                  peft_mode: bool = False, weights=None, peer=None):
+                  peft_mode: bool = False, weights=None, peer=None, hits=None):
     """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
     `weights` holds each example's weight (default 1/len(batch): the mean).
+    `hits`, when given, receives whether each example's argmax is its label.
     With peft_mode=True only adapter gradients are returned; base tensors
     are untouched by construction.
 
@@ -572,35 +574,39 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     weights = (np.full(len(labels), 1.0 / len(labels)) if weights is None
                else np.asarray(weights, dtype=np.float64))
     nll = np.empty(len(labels))
+    hits = np.empty(len(labels), dtype=bool) if hits is None else hits
     first, second = _parts(_sub_batches(mask, config.d_model), mask)
     if peer is not None:
         if first:
             peer.send("grads", ids, mask, labels, weights, first)
         grads = _accumulate(ids, mask, labels, weights, second, params, config,
-                            adapters, peft_mode, GradStore(peer.grad_views), nll)
+                            adapters, peft_mode, GradStore(peer.grad_views), nll, hits)
         if first:
             theirs = np.concatenate(first)
-            nll[theirs] = peer.recv()[theirs]
+            their_nll, their_hits = peer.recv()
+            nll[theirs], hits[theirs] = their_nll[theirs], their_hits[theirs]
             peer.send("add")
             peer.recv()
         return float(weights @ nll), grads
     grads = _accumulate(ids, mask, labels, weights, second, params, config,
-                        adapters, peft_mode, {}, nll)
+                        adapters, peft_mode, {}, nll, hits)
     if first:
         part = _accumulate(ids, mask, labels, weights, first, params, config,
-                           adapters, peft_mode, {}, nll)
+                           adapters, peft_mode, {}, nll, hits)
         for name, g in part.items():
             _add(grads, name, g)
     return float(weights @ nll), grads
 
 
 def _accumulate(ids, mask, labels, weights, subs, params, config, adapters,
-                peft_mode, grads: dict, nll) -> dict:
+                peft_mode, grads: dict, nll, hits) -> dict:
     """Adds the gradients of each sub-batch of `subs` (row indices), in
-    order, into `grads`, and writes each row's loss into `nll`."""
+    order, into `grads`, and writes each row's loss into `nll` and whether
+    its logits' argmax is its label into `hits`."""
     for rows in subs:
         logits, cache = encoder_forward(ids[rows], mask[rows], params, config,
                                         adapters, return_cache=True)
+        hits[rows] = logits.argmax(axis=1) == labels[rows]
         probs = softmax_rows(logits)
         nll[rows] = _nll(probs, labels[rows])
         probs[np.arange(len(rows)), labels[rows]] -= 1.0

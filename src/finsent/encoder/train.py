@@ -87,10 +87,13 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     `loss_and_grad` call; the traced loss is the mean of microbatch means.
     The learning rate follows the warmup/decay schedule over the total
     number of optimizer steps.
+    Each epoch's final trace row records `train_acc`: the share of the
+    epoch's examples whose argmax was their label in the training pass, each
+    under the weights of its own step (the running accuracy of Keras's `fit`).
     `eval_hook(logits)`, when given, runs after each epoch, where
     `logits(ids, mask)` is `batch_logits` under the current weights.  It
     may return a dict with train_acc / val_loss / val_acc entries that are
-    recorded on the epoch's final trace row.
+    recorded on that row, a train_acc in place of the counted one.
     When `paired` forks a peer, each step's sub-batches and each eval pass
     are shared with it (`loss_and_grad`, `batch_logits`); then every
     gradient is checked here, before either process updates a tensor, and
@@ -121,13 +124,17 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
         for epoch in range(train_config.epochs):
             order = substream(train_config.seed, OP_ENCODER_TRAIN, epoch).permutation(n)
             micros = [order[s:s + b] for s in range(0, n, b)]
+            epoch_hits = 0
             for g0 in range(0, len(micros), train_config.grad_accum_steps):
                 group = micros[g0:g0 + train_config.grad_accum_steps]
                 # One call per group; weights keep the mean of microbatch means.
                 batch = [examples[i] for micro in group for i in micro]
                 weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
+                hits = np.empty(len(batch), dtype=bool)
                 loss, grads = loss_and_grad(params, batch, config, adapters,
-                                            peft_mode=peft_mode, weights=weights, peer=peer)
+                                            peft_mode=peft_mode, weights=weights, peer=peer,
+                                            hits=hits)
+                epoch_hits += int(hits.sum())
                 step += 1
                 if not math.isfinite(loss):
                     raise ValueError(f"non-finite training loss {loss} at optimizer "
@@ -144,9 +151,10 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                     peer.recv()
                 del grads  # not held while the next step's gradients are built
                 trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
-            if eval_hook is not None and trace:
+            last = trace[-1]
+            last.train_acc = epoch_hits / n
+            if eval_hook is not None:
                 metrics = eval_hook(logits) or {}
-                last = trace[-1]
                 last.train_acc = metrics.get("train_acc", last.train_acc)
                 last.val_loss = metrics.get("val_loss", last.val_loss)
                 last.val_acc = metrics.get("val_acc", last.val_acc)
@@ -181,9 +189,9 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     them.  A second mapping is the gradient store.  The tensors are split
     between the processes, largest first to the side with fewer elements.
     The peer serves four requests: the first part of a step's sub-batches
-    ("grads", then "add" into the store), the first part of an eval pass
-    ("logits"), and AdamW on its half ("adamw").  It is reaped when the
-    block ends, by success or error.
+    ("grads", which replies with their losses and hits, then "add" into the
+    store), the first part of an eval pass ("logits"), and AdamW on its half
+    ("adamw").  It is reaped when the block ends, by success or error.
     """
     longest = max(int(np.sum(mask)) for _, mask, _ in examples)
     if (train_config.per_device_batch * train_config.grad_accum_steps * longest
@@ -226,10 +234,10 @@ def _peer_handlers(tensors, params, adapters, config, peft_mode, grad_views, hal
     state, pending = OptimizerState(), {}
 
     def grads(ids, mask, labels, weights, subs):
-        nll = np.empty(len(labels))
+        nll, hits = np.empty(len(labels)), np.empty(len(labels), dtype=bool)
         pending["grads"] = _accumulate(ids, mask, labels, weights, subs, params, config,
-                                       adapters, peft_mode, {}, nll)
-        return nll
+                                       adapters, peft_mode, {}, nll, hits)
+        return nll, hits
 
     def add():
         """Every sub-batch's backward yields the same gradient names, so the

@@ -106,15 +106,6 @@ class DocTermMatrix:
 
     matrix: sp.csr_matrix
 
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(strictly increasing column indices, weights) of row i."""
-        start, end = self.matrix.indptr[i], self.matrix.indptr[i + 1]
-        return self.matrix.indices[start:end], self.matrix.data[start:end]
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

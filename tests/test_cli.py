@@ -341,38 +341,76 @@ class TestTrainPredictEvaluate:
         run_cli("split", "--config", cfg, "--out", out)
         # A small sub-batch budget makes the batched eval cut its sets.
         monkeypatch.setattr(enc.model, "SUB_BATCH_BUDGET", 64)
-        made, checked = [], []
+        made, checked, step_hits = [], [], []
         real_classifier, real_loop = enc.EncoderTextClassifier, enc.train_loop
+        real_step = enc.train.loss_and_grad
 
         def classifier(**kwargs):
             made.append(real_classifier(**kwargs))
             return made[-1]
 
+        def loss_and_grad(params, batch, *args, **kwargs):
+            # Each row under this step's weights, before the step updates them.
+            clf = made[0]  # trained in place: it holds the weights the step reads
+            step_hits.append(sum(
+                int(np.argmax(enc.encoder_forward(ids, mask, clf.params, clf.config,
+                                                  clf.adapters)) == label)
+                for ids, mask, label in batch))
+            return real_step(params, batch, *args, **kwargs)
+
         def loop(*args, eval_hook, **kwargs):
             def recount(logits):
                 metrics = eval_hook(logits)
-                clf = made[0]  # trained in place: it holds the weights `logits` reads
-                nll = []
-                for name, file in (("train", "train.csv"), ("val", "test.csv")):
-                    ds = load_corpus(out / file, format="csv_headered", encoding="utf8")
-                    hits = 0
-                    for rec in ds:
-                        logits = clf.logits(rec.text)
-                        hits += int(np.argmax(logits)) == rec.label.index
-                        if name == "val":
-                            z = logits - logits.max()
-                            nll.append(math.log(np.exp(z).sum()) - z[rec.label.index])
-                    assert metrics[f"{name}_acc"] == hits / len(ds)
+                clf = made[0]
+                ds = load_corpus(out / "test.csv", format="csv_headered", encoding="utf8")
+                hits, nll = 0, []
+                for rec in ds:
+                    logits = clf.logits(rec.text)
+                    hits += int(np.argmax(logits)) == rec.label.index
+                    z = logits - logits.max()
+                    nll.append(math.log(np.exp(z).sum()) - z[rec.label.index])
+                assert metrics["val_acc"] == hits / len(ds)
                 assert abs(metrics["val_loss"] - sum(nll) / len(nll)) <= 1e-12
+                assert "train_acc" not in metrics
                 checked.append(len(checked))
                 return metrics
             return real_loop(*args, eval_hook=recount, **kwargs)
 
         monkeypatch.setattr(enc, "EncoderTextClassifier", classifier)
         monkeypatch.setattr(enc, "train_loop", loop)
+        monkeypatch.setattr(enc.train, "loss_and_grad", loss_and_grad)
         assert run_cli("train-encoder", "--config", cfg, "--out", out, "--peft",
                        "--test", out / "test.csv") == EXIT_OK
         assert checked == [0, 1, 2]
+        n = len(load_corpus(out / "train.csv", format="csv_headered", encoding="utf8"))
+        with open(out / "encoder_trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == len(step_hits) and len(rows) % 3 == 0
+        per_epoch = len(rows) // 3
+        for epoch in range(3):
+            steps = range(epoch * per_epoch, (epoch + 1) * per_epoch)
+            assert [rows[i]["train_acc"] for i in steps[:-1]] == [""] * (per_epoch - 1)
+            assert rows[steps[-1]]["train_acc"] == repr(
+                sum(step_hits[i] for i in steps) / n)
+
+    def test_train_encoder_without_test_runs_no_eval_pass(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = tiny_config(tmp_path, encoder={"train": {"epochs": 2}})
+        run_cli("ingest", "--out", out)
+        run_cli("split", "--config", cfg, "--out", out)
+
+        def batch_logits(*args, **kwargs):
+            raise AssertionError("a forward pass outside loss_and_grad")
+
+        monkeypatch.setattr(enc.train, "batch_logits", batch_logits)
+        assert run_cli("train-encoder", "--config", cfg, "--out", out) == EXIT_OK
+        with open(out / "encoder_trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        last = {int(row["epoch"]): i for i, row in enumerate(rows)}
+        assert sorted(last) == [0, 1]
+        for i, row in enumerate(rows):
+            assert (row["train_acc"] != "") == (i in last.values())
+            assert row["val_loss"] == row["val_acc"] == ""
 
     def test_non_finite_encoder_loss_names_the_step(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -274,6 +274,30 @@ class TestTrainLoop:
             (None, None, None), (0.0, 0.5, None), (None, None, None), (0.1, 0.5, None),
             (None, None, None), (0.2, 0.5, None)]
 
+    def test_train_acc_recounts_each_epochs_steps_without_a_hook(self, monkeypatch):
+        real, step_hits = train_mod.loss_and_grad, []
+
+        def loss_and_grad(params, batch, config, adapters=None, **kwargs):
+            # Each row under this step's weights, before the step updates them.
+            step_hits.append(sum(
+                int(np.argmax(model.encoder_forward(ids, mask, params, config,
+                                                    adapters)) == label)
+                for ids, mask, label in batch))
+            return real(params, batch, config, adapters, **kwargs)
+
+        monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
+        cfg = TrainConfig(epochs=3, per_device_batch=2, grad_accum_steps=2, base_lr=0.05,
+                          seed=2)
+        trace = train_loop(make_examples(9, seed=3), init_params(TINY, seed=4), TINY, cfg)
+        per_epoch = 3  # ceil(ceil(9 / 2) / 2) steps
+        assert len(trace) == len(step_hits) == 3 * per_epoch
+        for epoch in range(3):
+            steps = slice(epoch * per_epoch, (epoch + 1) * per_epoch)
+            rows = trace[steps]
+            assert [r.train_acc for r in rows[:-1]] == [None] * (per_epoch - 1)
+            assert rows[-1].train_acc == sum(step_hits[steps]) / 9
+        assert all(r.val_loss is None and r.val_acc is None for r in trace)
+
     def test_empty_training_set(self):
         params = init_params(TINY, seed=15)
         with pytest.raises(ValueError):

@@ -155,9 +155,9 @@ class TestTfidf:
         ds = corpus_of("d c b a", "b d")
         vocab = build_vocabulary(ds, min_df=1)
         mat = tfidf(ds, vocab)
-        for i in range(mat.n_rows):
-            idx, _ = mat.row(i)
-            assert np.all(np.diff(idx) > 0)
+        indptr, indices = mat.matrix.indptr, mat.matrix.indices
+        for i in range(mat.matrix.shape[0]):
+            assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
 
     def test_matches_dense_oracle_on_random_corpora(self):
         rng = np.random.default_rng(7)
@@ -203,7 +203,8 @@ class TestTfidfProperties:
         assert got.matrix.shape == (len(texts), len(vocab))
         np.testing.assert_allclose(got.to_dense(), want, rtol=0, atol=1e-12)
         for i, tokens in enumerate(docs):
-            idx, weights = got.row(i)
+            start, end = got.matrix.indptr[i], got.matrix.indptr[i + 1]
+            idx, weights = got.matrix.indices[start:end], got.matrix.data[start:end]
             assert np.all(np.diff(idx) > 0) and np.all(weights > 0)
             if any(t in vocab for t in tokens):
                 assert abs(np.linalg.norm(weights) - 1.0) <= 1e-12

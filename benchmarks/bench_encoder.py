@@ -5,7 +5,11 @@ seeded inputs at two configs: the CLI default (d_model 32, 2 layers,
 max_seq_len 24, with adapters, as paper_pipeline trains it) and
 encoder_long's (d_model 128, 4 layers, max_seq_len 64, full fine-tune).
 Only calls that exist at older commits too are used, so the same file
-times a parent checkout for a before/after comparison.
+times a parent checkout for a before/after comparison; the one exception
+is `test_adamw_step`, which times one optimizer step as `train_loop` takes
+it inline (`train.Trainable`: the gradient check and one `adamw_step` call
+over the flat vector of every trainable element) and skips itself where
+that store does not exist.
 
 `test_loss_and_grad_peak` records, in each benchmark's `extra_info`, the
 tracemalloc peak of one `loss_and_grad` group of 8: the memory numpy
@@ -22,11 +26,14 @@ import numpy as np
 import pytest
 
 from finsent.encoder import (
+    AdamWConfig,
     EncoderConfig,
+    OptimizerState,
     batch_loss,
     init_adapters,
     init_params,
     loss_and_grad,
+    train,
 )
 
 # name: (config, real lengths drawn from [lo, hi], adapter targets or None)
@@ -99,3 +106,22 @@ def test_loss_and_grad_peak(benchmark, name):
 def test_forward_peak(benchmark, name):
     config, params, adapters, examples = _setup(name, EVAL_SET)
     _record_peak(benchmark, lambda: batch_loss(params, examples, config, adapters))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_adamw_step(benchmark, name):
+    """The adapters' step at cli_default, every parameter's at encoder_long."""
+    if not hasattr(train, "Trainable"):
+        pytest.skip("no flat trainable store at this commit")
+    config, params, adapters, _ = _setup(name, 1)
+    flat = train.Trainable(params, adapters or {}, adapters is not None)
+    flat.g[:] = np.random.default_rng(3).normal(scale=1e-3, size=flat.g.size)
+    state = OptimizerState(hyper=AdamWConfig(lr=2e-4))
+
+    def step():
+        flat.check(flat.grads)
+        flat.step(0, flat.g.size, state, 2e-4)
+
+    benchmark(step)
+    benchmark.extra_info["trainable_elements"] = int(flat.w.size)
+    assert state.step > 0 and np.isfinite(flat.w).all()

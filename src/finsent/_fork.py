@@ -18,7 +18,6 @@ import mmap
 import os
 import pickle
 from contextlib import contextmanager
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +112,12 @@ def _serve(handlers: dict, requests, replies) -> None:
         replies.flush()
 
 
-def shared(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Zeroed float64 arrays of `shapes`, views of one anonymous shared
-    mapping: a process forked after this call writes to the same memory."""
-    sizes = [prod(shape) for shape in shapes.values()]
-    buf = mmap.mmap(-1, max(1, 8 * sum(sizes)))
-    out, offset = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        out[name] = np.frombuffer(buf, np.float64, size, 8 * offset).reshape(shape)
-        offset += size
-    return out
+def shared(size: int) -> np.ndarray:
+    """A zeroed float64 vector of `size` elements over one anonymous shared
+    mapping: a process forked after this call writes to the same memory.
+    `train_loop` keeps its trainable weights and their gradients in two
+    (`finsent.encoder.train.Trainable`)."""
+    return np.frombuffer(mmap.mmap(-1, max(1, 8 * size)), np.float64, size)
 
 
 def _openblas_threads():

@@ -43,10 +43,13 @@ runs both per sub-batch and writes each row's loss and hit (argmax = label).
 length) into a first and a second part by token cost, rows x trimmed
 length (`_parts`); a batch of one sub-batch is all second part.  Each
 part's gradients accumulate in order, then the first part's sum is added
-into the second's.  Inline, one process runs both parts; with a peer
-(`train.paired`), a forked process runs the first part of every training
-step and eval pass, and adds its sum into a shared gradient store that the
-second part was written into.  Both ways give the same bits.
+into the second's.  `train.train_loop` hands `loss_and_grad` its gradient
+store, one flat vector with a view per trainable tensor (`GradStore`):
+the second part is written into it, and the first part's sum, built in a
+private vector of the same layout, is added in one vector add.  Inline,
+one process runs both parts; with a peer (`train.paired`), a forked
+process runs the first part of every training step and eval pass, and
+makes that add into the shared store.  Both ways give the same bits.
 
 The kernels `encoder_forward` runs are `multi_head_attention` with
 `attention` (scores scaled and masked in place, then `softmax_rows`,
@@ -548,7 +551,8 @@ def mean_nll(logits, labels) -> float:
 
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
-                  peft_mode: bool = False, weights=None, peer=None, hits=None):
+                  peft_mode: bool = False, weights=None, peer=None, hits=None,
+                  out: GradStore | None = None):
     """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
     `weights` holds each example's weight (default 1/len(batch): the mean).
@@ -559,14 +563,15 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     The sub-batches are cut into two parts (`_parts`).  Each part's
     gradients are added in place, sub-batch by sub-batch, into one set of
     arrays; then the first part's set is added into the second's, which is
-    returned.  Inline, one process computes both.  With a `peer`
-    (`train.paired`, forked with these params and adapters), the peer
-    computes the first part while this process writes the second straight
-    into the shared gradient store, and then the peer adds its set into
-    that store: the same sums in the same order, so the same bits.  The
-    arrays returned are then the store's views, which the next call
-    overwrites.  A batch of one sub-batch is all second part, computed here
-    as it always was.
+    returned.  Without `out`, both sets are dicts of new arrays.  With
+    `out`, an empty `GradStore`, the second part is written into its views
+    and the first part's set, built in a private vector of the same layout,
+    is added in one vector add; `out` is returned.  With a `peer` as well
+    (`train.paired`, forked with these params and adapters and with the
+    vector of `out`), the peer computes the first part while this process
+    writes the second, and then the peer makes that add.  Each way, the
+    same sums in the same order give the same bits.  A batch of one
+    sub-batch is all second part.
     """
     ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
@@ -576,25 +581,25 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     nll = np.empty(len(labels))
     hits = np.empty(len(labels), dtype=bool) if hits is None else hits
     first, second = _parts(_sub_batches(mask, config.d_model), mask)
+    peer = peer if out is not None and first else None
     if peer is not None:
-        if first:
-            peer.send("grads", ids, mask, labels, weights, first)
-        grads = _accumulate(ids, mask, labels, weights, second, params, config,
-                            adapters, peft_mode, GradStore(peer.grad_views), nll, hits)
-        if first:
-            theirs = np.concatenate(first)
-            their_nll, their_hits = peer.recv()
-            nll[theirs], hits[theirs] = their_nll[theirs], their_hits[theirs]
-            peer.send("add")
-            peer.recv()
-        return float(weights @ nll), grads
+        peer.send("grads", ids, mask, labels, weights, first)
     grads = _accumulate(ids, mask, labels, weights, second, params, config,
-                        adapters, peft_mode, {}, nll, hits)
-    if first:
-        part = _accumulate(ids, mask, labels, weights, first, params, config,
-                           adapters, peft_mode, {}, nll, hits)
-        for name, g in part.items():
-            _add(grads, name, g)
+                        adapters, peft_mode, {} if out is None else out, nll, hits)
+    if peer is not None:
+        theirs = np.concatenate(first)
+        their_nll, their_hits = peer.recv()
+        nll[theirs], hits[theirs] = their_nll[theirs], their_hits[theirs]
+        peer.send("add")
+        peer.recv()
+    elif first:
+        part = _accumulate(ids, mask, labels, weights, first, params, config, adapters,
+                           peft_mode, {} if out is None else out.scratch(), nll, hits)
+        if out is None:
+            for name, g in part.items():
+                _add(grads, name, g)
+        else:
+            out.vec += part.vec
     return float(weights @ nll), grads
 
 
@@ -615,21 +620,43 @@ def _accumulate(ids, mask, labels, weights, subs, params, config, adapters,
     return grads
 
 
-class GradStore(dict):
-    """A gradient dict whose tensors live in the preallocated `views` (the
-    shared gradient store of `train.paired`).  It keeps `_add`'s semantics:
-    a name's first value is copied into its view, not added to zeros (so a
-    -0.0 stays -0.0), and later values are added into the view in place."""
+def flat_views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of the 1-D vector `vec`, one per name of `shapes`, laid end to
+    end in that order and each reshaped to its shape."""
+    out, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = vec[offset:offset + size].reshape(shape)
+        offset += size
+    return out
 
-    def __init__(self, views: dict[str, np.ndarray]):
+
+class GradStore(dict):
+    """A gradient dict whose tensors live in `views`: the `flat_views` of one
+    float64 vector, `vec`, such as `train.train_loop`'s gradient store, which
+    a `train.paired` peer shares.  It keeps `_add`'s semantics: a name's
+    first value is copied into its view, not added to zeros (so a -0.0 stays
+    -0.0), and later values are added into the view in place.  A name
+    without a view fails, naming it.  Each step's gradients take a new,
+    empty store over the same vector."""
+
+    def __init__(self, vec: np.ndarray, views: dict[str, np.ndarray]):
         super().__init__()
-        self._views = views
+        self.vec, self.views = vec, views
 
     def __setitem__(self, name: str, g) -> None:
-        view = self._views[name]
+        view = self.views.get(name)
+        if view is None:
+            raise KeyError(f"gradient for unknown tensor {name!r}")
         if g is not view:
             np.copyto(view, g)
         super().__setitem__(name, view)
+
+    def scratch(self) -> GradStore:
+        """An empty store of the same layout over a new, private vector."""
+        vec = np.zeros_like(self.vec)
+        return GradStore(vec, flat_views(vec, {name: view.shape
+                                               for name, view in self.views.items()}))
 
 
 def batch_loss(params: EncoderParams, batch, config: EncoderConfig,

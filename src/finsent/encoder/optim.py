@@ -52,8 +52,9 @@ def adamw_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - h.beta2 ** t
     for name, g in grads.items():
         p = tensors[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:  # the moments are made once, at a tensor's first step
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         # Two buffers hold every temporary of
         # update = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p];  p -= lr*update.
         a, b = np.empty_like(p), np.empty_like(p)

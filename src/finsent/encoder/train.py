@@ -1,6 +1,6 @@
 """Microbatched training loop with gradient accumulation and loss tracing,
-inline or, for steps wider than one sub-batch, paired with a forked peer
-(`paired`)."""
+over one flat vector of the trainable tensors (`Trainable`), inline or, for
+steps wider than one sub-batch, paired with a forked peer (`paired`)."""
 from __future__ import annotations
 
 import csv
@@ -94,11 +94,15 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     `logits(ids, mask)` is `batch_logits` under the current weights.  It
     may return a dict with train_acc / val_loss / val_acc entries that are
     recorded on that row, a train_acc in place of the counted one.
-    When `paired` forks a peer, each step's sub-batches and each eval pass
-    are shared with it (`loss_and_grad`, `batch_logits`); then every
-    gradient is checked here, before either process updates a tensor, and
-    each runs AdamW on its own half of the tensors, with its own moments.
-    The trace and the weights are the same bits either way.
+    The trainable tensors train as one flat vector (`Trainable`, which
+    `paired` builds): each step's gradients accumulate into a vector of the
+    same layout, are checked in one pass (`Trainable.check`), and take one
+    `adamw_step` call over the vector's entries, with flat moments.  When
+    `paired` forks a peer, each step's sub-batches and each eval pass are
+    shared with it (`loss_and_grad`, `batch_logits`), and after the check
+    the two processes update the two halves of the vector, split at its
+    middle element, each with its own moments.  The trace and the weights
+    are the same bits either way, and the same as per-tensor AdamW's.
     """
     examples = list(examples)
     if not examples:
@@ -112,8 +116,8 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     steps_per_epoch = math.ceil(micro_per_epoch / train_config.grad_accum_steps)
     total_steps = train_config.epochs * steps_per_epoch
 
-    with paired(examples, params, config, train_config, adapters, peft_mode) as peer:
-        tensors = {**params, **adapters_to_dict(adapters or {})}
+    with paired(examples, params, config, train_config, adapters, peft_mode) as flat:
+        peer = flat.peer
         state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
         def logits(ids, mask):
@@ -133,7 +137,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                 hits = np.empty(len(batch), dtype=bool)
                 loss, grads = loss_and_grad(params, batch, config, adapters,
                                             peft_mode=peft_mode, weights=weights, peer=peer,
-                                            hits=hits)
+                                            hits=hits, out=model.GradStore(flat.g, flat.grads))
                 epoch_hits += int(hits.sum())
                 step += 1
                 if not math.isfinite(loss):
@@ -141,15 +145,13 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                                      f"step {step} (epoch {epoch})")
                 lr = lr_at(step, total_steps, train_config.base_lr,
                            train_config.warmup_ratio)
+                flat.check(grads)
                 if peer is None:
-                    adamw_step(tensors, grads, state, lr=lr)
+                    flat.step(0, flat.g.size, state, lr)
                 else:
-                    check_grads(tensors, grads)
-                    peer.send("adamw", state.hyper, lr, list(grads))
-                    adamw_step(tensors, {name: g for name, g in grads.items()
-                                         if name in peer.parent_half}, state, lr=lr)
+                    peer.send("adamw", state.hyper, lr)
+                    flat.step(0, flat.mid, state, lr)
                     peer.recv()
-                del grads  # not held while the next step's gradients are built
                 trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
             last = trace[-1]
             last.train_acc = epoch_hits / n
@@ -161,94 +163,123 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
         return trace
 
 
-class Pair(_fork.Peer):
-    """The parent's side of `paired`: the peer, with the views of the shared
-    gradient store and the names whose AdamW update runs in the parent."""
+#: Most elements in one entry of a flat AdamW step: its two scratch buffers
+#: take at most 256 KB each, however many elements train.
+ADAMW_CHUNK = 1 << 15
 
-    def __init__(self, handlers: dict, grad_views: dict[str, np.ndarray],
-                 parent_half: frozenset[str]):
-        super().__init__(handlers)
-        self.grad_views, self.parent_half = grad_views, parent_half
+
+def _entries(vec: np.ndarray, lo: int, hi: int, decay: int) -> dict[int, np.ndarray]:
+    """Elements [lo, hi) of a flat vector whose first `decay` elements are
+    matrices', as `adamw_step` entries keyed by offset: runs of at most
+    ADAMW_CHUNK elements, the matrices' as one-row 2-D views, so that weight
+    decay covers them and only them."""
+    cuts = sorted({lo, hi, min(max(decay, lo), hi), *range(lo, hi, ADAMW_CHUNK)})
+    return {a: vec[a:b][None] if b <= decay else vec[a:b]
+            for a, b in zip(cuts, cuts[1:])}
+
+
+class Trainable:
+    """The tensors `train_loop` trains, moved into one float64 vector `w`:
+    every parameter, or under peft_mode the adapters' A and B only.  Matrices
+    come first, so `w[:decay]` is the part weight decay covers.  The entries
+    of `params` and the adapters' attributes become views of `w`, which
+    `tensors` names; the frozen tensors stay where they are.  `g` is a
+    gradient vector of the same layout, with views `grads`.  Both vectors
+    are shared mappings (`_fork.shared`), so a peer forked afterwards reads
+    and updates the same weights and gradients; `peer` is that peer, or
+    None, and `mid` the first of its elements."""
+
+    def __init__(self, params: EncoderParams, adapters: dict[str, LoraAdapter],
+                 peft_mode: bool):
+        trainable = {**({} if peft_mode else params), **adapters_to_dict(adapters)}
+        shapes = {name: trainable[name].shape
+                  for name in sorted(trainable, key=lambda k: trainable[k].ndim < 2)}
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.w, self.g = _fork.shared(size), _fork.shared(size)
+        self.tensors = model.flat_views(self.w, shapes)
+        self.grads = model.flat_views(self.g, shapes)
+        for name, view in self.tensors.items():
+            np.copyto(view, trainable[name])
+        params.update({name: self.tensors[name] for name in params if name in shapes})
+        for target, ad in adapters.items():
+            ad.A, ad.B = (self.tensors[f"adapters.{target}.A"],
+                          self.tensors[f"adapters.{target}.B"])
+        self.decay = sum(t.size for t in self.tensors.values() if t.ndim >= 2)
+        self.mid, self.peer = size // 2, None
+
+    def check(self, grads: dict[str, np.ndarray]) -> None:
+        """Raises unless `grads` names every trainable tensor and no other,
+        and `g` holds only finite values: one `isfinite` pass over `g`, and
+        only on failure `check_grads` in the gradients' order, to name the
+        tensor."""
+        if grads.keys() == self.grads.keys() and np.isfinite(self.g).all():
+            return
+        missing = [name for name in self.grads if name not in grads]
+        if missing:
+            raise ValueError(f"no gradient for {missing[0]!r}; step aborted")
+        check_grads(self.tensors, grads)
+
+    def step(self, lo: int, hi: int, state: OptimizerState, lr: float) -> None:
+        """One `adamw_step` call over elements [lo, hi) of `w` and `g`."""
+        adamw_step(_entries(self.w, lo, hi, self.decay),
+                   _entries(self.g, lo, hi, self.decay), state, lr=lr)
 
 
 @contextmanager
 def paired(examples, params: EncoderParams, config: EncoderConfig,
            train_config: TrainConfig, adapters: dict[str, LoraAdapter] | None,
            peft_mode: bool):
-    """Yields a `Pair` for `train_loop`, or None (run inline).  It forks a
-    peer only for steps that span two sub-batches, where per_device_batch x
+    """Moves the trainable tensors into a `Trainable` and yields it for
+    `train_loop`, with a forked peer as its `peer` or none (run inline).  It
+    forks only for steps that span two sub-batches, where per_device_batch x
     grad_accum_steps x the longest example x d_model exceeds
     `model.SUB_BATCH_BUDGET`, with 2 usable CPUs (`_fork.usable_cpus`), and
     where `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
 
-    Before the fork, the trainable tensors (every parameter, or under
-    peft_mode the adapters' A and B only) move into one shared anonymous
-    mapping: the entries of `params` and the adapters' attributes become
-    views of it, so both processes read and update the same weights.  The
-    frozen tensors stay private; the fork's copy-on-write snapshot holds
-    them.  A second mapping is the gradient store.  The tensors are split
-    between the processes, largest first to the side with fewer elements.
-    The peer serves four requests: the first part of a step's sub-batches
-    ("grads", which replies with their losses and hits, then "add" into the
-    store), the first part of an eval pass ("logits"), and AdamW on its half
+    The frozen tensors stay private; the fork's copy-on-write snapshot holds
+    them.  The peer serves four requests: the first part of a step's
+    sub-batches ("grads", which replies with their losses and hits, then
+    "add", one vector add into the gradient store), the first part of an
+    eval pass ("logits"), and AdamW on the elements from `mid` on
     ("adamw").  It is reaped when the block ends, by success or error.
     """
+    adapters = adapters or {}
+    flat = Trainable(params, adapters, peft_mode)
     longest = max(int(np.sum(mask)) for _, mask, _ in examples)
     if (train_config.per_device_batch * train_config.grad_accum_steps * longest
             * config.d_model <= model.SUB_BATCH_BUDGET or _fork.usable_cpus() < 2):
-        yield None
+        yield flat
         return
     with _fork.one_blas_thread() as pinned:
         if not pinned:
-            yield None
+            yield flat
             return
-        adapters = adapters or {}
-        trainable = {**({} if peft_mode else params), **adapters_to_dict(adapters)}
-        shapes = {name: t.shape for name, t in trainable.items()}
-        store = _fork.shared(shapes)
-        for name, view in store.items():
-            np.copyto(view, trainable[name])
-        del trainable  # the private copies are not held for the stage
-        params.update({name: store[name] for name in params if name in store})
-        for target, ad in adapters.items():
-            ad.A, ad.B = store[f"adapters.{target}.A"], store[f"adapters.{target}.B"]
-        halves, sizes = ([], []), [0, 0]
-        for name in sorted(store, key=lambda k: -store[k].size):
-            side = int(sizes[1] <= sizes[0])  # 1: the peer's half
-            halves[side].append(name)
-            sizes[side] += store[name].size
-        grad_views = _fork.shared(shapes)
-        pair = Pair(_peer_handlers(store, params, adapters, config, peft_mode,
-                                   grad_views, frozenset(halves[1])),
-                    grad_views, frozenset(halves[0]))
+        flat.peer = _fork.Peer(_peer_handlers(flat, params, adapters, config, peft_mode))
         try:
-            yield pair
+            yield flat
         finally:
-            pair.close()
+            flat.peer.close()
 
 
-def _peer_handlers(tensors, params, adapters, config, peft_mode, grad_views, half):
-    """The requests a `paired` peer serves.  `tensors` and `grad_views` are
-    the shared stores; AdamW updates the tensors of `half` here, with the
-    peer's own moments."""
-    state, pending = OptimizerState(), {}
+def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode):
+    """The requests a `paired` peer serves.  `flat` holds the shared weight
+    and gradient vectors; the peer builds each first part's gradients in a
+    private vector of their layout, adds it into `flat.g` in one vector add,
+    and updates the elements from `flat.mid` on with its own moments."""
+    state, pending, store = OptimizerState(), {}, model.GradStore(flat.g, flat.grads)
 
     def grads(ids, mask, labels, weights, subs):
         nll, hits = np.empty(len(labels)), np.empty(len(labels), dtype=bool)
         pending["grads"] = _accumulate(ids, mask, labels, weights, subs, params, config,
-                                       adapters, peft_mode, {}, nll, hits)
+                                       adapters, peft_mode, store.scratch(), nll, hits)
         return nll, hits
 
     def add():
-        """Every sub-batch's backward yields the same gradient names, so the
-        parent's part has already written each one into the store."""
-        for name, g in pending.pop("grads").items():
-            grad_views[name] += g
+        flat.g += pending.pop("grads").vec
 
-    def adamw(hyper, lr, names):
+    def adamw(hyper, lr):
         state.hyper = hyper
-        adamw_step(tensors, {name: grad_views[name] for name in names if name in half},
-                   state, lr=lr)
+        flat.step(flat.mid, flat.g.size, state, lr)
 
     def logits(ids, mask, subs):
         return _forward(ids, mask, subs, params, config, adapters,

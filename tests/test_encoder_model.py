@@ -581,14 +581,20 @@ class TestParts:
         assert [list(rows) for rows in second] == [[5]]
 
     def test_grad_store_copies_a_first_value_and_adds_later_ones(self):
-        views = {"g": np.full(3, 7.0)}
-        store = model.GradStore(views)
+        vec = np.full(5, 7.0)
+        views = model.flat_views(vec, {"g": (3,), "h": (1, 2)})
+        store = model.GradStore(vec, views)
         assert "g" not in store
         model._add(store, "g", np.array([-0.0, 1.0, 2.0]))
         assert store["g"] is views["g"]
         assert np.signbit(views["g"][0]) and list(views["g"]) == [0.0, 1.0, 2.0]
         model._add(store, "g", np.array([0.5, 0.5, 0.5]))
-        assert list(views["g"]) == [0.5, 1.5, 2.5]
+        assert list(vec) == [0.5, 1.5, 2.5, 7.0, 7.0]
+        with pytest.raises(KeyError, match="gradient for unknown tensor 'x'"):
+            store["x"] = np.zeros(1)
+        scratch = store.scratch()
+        assert not scratch and not np.shares_memory(scratch.vec, vec)
+        assert [(k, v.shape) for k, v in scratch.views.items()] == [("g", (3,)), ("h", (1, 2))]
 
 
 class TestLora:

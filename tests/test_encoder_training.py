@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsent import _fork
 from finsent.encoder import model
@@ -161,6 +164,52 @@ class TestAdamW:
             adamw_step({"w": np.zeros(2)}, {"x": np.zeros(2)}, state)
         with pytest.raises(ValueError, match="shape"):
             adamw_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
+
+
+class TestFlatStep:
+    """`train_loop`'s AdamW: one `adamw_step` call over entries of the flat
+    vector (`train.Trainable.step`), in two ranges as parent and peer run it."""
+
+    VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-10.0, 10.0, allow_nan=False, width=64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_tensor_adamw_bit_for_bit(self, data):
+        shapes = data.draw(st.lists(st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                                              st.tuples(st.integers(1, 6))),
+                                    min_size=1, max_size=5))
+
+        def tensor(shape):
+            size = math.prod(shape)
+            return np.array(data.draw(st.lists(self.VALUES, min_size=size, max_size=size)),
+                            dtype=np.float64).reshape(shape)
+
+        params = {f"t{i}": tensor(shape) for i, shape in enumerate(shapes)}
+        want = {name: t.copy() for name, t in params.items()}
+        flat = train_mod.Trainable(params, {}, False)
+        size = flat.w.size
+        split = data.draw(st.integers(0, size), label="split")
+        chunk = data.draw(st.integers(1, size + 1), label="chunk")
+        hyper = AdamWConfig(lr=0.5, weight_decay=data.draw(st.sampled_from([0.0, 0.05])))
+        ref, parent, peer = (OptimizerState(hyper=hyper) for _ in range(3))
+        with mock.patch.object(train_mod, "ADAMW_CHUNK", chunk):
+            for t in range(1, 4):
+                grads = {name: tensor(x.shape) for name, x in want.items()}
+                lr = hyper.lr * (1.0 - 0.1 * t)
+                adamw_step(want, grads, ref, lr=lr)
+                for name, g in grads.items():
+                    flat.grads[name][...] = g
+                flat.step(0, split, parent, lr)
+                flat.step(split, size, peer, lr)
+        for name, t in want.items():
+            assert params[name] is flat.tensors[name]
+            assert params[name].tobytes() == t.tobytes(), name
+        for moment in ("m", "v"):
+            got = [getattr(state, moment)[offset].ravel() for state in (parent, peer)
+                   for offset in sorted(getattr(state, moment))]
+            assert (np.concatenate(got).tobytes() == np.concatenate(
+                [getattr(ref, moment)[name].ravel() for name in flat.tensors]).tobytes())
 
 
 class TestGradientAccumulation:
@@ -381,13 +430,34 @@ class TestPaired:
     def test_only_trainable_tensors_move_to_the_shared_store(self, paired_inputs, peft):
         params, ads = self.model_state(peft)
         before = {**params, **adapters_to_dict(ads or {})}
-        with train_mod.paired(paired_inputs, params, TINY, self.CFG, ads, peft) as peer:
+        with train_mod.paired(paired_inputs, params, TINY, self.CFG, ads, peft) as flat:
+            assert flat.peer is not None
             after = {**params, **adapters_to_dict(ads or {})}
             moved = {name for name in before if after[name] is not before[name]}
             assert moved == set(before) - (set(params) if peft else set())
-            assert peer.parent_half < moved and len(peer.parent_half) >= len(moved) // 3
+            assert set(flat.tensors) == set(flat.grads) == moved
+            # One contiguous vector each for weights and gradients, matrices
+            # first, split between the processes at its middle element.
+            sizes = [t.size for t in flat.tensors.values()]
+            starts = [8 * int(s) for s in np.cumsum([0] + sizes[:-1])]
+            for vec, views in ((flat.w, flat.tensors), (flat.g, flat.grads)):
+                assert vec.size == sum(sizes)
+                assert [v.ctypes.data - vec.ctypes.data for v in views.values()] == starts
+            matrices = [t.ndim >= 2 for t in flat.tensors.values()]
+            assert matrices == sorted(matrices, reverse=True)
+            assert flat.decay == sum(s for s, m in zip(sizes, matrices) if m)
+            assert flat.mid == flat.w.size // 2 > 0
             for name in before:
+                assert after[name] is flat.tensors.get(name, before[name])
                 assert np.array_equal(after[name], before[name]), name
+
+    def test_inline_the_tensors_move_too(self, paired_inputs, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        params, _ = self.model_state(False)
+        with train_mod.paired(paired_inputs, params, TINY, self.CFG, None, False) as flat:
+            assert flat.peer is None
+            assert all(params[name] is t for name, t in flat.tensors.items())
+            assert set(flat.tensors) == set(params)
 
     def test_the_parent_runs_only_the_second_part(self, paired_inputs, monkeypatch):
         params, _ = self.model_state(False)
@@ -401,11 +471,12 @@ class TestPaired:
             return real(ids_, *args, **kwargs)
 
         monkeypatch.setattr(model, "encoder_forward", forward)
-        with train_mod.paired(paired_inputs, params, TINY, self.CFG, None, False) as peer:
-            batch_logits(ids, mask, params, TINY, peer=peer)
+        with train_mod.paired(paired_inputs, params, TINY, self.CFG, None, False) as flat:
+            batch_logits(ids, mask, params, TINY, peer=flat.peer)
             assert rows == [len(sub) for sub in second]
             rows.clear()
-            loss_and_grad(params, paired_inputs, TINY, peer=peer)
+            loss_and_grad(params, paired_inputs, TINY, peer=flat.peer,
+                          out=model.GradStore(flat.g, flat.grads))
             assert rows == [len(sub) for sub in second]
 
     def test_a_non_finite_gradient_aborts_both_halves_untouched(self, paired_inputs,
@@ -413,13 +484,12 @@ class TestPaired:
         params, _ = self.model_state(False)
         real, seen = train_mod.loss_and_grad, []
 
-        def loss_and_grad(*args, peer=None, **kwargs):
-            loss, grads = real(*args, peer=peer, **kwargs)
+        def loss_and_grad(*args, out=None, **kwargs):
+            loss, grads = real(*args, out=out, **kwargs)
             seen.append({name: t.copy() for name, t in params.items()})
             if len(seen) == 2:
-                theirs = next(name for name in grads if name not in peer.parent_half)
-                grads[theirs][...] = np.nan  # a view of the store the peer reads
-                seen.append(theirs)
+                out.vec[-1] = np.nan  # the peer's half of the shared store
+                seen.append(list(out.views)[-1])
             return loss, grads
 
         monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
@@ -429,6 +499,64 @@ class TestPaired:
         for name, t in seen[1].items():
             assert np.array_equal(params[name], t), name
         assert any(not np.array_equal(seen[0][name], t) for name, t in seen[1].items())
+
+    @staticmethod
+    def owner(views, element):
+        """The name whose view holds `element` of the flat vector."""
+        for name, view in views.items():
+            if element < view.size:
+                return name
+            element -= view.size
+        raise IndexError(element)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "paired"])
+    def test_a_non_finite_gradient_is_named_and_no_weight_moves(self, paired_inputs,
+                                                                monkeypatch, cpus, where):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        params, ads = self.model_state(True)
+        real, seen = train_mod.loss_and_grad, {}
+
+        def loss_and_grad(*args, out=None, peer=None, **kwargs):
+            loss, grads = real(*args, out=out, peer=peer, **kwargs)
+            seen["forked"] = peer is not None
+            seen["before"] = {name: t.copy() for name, t in adapters_to_dict(ads).items()}
+            element = {"first": 0, "middle": out.vec.size // 2, "last": -1}[where]
+            out.vec[element] = np.inf
+            seen["name"] = self.owner(out.views, element % out.vec.size)
+            return loss, grads
+
+        monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
+        with pytest.raises(ValueError) as info:
+            train_loop(paired_inputs, params, TINY, self.CFG, adapters=ads, peft_mode=True)
+        assert seen["forked"] == (cpus == 2)
+        assert str(info.value) == f"non-finite gradient for {seen['name']!r}; step aborted"
+        for name, t in adapters_to_dict(ads).items():
+            assert np.array_equal(t, seen["before"][name]), name
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "paired"])
+    def test_a_missing_or_extra_gradient_fails_naming_it(self, paired_inputs, monkeypatch,
+                                                         cpus):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        real = train_mod.loss_and_grad
+        for change, error, message in [
+                (lambda g: {k: v for k, v in g.items() if k != "layers.0.b1"}, ValueError,
+                 "no gradient for 'layers.0.b1'; step aborted"),
+                (lambda g: {**g, "layers.0.W9": np.zeros(2)}, KeyError,
+                 "gradient for unknown tensor 'layers.0.W9'")]:
+            params, _ = self.model_state(False)
+            before = {name: t.copy() for name, t in params.items()}
+
+            def loss_and_grad(*args, change=change, **kwargs):
+                loss, grads = real(*args, **kwargs)
+                return loss, change(grads)
+
+            monkeypatch.setattr(train_mod, "loss_and_grad", loss_and_grad)
+            with pytest.raises(error) as info:
+                train_loop(paired_inputs, params, TINY, self.CFG)
+            assert info.value.args == (message,)
+            for name, t in before.items():
+                assert np.array_equal(params[name], t), name
 
 
 class TestTraceCsv:

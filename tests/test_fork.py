@@ -72,14 +72,13 @@ class TestPeer:
 
 class TestShared:
     def test_views_of_one_mapping_that_a_peer_writes(self):
-        views = _fork.shared({"a": (2, 3), "b": (4,)})
-        assert [v.shape for v in views.values()] == [(2, 3), (4,)]
-        assert not views["a"].any() and not views["b"].any()
-        assert root(views["a"]) is root(views["b"])
-        assert isinstance(root(views["a"]), mmap.mmap)
+        vec = _fork.shared(10)
+        assert vec.shape == (10,) and vec.dtype == np.float64 and not vec.any()
+        assert isinstance(root(vec), mmap.mmap)
+        a, b = vec[:6].reshape(2, 3), vec[6:]
 
         def fill(value):
-            views["b"][:] = value
+            b[:] = value
 
         served = _fork.Peer({"fill": fill})
         try:
@@ -87,4 +86,4 @@ class TestShared:
             served.recv()
         finally:
             served.close()
-        assert list(views["b"]) == [2.5] * 4 and not views["a"].any()
+        assert list(b) == [2.5] * 4 and not a.any()

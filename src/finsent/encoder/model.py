@@ -44,12 +44,12 @@ length) into a first and a second part by token cost, rows x trimmed
 length (`_parts`); a batch of one sub-batch is all second part.  Each
 part's gradients accumulate in order, then the first part's sum is added
 into the second's.  `train.train_loop` hands `loss_and_grad` its gradient
-store, one flat vector with a view per trainable tensor (`GradStore`):
-the second part is written into it, and the first part's sum, built in a
-private vector of the same layout, is added in one vector add.  Inline,
-one process runs both parts; with a peer (`train.paired`), a forked
-process runs the first part of every training step and eval pass, and
-makes that add into the shared store.  Both ways give the same bits.
+store, one flat vector with a view per trainable tensor (`GradStore`),
+and the second part is written into it.  Inline, one process runs both
+parts and adds the first part's sum tensor by tensor; with a peer
+(`train.paired`), a forked process runs the first part of every training
+step and eval pass, in a private vector of the store's layout, and adds
+it into the shared store in one vector add.  Both ways give the same bits.
 
 The kernels `encoder_forward` runs are `multi_head_attention` with
 `attention` (scores scaled and masked in place, then `softmax_rows`,
@@ -562,16 +562,15 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
 
     The sub-batches are cut into two parts (`_parts`).  Each part's
     gradients are added in place, sub-batch by sub-batch, into one set of
-    arrays; then the first part's set is added into the second's, which is
-    returned.  Without `out`, both sets are dicts of new arrays.  With
-    `out`, an empty `GradStore`, the second part is written into its views
-    and the first part's set, built in a private vector of the same layout,
-    is added in one vector add; `out` is returned.  With a `peer` as well
+    arrays; then the first part's set is added into the second's, tensor by
+    tensor, and the second's is returned.  Without `out`, both sets are
+    dicts of new arrays; with `out`, an empty `GradStore`, the second part
+    is written into its views and `out` is returned.  With a `peer` as well
     (`train.paired`, forked with these params and adapters and with the
-    vector of `out`), the peer computes the first part while this process
-    writes the second, and then the peer makes that add.  Each way, the
-    same sums in the same order give the same bits.  A batch of one
-    sub-batch is all second part.
+    vector of `out`), the peer computes the first part, in a private vector
+    of `out`'s layout, while this process writes the second, and then adds
+    it into `out` in one vector add.  Each way, the same sums in the same
+    order give the same bits.  A batch of one sub-batch is all second part.
     """
     ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
@@ -594,12 +593,9 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
         peer.recv()
     elif first:
         part = _accumulate(ids, mask, labels, weights, first, params, config, adapters,
-                           peft_mode, {} if out is None else out.scratch(), nll, hits)
-        if out is None:
-            for name, g in part.items():
-                _add(grads, name, g)
-        else:
-            out.vec += part.vec
+                           peft_mode, {}, nll, hits)
+        for name, g in part.items():
+            _add(grads, name, g)
     return float(weights @ nll), grads
 
 
@@ -653,7 +649,8 @@ class GradStore(dict):
         super().__setitem__(name, view)
 
     def scratch(self) -> GradStore:
-        """An empty store of the same layout over a new, private vector."""
+        """An empty store of the same layout over a new, private vector (a
+        `train.paired` peer's first part)."""
         vec = np.zeros_like(self.vec)
         return GradStore(vec, flat_views(vec, {name: view.shape
                                                for name, view in self.views.items()}))

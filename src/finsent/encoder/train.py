@@ -80,7 +80,12 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                peft_mode: bool = False,
                adamw: AdamWConfig | None = None,
                eval_hook=None) -> list[TraceRow]:
-    """Train in place; returns the per-optimizer-step loss trace.
+    """Train in place on `params` and the adapter objects; returns the
+    per-optimizer-step loss trace.  The trainable tensors passed in are not
+    updated: `Trainable` copies them into one vector and rebinds the
+    `params` entries and the adapters' A and B to views of it, inline as
+    well as paired, so a caller reads the trained weights through the dict
+    and the adapters, not through arrays it kept from before.
 
     Each optimizer step averages gradients over up to `grad_accum_steps`
     microbatches of `per_device_batch` examples, in one weighted

@@ -19,10 +19,10 @@ prompt's `PromptTemplate`; it checks the `{headline}` slot and the answer
 marker when `predict` builds it, before it reads its input.
 
 Exit codes: 0 success; 2 invalid config or usage (bad YAML, unknown,
-mistyped, non-finite, empty or non-positive keys, a config value outside its
-key's choices, values that the encoder, training, augmentation, generation,
-template, adapter or linear-model settings reject, a missing corpus or encoder
-checkpoint);
+mistyped, non-finite, empty, non-positive or negative keys or flag values, a
+value outside its key's choices, values that the encoder, training,
+augmentation, generation, template, adapter or linear-model settings reject,
+a missing corpus or encoder checkpoint);
 3 data errors (input that does not parse or cannot be read, a split the
 corpus cannot fill, prediction and gold counts that differ, a corrupt
 encoder checkpoint, a non-finite training loss); 4 backend errors.
@@ -117,11 +117,13 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# Keys that must be above zero. Other ranges are left to the settings objects.
-_POSITIVE = {"features.min_df", "features.max_vocab", "features.max_seq_len",
-             "encoder.d_model", "encoder.n_heads", "encoder.d_ff", "encoder.peft.rank",
-             "encoder.layernorm_eps", "prompt.max_new_tokens", "backend.timeout",
-             "backend.retries", "backend.max_in_flight"}
+# Keys that must be above zero, and counts not below it; settings objects check the rest.
+_POSITIVE = {"analyze.top_k", "features.min_df", "features.max_vocab",
+             "features.max_seq_len", "encoder.d_model", "encoder.n_heads", "encoder.d_ff",
+             "encoder.peft.rank", "encoder.peft.alpha", "encoder.layernorm_eps",
+             "prompt.max_new_tokens", "backend.timeout", "backend.retries",
+             "backend.max_in_flight"}
+_NON_NEGATIVE = {"split.train_total", "split.test_total", "upsample.target_per_class"}
 
 # Keys whose value (each item, for a list) must be one of the listed words.
 _LABEL_WORDS = tuple(lab.value for lab in LABELS)
@@ -155,6 +157,8 @@ def _check_leaf(here: str, default, value):
         raise ConfigError(f"config key {here} must not be empty")
     if here in _POSITIVE and value <= 0:
         raise ConfigError(f"config key {here} must be positive")
+    if here in _NON_NEGATIVE and value < 0:
+        raise ConfigError(f"config key {here} must be non-negative")
     choices = _CHOICES.get(here)
     if choices and not set(value if isinstance(value, list) else [value]) <= set(choices):
         raise ConfigError(f"config key {here} must be one of {', '.join(choices)}")
@@ -371,8 +375,16 @@ def _read_predictions(path: Path) -> list[SentimentLabel | None]:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["prediction"]:
         raise CorpusError(f"{path}: expected a 'prediction' CSV header")
-    words = (row[0].strip().lower() for row in rows[1:] if row)
-    return [None if word == "nolabel" else SentimentLabel.parse(word) for word in words]
+    predictions = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        word = row[0].strip().lower()
+        try:
+            predictions.append(None if word == "nolabel" else SentimentLabel.parse(word))
+        except ValueError as exc:
+            raise CorpusError(f"{path}: row {row_no}: {exc}") from None
+    return predictions
 
 
 def cmd_train_linear(args, cfg, out):
@@ -660,12 +672,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         # --out comes first, so default files resolve under the filled value.
         for flag in _COMMON + stage.flags:
-            if getattr(args, flag.dest) is not None:
-                continue
-            if flag.config:
-                setattr(args, flag.dest,
-                        reduce(dict.__getitem__, flag.config.split("."), cfg))
-            elif flag.out_file:
+            value = getattr(args, flag.dest)
+            if flag.config:  # a value given as a flag is checked as a config value
+                *keys, key = flag.config.split(".")
+                section = reduce(dict.__getitem__, keys, cfg)
+                if value is not None:  # the loaded value has the type of the default
+                    section[key] = _check_leaf(flag.config, section[key], value)
+                setattr(args, flag.dest, section[key])
+            elif value is None and flag.out_file:
                 setattr(args, flag.dest, Path(args.out) / flag.out_file)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

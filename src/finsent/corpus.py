@@ -194,6 +194,17 @@ def class_counts(dataset: Dataset) -> dict[SentimentLabel, int]:
     return counts
 
 
+def _class_pools(dataset: Dataset) -> dict[SentimentLabel, list[int]]:
+    """Each class's record indices, in canonical order; raises if one has none."""
+    pools: dict[SentimentLabel, list[int]] = {label: [] for label in LABELS}
+    for i, rec in enumerate(dataset):
+        pools[rec.label].append(i)
+    absent = [label.value for label, pool in pools.items() if not pool]
+    if absent:
+        raise ValueError(f"class absent from dataset: {', '.join(absent)}")
+    return pools
+
+
 def _quotas(counts: list[int], total: int) -> list[int]:
     """Largest-remainder apportionment of `total` over `counts` proportions.
 
@@ -220,19 +231,14 @@ def stratified_split(dataset: Dataset, train_total: int, test_total: int,
     if train_total + test_total > len(dataset):
         raise ValueError(
             f"insufficient records: need {train_total + test_total}, have {len(dataset)}")
-    counts = class_counts(dataset)
-    absent = [lab.value for lab in LABELS if counts[lab] == 0]
-    if absent:
-        raise ValueError(f"class absent from dataset: {', '.join(absent)}")
-
-    count_list = [counts[lab] for lab in LABELS]
+    pools = _class_pools(dataset)
+    count_list = [len(pool) for pool in pools.values()]
     train_q = _quotas(count_list, train_total)
     test_q = _quotas(count_list, test_total)
 
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for k, label in enumerate(LABELS):
-        pool = [i for i, rec in enumerate(dataset) if rec.label is label]
+    for k, (label, pool) in enumerate(pools.items()):
         need = train_q[k] + test_q[k]
         if need > len(pool):
             raise ValueError(
@@ -256,14 +262,9 @@ def upsample(dataset: Dataset, target_per_class: int, seed: int) -> Dataset:
     """
     if target_per_class < 0:
         raise ValueError("target_per_class must be non-negative")
-    counts = class_counts(dataset)
-    absent = [lab.value for lab in LABELS if counts[lab] == 0]
-    if absent:
-        raise ValueError(f"class absent from dataset: {', '.join(absent)}")
 
     out: list[HeadlineRecord] = []
-    for k, label in enumerate(LABELS):
-        pool = [i for i, rec in enumerate(dataset) if rec.label is label]
+    for k, pool in enumerate(_class_pools(dataset).values()):
         rng = substream(seed, OP_UPSAMPLE, k)
         if len(pool) >= target_per_class:
             keep = rng.choice(len(pool), size=target_per_class, replace=False)

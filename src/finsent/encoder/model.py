@@ -27,12 +27,12 @@ backward pass caches per layer.  The budget is in elements, not tokens:
 the cache grows with d_model, and at d_model 32 it holds 384 tokens, so
 a training group of 8 rows of 32 tokens stays one sub-batch.
 
-Only `encoder_forward(..., return_cache=True)` keeps per-layer
-activations; forward-only passes (`batch_logits`, the eval hook, predict)
-keep none.  For the feed-forward it keeps U1 = Z@W1 + b1 and Φ(U1), the
-standard normal CDF, in place of G = gelu(U1) = U1·Φ(U1): the backward
-rebuilds G (only where a W2 gradient needs it) and takes gelu's slope
-Φ + U1·φ(U1) from the cached Φ, so erf runs once per layer.
+Every pass runs one layer body, and only `return_cache=True` keeps each
+layer's activations; forward-only passes (`batch_logits`, the eval hook,
+predict) drop the attention's as soon as its residual is added.  A layer
+keeps U1 = Z@W1 + b1 and Φ(U1), the standard normal CDF, in place of
+G = gelu(U1) = U1·Φ(U1): the backward rebuilds G (only where a W2 gradient
+needs it) and takes gelu's slope Φ + U1·φ(U1) from Φ, so erf runs once.
 `encoder_backward` consumes the cache, dropping each layer's activations
 once that layer's gradients are done, and can add its gradients in place
 into the set of an earlier sub-batch.  With peft_mode it computes only
@@ -54,8 +54,8 @@ it into the shared store in one vector add.  Both ways give the same bits.
 The kernels `encoder_forward` runs are `multi_head_attention` with
 `attention` (scores scaled and masked in place, then `softmax_rows`,
 which exponentiates and normalizes its own copy), `_ln_fwd` (one mean,
-the rows centred once; `layer_norm` is its public view), and `gelu`, or
-`_phi` where the backward needs Φ.  Each is equal bit for bit to the
+the rows centred once; `layer_norm` is its public view), and `_phi`,
+through which `gelu` is defined.  Each is equal bit for bit to the
 textbook formula as numpy evaluates it
 (tests/test_encoder_model.py::TestKernelsBitForBit).
 """
@@ -163,7 +163,7 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return x * _phi(x)
 
 
 def _gelu_slope(x, cdf) -> np.ndarray:
@@ -366,15 +366,12 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
                                  mask, adapters, lc).reshape(X.shape)
         A += X
         if not return_cache:
-            lc = {}  # a forward-only pass frees the attention activations here
+            lc = {}  # frees the attention's activations, which raised predict's peak
         Z, lc["ln1"] = _ln_fwd(A, params[p + "ln1_gain"], params[p + "ln1_bias"], eps)
         U1 = _lin_fwd(Z, p + "W1", params, adapters, lc)
         U1 += params[p + "b1"]
-        if return_cache:  # Φ(U1) in place of G = U1·Φ(U1), which the backward rebuilds
-            lc.update(Z=Z, U1=U1, Phi=_phi(U1))
-            G = U1 * lc["Phi"]
-        else:  # the same G bit for bit; through Φ, paper_pipeline's peak RSS rose
-            G = gelu(U1)
+        lc.update(Z=Z, U1=U1, Phi=_phi(U1))  # in place of G, which the backward rebuilds
+        G = U1 * lc["Phi"]
         A = _lin_fwd(G, p + "W2", params, adapters, lc)
         A += params[p + "b2"]
         A += Z
@@ -471,13 +468,18 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
     return grads
 
 
+def fits_budget(rows: int, length: int, d_model: int) -> bool:
+    """Whether rows x (trimmed) length x d_model <= SUB_BATCH_BUDGET."""
+    return rows * length * d_model <= SUB_BATCH_BUDGET
+
+
 def _sub_batches(mask, d_model: int) -> list[np.ndarray]:
     """Row indices of each sub-batch of a (B, n) mask: rows sorted by real
-    length, cut so that rows x longest x d_model <= SUB_BATCH_BUDGET."""
+    length, each cut where the next row would leave `fits_budget`."""
     lengths = _real_lengths(mask)
     chunks = [[]]
     for i in np.argsort(lengths, kind="stable"):
-        if chunks[-1] and (len(chunks[-1]) + 1) * lengths[i] * d_model > SUB_BATCH_BUDGET:
+        if chunks[-1] and not fits_budget(len(chunks[-1]) + 1, lengths[i], d_model):
             chunks.append([])
         chunks[-1].append(i)
     return [np.array(rows) for rows in chunks]

@@ -237,8 +237,8 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     """Moves the trainable tensors into a `Trainable` and yields it for
     `train_loop`, with a forked peer as its `peer` or none (run inline).  It
     forks only for steps that span two sub-batches, where per_device_batch x
-    grad_accum_steps x the longest example x d_model exceeds
-    `model.SUB_BATCH_BUDGET`, with 2 usable CPUs (`_fork.usable_cpus`), and
+    grad_accum_steps rows of the longest example leave `model.fits_budget`,
+    with 2 usable CPUs (`_fork.usable_cpus`), and
     where `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
 
     The frozen tensors stay private; the fork's copy-on-write snapshot holds
@@ -251,8 +251,8 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     adapters = adapters or {}
     flat = Trainable(params, adapters, peft_mode)
     longest = max(int(np.sum(mask)) for _, mask, _ in examples)
-    if (train_config.per_device_batch * train_config.grad_accum_steps * longest
-            * config.d_model <= model.SUB_BATCH_BUDGET or _fork.usable_cpus() < 2):
+    if (model.fits_budget(train_config.per_device_batch * train_config.grad_accum_steps,
+                          longest, config.d_model) or _fork.usable_cpus() < 2):
         yield flat
         return
     with _fork.one_blas_thread() as pinned:

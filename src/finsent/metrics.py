@@ -121,6 +121,16 @@ class ClassMetrics:
     support: int
 
 
+#: The layout that `to_json` writes and `from_json` reads, in field order:
+#: each class's `ClassMetrics` fields at per_class.<label>.<field>, then the
+#: report's own fields, each with its JSON path.
+_CLASS_FIELDS = ("precision", "recall", "f1", "support")
+_LAYOUT = (("accuracy", "accuracy"),
+           *((f"{avg}_{name}", f"{avg}.{name}")
+             for avg in ("macro", "weighted") for name in ("precision", "recall", "f1")),
+           ("nolabel_count", "nolabel_count"), ("zero_division_flags", "zero_division_flags"))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     per_class: dict[SentimentLabel, ClassMetrics]
@@ -135,24 +145,11 @@ class EvalReport:
     zero_division_flags: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        doc = {
-            "per_class": {
-                lab.value: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for lab, m in self.per_class.items()
-            },
-            "accuracy": self.accuracy,
-            "macro": {"precision": self.macro_precision, "recall": self.macro_recall,
-                      "f1": self.macro_f1},
-            "weighted": {"precision": self.weighted_precision,
-                         "recall": self.weighted_recall, "f1": self.weighted_f1},
-            "nolabel_count": self.nolabel_count,
-            "zero_division_flags": list(self.zero_division_flags),
-        }
+        doc = {"per_class": {lab.value: {name: getattr(m, name) for name in _CLASS_FIELDS}
+                             for lab, m in self.per_class.items()}}
+        for name, path in _LAYOUT:  # a path has at most one parent
+            parent, _, leaf = path.rpartition(".")
+            (doc.setdefault(parent, {}) if parent else doc)[leaf] = getattr(self, name)
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -180,14 +177,12 @@ class EvalReport:
                 raise ValueError(f"{path} is {node!r}, not {kind}")
             return node
 
-        # the fields in their order, at the paths that to_json writes
-        return cls({lab: ClassMetrics(*(at(f"per_class.{lab.value}.{name}")
-                                        for name in ("precision", "recall", "f1", "support")))
-                    for lab in LABELS},
-                   *map(at, ("accuracy", "macro.precision", "macro.recall", "macro.f1",
-                             "weighted.precision", "weighted.recall", "weighted.f1",
-                             "nolabel_count")),
-                   tuple(at("zero_division_flags")))
+        per_class = {lab: ClassMetrics(*(at(f"per_class.{lab.value}.{name}")
+                                         for name in _CLASS_FIELDS))
+                     for lab in LABELS}
+        fields = {name: at(path) for name, path in _LAYOUT}
+        fields["zero_division_flags"] = tuple(fields["zero_division_flags"])
+        return cls(per_class, **fields)
 
 
 def report(cm: ConfusionMatrix, nolabel_tally: int | None = None) -> EvalReport:

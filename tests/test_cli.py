@@ -32,11 +32,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-# The keys whose values must be above zero (an adapter of rank 0 divides by zero).
-POSITIVE_KEYS = {"features.min_df", "features.max_vocab", "features.max_seq_len",
-                 "encoder.d_model", "encoder.n_heads", "encoder.d_ff",
-                 "encoder.layernorm_eps", "encoder.peft.rank", "prompt.max_new_tokens",
-                 "backend.timeout", "backend.retries", "backend.max_in_flight"}
+# The keys whose values must be above zero (an adapter of rank 0 divides by
+# zero, and one of alpha 0 has scale 0, so no adapter gradient flows).
+POSITIVE_KEYS = {"analyze.top_k", "features.min_df", "features.max_vocab",
+                 "features.max_seq_len", "encoder.d_model", "encoder.n_heads",
+                 "encoder.d_ff", "encoder.layernorm_eps", "encoder.peft.rank",
+                 "encoder.peft.alpha", "prompt.max_new_tokens", "backend.timeout",
+                 "backend.retries", "backend.max_in_flight"}
+
+# The record counts that must not be negative.
+NON_NEGATIVE_KEYS = {"split.train_total", "split.test_total", "upsample.target_per_class"}
 
 # For each key with a closed set of values, a well-typed value outside it
 # (for a list, one bad item among good ones).
@@ -153,6 +158,7 @@ class TestConfig:
         pytest.param(dotted, value, id=f"{dotted}={value!r}")
         for dotted, default in _config_leaves(DEFAULT_CONFIG)
         for value in _mistyped(default) + ([0] if dotted in POSITIVE_KEYS else [])
+        + ([-1] if dotted in NON_NEGATIVE_KEYS else [])
         + ([math.nan, math.inf, -math.inf] if isinstance(default, float) else [])
         + ([OUTSIDE_CHOICES[dotted]] if dotted in OUTSIDE_CHOICES else [])])
     def test_every_key_checked_at_load(self, tmp_path, capsys, dotted, value):
@@ -165,6 +171,21 @@ class TestConfig:
         assert run_cli("ingest", "--config", path, "--out", tmp_path / "o") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: config key {dotted} ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["analyze", "--top-k", "0"], "analyze.top_k"),
+        (["split", "--train-total", "-5"], "split.train_total"),
+        (["split", "--test-total", "-1"], "split.test_total"),
+        (["upsample", "--target", "-1"], "upsample.target_per_class"),
+    ])
+    def test_flag_values_are_checked_as_config_values(self, tmp_path, capsys, argv, key):
+        """A flag that overrides a config key takes only the values the key takes."""
+        out = tmp_path / "run"
+        assert run_cli("ingest", "--out", out) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config key {key} must be ")
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "manifest_ingest.json"]
 
     @pytest.mark.parametrize("argv", [
         ["featurize", "--embeddings", "x"],  # the deleted pretrained-embedding flag
@@ -435,6 +456,17 @@ class TestTrainPredictEvaluate:
         assert run_cli("evaluate", "--out", out, "--json") == EXIT_OK
         rep = json.loads(capsys.readouterr().out)
         assert rep["accuracy"] == 1.0
+
+    def test_evaluate_names_the_file_and_row_of_a_bad_label(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "test.csv").write_text("sentiment,headline\npositive,Profit rose\n"
+                                      "neutral,Report due\nnegative,Sales fell\n")
+        pred = out / "predictions.csv"
+        pred.write_text("prediction\npositive\nmaybe\nnegative\n")
+        assert run_cli("evaluate", "--out", out) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {pred}: row 3: unknown sentiment label: 'maybe'\n")
 
     def test_evaluate_length_mismatch(self, tmp_path):
         out = tmp_path / "run"

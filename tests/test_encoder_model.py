@@ -226,6 +226,7 @@ class TestKernelsBitForBit:
         slope = cdf + x * (np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
         cached = model._phi(x)
         assert np.array_equal(cached, cdf)
+        assert np.array_equal(gelu(x), 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
         assert np.array_equal(x * cached, gelu(x))  # G as the backward rebuilds it
         assert np.array_equal(model._gelu_slope(x, cached), slope)
 
@@ -408,6 +409,38 @@ class TestBatching:
                 for i, (row_ids, row_mask, _) in enumerate(rows):
                     want = encoder_forward(row_ids, row_mask, params, TINY, ads)
                     assert float(np.max(np.abs(got[i] - want))) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [model.SUB_BATCH_BUDGET, TINY.d_model * 6])
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_forward_only_logits_equal_the_cached_passes_bit_for_bit(self, budget,
+                                                                    adapters):
+        """The forward-only pass runs the training pass's arithmetic: the logits
+        of `return_cache=False` (and of `batch_logits`, which runs it per
+        sub-batch) are those of `return_cache=True`, bit for bit."""
+        rng = np.random.default_rng(35)
+        config = dataclasses.replace(TINY, n_layers=2)
+        for seed in range(6):
+            params = init_params(config, seed)
+            ads = None
+            if adapters:
+                ads = init_adapters(config, targets=VALID_TARGETS, rank=2, alpha=4.0,
+                                    seed=seed + 1)
+                for ad in ads.values():
+                    ad.B[:] = rng.uniform(-0.2, 0.2, ad.B.shape)
+            _, ids, mask = ragged_rows(rng, size=7)
+            with mock.patch.object(model, "SUB_BATCH_BUDGET", budget):
+                subs = model._sub_batches(mask, config.d_model)
+                logits = batch_logits(ids, mask, params, config, ads)
+            assert (len(subs) > 1) == (budget < model.SUB_BATCH_BUDGET)
+            want = np.empty_like(logits)
+            for rows in subs:
+                want[rows], _ = encoder_forward(ids[rows], mask[rows], params, config, ads,
+                                                return_cache=True)
+                assert np.array_equal(
+                    encoder_forward(ids[rows], mask[rows], params, config, ads), want[rows])
+            assert np.array_equal(logits, want)
+            cached, _ = encoder_forward(ids, mask, params, config, ads, return_cache=True)
+            assert np.array_equal(encoder_forward(ids, mask, params, config, ads), cached)
 
     def test_padding_to_max_seq_len_equals_the_trimmed_batch(self):
         rng = np.random.default_rng(31)

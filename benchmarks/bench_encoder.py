@@ -119,7 +119,7 @@ def test_adamw_step(benchmark, name):
     state = OptimizerState(hyper=AdamWConfig(lr=2e-4))
 
     def step():
-        flat.check(flat.grads)
+        flat.check()
         flat.step(0, flat.g.size, state, 2e-4)
 
     benchmark(step)

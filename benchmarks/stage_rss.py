@@ -12,8 +12,8 @@ command:
 
 - `wall_s`: the command's wall-clock seconds;
 - `self_mb`, `children_mb`: `ru_maxrss` of `RUSAGE_SELF` and of
-  `RUSAGE_CHILDREN`, the largest reaped child so far (forked augmentation
-  ranges and eval children; their shared pages count in full);
+  `RUSAGE_CHILDREN`, the largest reaped child so far (the augmentation
+  peers and the train-encoder peer; their shared pages count in full);
 - `rss_mb`: the process's resident memory now (`/proc/self/statm`);
 - `arena_mb`, `free_mb`, `keepcost_mb`: glibc `mallinfo2` `arena`,
   `fordblks` and `keepcost`, where glibc provides `mallinfo2`.
@@ -22,7 +22,8 @@ It runs on the working tree; with `--parent REV` it also runs on the
 committed files of REV, extracted with `git archive` into a temporary
 directory, the two sides alternating (the parent first in even repetitions),
 as `cold_start.py` does.  It prints, per side, the median of each value per
-command; its last line is those medians as one JSON object.
+command, with its min-max over the repetitions below it; its last line is
+one JSON object with those medians and every repetition's values (`runs`).
 """
 from __future__ import annotations
 
@@ -143,15 +144,21 @@ def main(argv=None) -> int:
     for side in (side for side in ("parent", "change") if side in runs):
         commands = [stage["command"] for stage in runs[side][0]]
         fields = [f for f in FIELDS if f in runs[side][0][0]]
+        values = [{f: [run[i][f] for run in runs[side]] for f in fields}
+                  for i in range(len(commands))]
         medians[side] = [{"command": command, **{
-            f: round(statistics.median(run[i][f] for run in runs[side]), 4)
-            for f in fields}} for i, command in enumerate(commands)]
-        print(f"{side}: medians over {args.reps} run(s), {args.workload} seed {args.seed}")
-        print(f"{'command':<15}" + "".join(f"{f:>13}" for f in fields))
-        for stage in medians[side]:
-            print(f"{stage['command']:<15}" + "".join(f"{stage[f]:>13.3f}" for f in fields))
+            f: round(statistics.median(v[f]), 4) for f in fields}}
+            for command, v in zip(commands, values)]
+        print(f"{side}: median, min-max below it, over {args.reps} run(s), "
+              f"{args.workload} seed {args.seed}")
+        print(f"{'command':<15}" + "".join(f"{f:>15}" for f in fields))
+        for command, v in zip(commands, values):
+            print(f"{command:<15}" + "".join(f"{statistics.median(v[f]):>15.3f}"
+                                             for f in fields))
+            print(" " * 15 + "".join(f"{f'{min(v[f]):.3f}-{max(v[f]):.3f}':>15}"
+                                     for f in fields))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "reps": args.reps,
-                      "medians": medians}))
+                      "medians": medians, "runs": runs}))
     return 0
 
 

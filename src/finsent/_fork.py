@@ -33,17 +33,18 @@ def usable_cpus() -> int:
 class Peer:
     """A forked process that answers each `send(name, *args)` with
     `handlers[name](*args)`, which the next `recv()` returns (or raises, with
-    its type and message).  Requests and replies alternate strictly, so
-    neither process can block on a full pipe while the other writes.  A peer
-    that has ended (killed, say) fails the next `send` or `recv` with a
-    RuntimeError naming it, and is reaped then.  `close()` ends and reaps it:
-    the peer reads the end of its request pipe, or fails to write a reply
-    nobody will read, and exits.  Close peers that live at once youngest
-    first: each holds the parent's pipe ends of every peer forked before it,
-    so an elder peer closed first would wait for an end still open in a
-    younger one, and its reap would hang."""
+    its type and message); `handlers` may also be a function that the peer
+    calls once, after the fork, for that dict.  Requests and replies
+    alternate strictly, so neither process can block on a full pipe while
+    the other writes.  A peer that has ended (killed, say) fails the next
+    `send` or `recv` with a RuntimeError naming it, and is reaped then.
+    `close()` ends and reaps it: the peer reads the end of its request pipe,
+    or fails to write a reply nobody will read, and exits.  Close peers that
+    live at once youngest first: each holds the parent's pipe ends of every
+    peer forked before it, so an elder peer closed first would wait for an
+    end still open in a younger one, and its reap would hang."""
 
-    def __init__(self, handlers: dict):
+    def __init__(self, handlers):
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
         pid = os.fork()
@@ -51,7 +52,8 @@ class Peer:
             try:
                 os.close(req_w)
                 os.close(rep_r)
-                _serve(handlers, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                _serve(handlers() if callable(handlers) else handlers,
+                       os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
             finally:
                 os._exit(0)
         os.close(req_r)

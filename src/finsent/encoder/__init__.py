@@ -2,7 +2,6 @@
 from .lora import (
     DEFAULT_TARGETS,
     LoraAdapter,
-    adapters_to_dict,
     init_adapter,
     init_adapters,
     merge_adapter,
@@ -11,6 +10,7 @@ from .lora import (
 from .model import (
     EncoderConfig,
     EncoderParams,
+    adapters_to_dict,
     attention,
     batch_logits,
     batch_loss,

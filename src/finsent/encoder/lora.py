@@ -79,15 +79,6 @@ def init_adapters(config, targets=DEFAULT_TARGETS, rank: int = 4,
     return adapters
 
 
-def adapters_to_dict(adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
-    """Flat 'adapters.<target>.A' / '.B' view (references, not copies)."""
-    out: dict[str, np.ndarray] = {}
-    for target, ad in adapters.items():
-        out[f"adapters.{target}.A"] = ad.A
-        out[f"adapters.{target}.B"] = ad.B
-    return out
-
-
 def merge_all(params: EncoderParams, adapters: dict[str, LoraAdapter]) -> EncoderParams:
     """New EncoderParams with every adapter folded into its base weight."""
     merged = params.copy()

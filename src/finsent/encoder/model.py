@@ -34,22 +34,23 @@ keeps U1 = Z@W1 + b1 and Φ(U1), the standard normal CDF, in place of
 G = gelu(U1) = U1·Φ(U1): the backward rebuilds G (only where a W2 gradient
 needs it) and takes gelu's slope Φ + U1·φ(U1) from Φ, so erf runs once.
 `encoder_backward` consumes the cache, dropping each layer's activations
-once that layer's gradients are done, and can add its gradients in place
-into the set of an earlier sub-batch.  With peft_mode it computes only
+once that layer's gradients are done.  Every gradient has one rule: it is
+added in place into a zeroed array per trainable tensor (`zero_grads`), so
+one set sums any number of sub-batches.  With peft_mode it computes only
 what the adapters' gradients need (see its docstring).  `_accumulate`
 runs both per sub-batch and writes each row's loss and hit (argmax = label).
 
 `loss_and_grad` and `batch_logits` cut a batch's sub-batches (sorted by
 length) into a first and a second part by token cost, rows x trimmed
 length (`_parts`); a batch of one sub-batch is all second part.  Each
-part's gradients accumulate in order, then the first part's sum is added
-into the second's.  `train.train_loop` hands `loss_and_grad` its gradient
-store, one flat vector with a view per trainable tensor (`GradStore`),
-and the second part is written into it.  Inline, one process runs both
-parts and adds the first part's sum tensor by tensor; with a peer
-(`train.paired`), a forked process runs the first part of every training
-step and eval pass, in a private vector of the store's layout, and adds
-it into the shared store in one vector add.  Both ways give the same bits.
+part's gradients accumulate in order into a zeroed set, then the first
+part's sum is added into the second's.  `train.train_loop` zeroes its
+gradient vector each step and passes its views, one per trainable tensor,
+as the second part's set.  Inline, one process runs both parts and adds
+the first part's set tensor by tensor; with a peer (`train.paired`), a
+forked process runs the first part of every training step and eval pass,
+in a private vector of the same layout, and adds it into the shared one in
+one vector add.  Both ways give the same bits.
 
 The kernels `encoder_forward` runs are `multi_head_attention` with
 `attention` (scores scaled and masked in place, then `softmax_rows`,
@@ -153,6 +154,26 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams((name, tensors[name]) for name in shapes)
 
 
+def adapters_to_dict(adapters: dict[str, LoraAdapter]) -> dict[str, np.ndarray]:
+    """Flat 'adapters.<target>.A' / '.B' view (references, not copies)."""
+    return {f"adapters.{target}.{part}": getattr(ad, part)
+            for target, ad in adapters.items() for part in "AB"}
+
+
+def trainable(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
+              peft_mode: bool) -> dict[str, np.ndarray]:
+    """The tensors training updates, by gradient name: every parameter
+    unless `peft_mode`, then each adapter's A and B (references)."""
+    return {**({} if peft_mode else params), **adapters_to_dict(adapters or {})}
+
+
+def zero_grads(params: EncoderParams, adapters: dict[str, LoraAdapter] | None,
+               peft_mode: bool) -> dict[str, np.ndarray]:
+    """A new zeroed array per `trainable` tensor, for a backward pass to add into."""
+    return {name: np.zeros_like(t)
+            for name, t in trainable(params, adapters, peft_mode).items()}
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     """Φ(x) = 0.5·(1 + erf(x/√2)), the standard normal CDF, in one new array."""
     cdf = x * _INV_SQRT2
@@ -199,21 +220,13 @@ def _ln_fwd(x, gain, bias, eps):
     return y, (xhat, inv)
 
 
-def _add(grads: dict, name: str, g) -> None:
-    """grads[name] += g in place, or grads[name] = g for a new name."""
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
 def _ln_bwd(dy, name: str, params, ln_cache, grads: dict, base: bool = True):
     """dx for (rows, d) dy; if `base`, adds the `<name>_gain` and
     `<name>_bias` gradients, summed over every row, into grads."""
     xhat, inv = ln_cache
     if base:
-        _add(grads, name + "_gain", (dy * xhat).sum(axis=0))
-        _add(grads, name + "_bias", dy.sum(axis=0))
+        grads[name + "_gain"] += (dy * xhat).sum(axis=0)
+        grads[name + "_bias"] += dy.sum(axis=0)
     dx = dy * params[name + "_gain"]
     mean_dx = dx.mean(axis=-1, keepdims=True)
     proj = xhat * (dx * xhat).mean(axis=-1, keepdims=True)
@@ -285,13 +298,13 @@ def _lin_bwd(X, name: str, params, adapters, cache: dict, dH, grads: dict,
     adapter = adapters.get(name)
     dX = dH @ params[name].T if dx else None
     if base:
-        _add(grads, name, X.T @ dH)
+        grads[name] += X.T @ dH
     if adapter is not None:
         dHA = dH @ adapter.A.T
         if dx:
             dX += adapter.scale * (dHA @ adapter.B.T)
-        _add(grads, f"adapters.{name}.A", adapter.scale * (cache[name].T @ dH))
-        _add(grads, f"adapters.{name}.B", adapter.scale * (X.T @ dHA))
+        grads[f"adapters.{name}.A"] += adapter.scale * (cache[name].T @ dH)
+        grads[f"adapters.{name}.B"] += adapter.scale * (X.T @ dHA)
     return dX
 
 
@@ -390,29 +403,26 @@ def encoder_forward(ids, mask, params: EncoderParams, config: EncoderConfig,
 def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfig,
                      adapters: dict[str, LoraAdapter] | None = None,
                      peft_mode: bool = False, grads: dict | None = None):
-    """Gradients of a scalar loss given d(loss)/d(logits) and a forward cache.
-
-    Returns a flat dict, summed over the batch: base tensors under their
-    parameter names, adapter tensors under 'adapters.<target>.A' / '.B'.
-    peft_mode=True returns the adapter gradients only.  It computes no
-    weight-matrix, bias, layernorm or embedding gradient: layer 0 computes
-    no gradient for its input, so there a W_Q, W_K or W_V without an adapter
-    gets no dH, and with adapters on W_o alone no layer is differentiated.
-    `grads`, when given, is such a dict from earlier sub-batches: the new
-    gradients are added into its arrays in place, and it is returned.
-    The cache is consumed: each layer's activations leave it once that
-    layer's gradients are done.
+    """Gradients of a scalar loss given d(loss)/d(logits) and a forward
+    cache, summed over the batch and added in place into `grads` (by
+    default a new `zero_grads` set), which is returned; `grads` may hold
+    earlier sub-batches' sums.  peft_mode=True computes the adapter
+    gradients only: no weight-matrix, bias, layernorm or embedding gradient.
+    Layer 0 then computes no gradient for its input, so there a W_Q, W_K or
+    W_V without an adapter gets no dH, and with adapters on W_o alone no
+    layer is differentiated.  The cache is consumed: each layer's
+    activations leave it once that layer's gradients are done.
     """
     adapters = adapters or {}
     base = not peft_mode
-    grads = {} if grads is None else grads
+    grads = zero_grads(params, adapters, peft_mode) if grads is None else grads
     scale = 1.0 / math.sqrt(config.d_k)
     ids = cache["ids"]
     B, n = ids.shape
     first = config.n_layers if peft_mode and set(adapters) <= {"W_o"} else 0
     dlogits = np.asarray(dlogits, dtype=np.float64).reshape(B, -1)
     if base:
-        _add(grads, "b_o", dlogits.sum(axis=0))
+        grads["b_o"] += dlogits.sum(axis=0)
     dpooled = _lin_bwd(cache["pooled"], "W_o", params, adapters, cache, dlogits,
                        grads, base, dx=base or first < config.n_layers)
     if dpooled is not None:
@@ -426,12 +436,12 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
         dx_in = base or li > 0
         dA2 = _ln_bwd(dX, p + "ln2", params, lc["ln2"], grads, base)
         if base:
-            _add(grads, p + "b2", dA2.sum(axis=0))
+            grads[p + "b2"] += dA2.sum(axis=0)
         G = lc["U1"] * lc["Phi"] if base or p + "W2" in adapters else None
         dU1 = _gelu_slope(lc["U1"], lc["Phi"])
         dU1 *= _lin_bwd(G, p + "W2", params, adapters, lc, dA2, grads, base)
         if base:
-            _add(grads, p + "b1", dU1.sum(axis=0))
+            grads[p + "b1"] += dU1.sum(axis=0)
         dZ = _lin_bwd(lc["Z"], p + "W1", params, adapters, lc, dU1, grads, base)
         dZ += dA2
         dA1 = _ln_bwd(dZ, p + "ln1", params, lc["ln1"], grads, base)
@@ -460,9 +470,6 @@ def encoder_backward(dlogits, cache, params: EncoderParams, config: EncoderConfi
                 dX += dXp
 
     if base:
-        if "W_e" not in grads:
-            grads["W_e"] = np.zeros_like(params["W_e"])
-            grads["P"] = np.zeros_like(params["P"])
         np.add.at(grads["W_e"], ids.ravel(), dX)
         grads["P"][:n] += dX.reshape(B, n, -1).sum(axis=0)
     return grads
@@ -554,25 +561,25 @@ def mean_nll(logits, labels) -> float:
 def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
                   adapters: dict[str, LoraAdapter] | None = None,
                   peft_mode: bool = False, weights=None, peer=None, hits=None,
-                  out: GradStore | None = None):
+                  out: dict[str, np.ndarray] | None = None):
     """Weighted cross-entropy and its gradients over a batch of (ids, mask, label).
 
     `weights` holds each example's weight (default 1/len(batch): the mean).
     `hits`, when given, receives whether each example's argmax is its label.
-    With peft_mode=True only adapter gradients are returned; base tensors
-    are untouched by construction.
+    The gradients are added into `out`, a zeroed set like `zero_grads`'
+    (`train.train_loop` passes its gradient vector's views), or into a new
+    `zero_grads` set, and that set is returned.  With peft_mode=True only
+    the adapters' are computed; base tensors are untouched by construction.
 
     The sub-batches are cut into two parts (`_parts`).  Each part's
-    gradients are added in place, sub-batch by sub-batch, into one set of
-    arrays; then the first part's set is added into the second's, tensor by
-    tensor, and the second's is returned.  Without `out`, both sets are
-    dicts of new arrays; with `out`, an empty `GradStore`, the second part
-    is written into its views and `out` is returned.  With a `peer` as well
-    (`train.paired`, forked with these params and adapters and with the
-    vector of `out`), the peer computes the first part, in a private vector
-    of `out`'s layout, while this process writes the second, and then adds
-    it into `out` in one vector add.  Each way, the same sums in the same
-    order give the same bits.  A batch of one sub-batch is all second part.
+    gradients are added, sub-batch by sub-batch, into a zeroed set; then the
+    first part's set is added into the second's, tensor by tensor.  With
+    `out` and a `peer` (`train.paired`, forked with these params and
+    adapters and with the vector behind `out`), the peer computes the first
+    part in a private vector of that layout while this process computes the
+    second, then adds it into the shared vector in one vector add.  Each
+    way, the same sums in the same order give the same bits.  A batch of one
+    sub-batch is all second part.
     """
     ids, mask, labels = _stack(batch)
     if peft_mode and not adapters:
@@ -582,11 +589,12 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
     nll = np.empty(len(labels))
     hits = np.empty(len(labels), dtype=bool) if hits is None else hits
     first, second = _parts(_sub_batches(mask, config.d_model), mask)
+    grads = zero_grads(params, adapters, peft_mode) if out is None else out
     peer = peer if out is not None and first else None
     if peer is not None:
         peer.send("grads", ids, mask, labels, weights, first)
-    grads = _accumulate(ids, mask, labels, weights, second, params, config,
-                        adapters, peft_mode, {} if out is None else out, nll, hits)
+    _accumulate(ids, mask, labels, weights, second, params, config, adapters, peft_mode,
+                grads, nll, hits)
     if peer is not None:
         theirs = np.concatenate(first)
         their_nll, their_hits = peer.recv()
@@ -595,9 +603,9 @@ def loss_and_grad(params: EncoderParams, batch, config: EncoderConfig,
         peer.recv()
     elif first:
         part = _accumulate(ids, mask, labels, weights, first, params, config, adapters,
-                           peft_mode, {}, nll, hits)
+                           peft_mode, zero_grads(params, adapters, peft_mode), nll, hits)
         for name, g in part.items():
-            _add(grads, name, g)
+            grads[name] += g
     return float(weights @ nll), grads
 
 
@@ -616,46 +624,6 @@ def _accumulate(ids, mask, labels, weights, subs, params, config, adapters,
         encoder_backward(probs * weights[rows, None], cache, params, config, adapters,
                          peft_mode=peft_mode, grads=grads)
     return grads
-
-
-def flat_views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Views of the 1-D vector `vec`, one per name of `shapes`, laid end to
-    end in that order and each reshaped to its shape."""
-    out, offset = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        out[name] = vec[offset:offset + size].reshape(shape)
-        offset += size
-    return out
-
-
-class GradStore(dict):
-    """A gradient dict whose tensors live in `views`: the `flat_views` of one
-    float64 vector, `vec`, such as `train.train_loop`'s gradient store, which
-    a `train.paired` peer shares.  It keeps `_add`'s semantics: a name's
-    first value is copied into its view, not added to zeros (so a -0.0 stays
-    -0.0), and later values are added into the view in place.  A name
-    without a view fails, naming it.  Each step's gradients take a new,
-    empty store over the same vector."""
-
-    def __init__(self, vec: np.ndarray, views: dict[str, np.ndarray]):
-        super().__init__()
-        self.vec, self.views = vec, views
-
-    def __setitem__(self, name: str, g) -> None:
-        view = self.views.get(name)
-        if view is None:
-            raise KeyError(f"gradient for unknown tensor {name!r}")
-        if g is not view:
-            np.copyto(view, g)
-        super().__setitem__(name, view)
-
-    def scratch(self) -> GradStore:
-        """An empty store of the same layout over a new, private vector (a
-        `train.paired` peer's first part)."""
-        vec = np.zeros_like(self.vec)
-        return GradStore(vec, flat_views(vec, {name: view.shape
-                                               for name, view in self.views.items()}))
 
 
 def batch_loss(params: EncoderParams, batch, config: EncoderConfig,

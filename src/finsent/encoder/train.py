@@ -14,7 +14,7 @@ import numpy as np
 from .. import _fork
 from .._rng import OP_ENCODER_TRAIN, substream
 from . import model
-from .lora import LoraAdapter, adapters_to_dict
+from .lora import LoraAdapter
 from .model import (
     EncoderConfig,
     EncoderParams,
@@ -100,9 +100,10 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     may return a dict with train_acc / val_loss / val_acc entries that are
     recorded on that row, a train_acc in place of the counted one.
     The trainable tensors train as one flat vector (`Trainable`, which
-    `paired` builds): each step's gradients accumulate into a vector of the
-    same layout, are checked in one pass (`Trainable.check`), and take one
-    `adamw_step` call over the vector's entries, with flat moments.  When
+    `paired` builds).  Each step zeroes the gradient vector of the same
+    layout, `loss_and_grad` adds the step's gradients into its views, one
+    `isfinite` pass checks it (`Trainable.check`), and one `adamw_step`
+    call runs over the vector's entries, with flat moments.  When
     `paired` forks a peer, each step's sub-batches and each eval pass are
     shared with it (`loss_and_grad`, `batch_logits`), and after the check
     the two processes update the two halves of the vector, split at its
@@ -140,9 +141,9 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                 batch = [examples[i] for micro in group for i in micro]
                 weights = [1.0 / (len(micro) * len(group)) for micro in group for _ in micro]
                 hits = np.empty(len(batch), dtype=bool)
-                loss, grads = loss_and_grad(params, batch, config, adapters,
-                                            peft_mode=peft_mode, weights=weights, peer=peer,
-                                            hits=hits, out=model.GradStore(flat.g, flat.grads))
+                flat.g.fill(0.0)
+                loss, _ = loss_and_grad(params, batch, config, adapters, peft_mode=peft_mode,
+                                        weights=weights, peer=peer, hits=hits, out=flat.grads)
                 epoch_hits += int(hits.sum())
                 step += 1
                 if not math.isfinite(loss):
@@ -150,7 +151,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                                      f"step {step} (epoch {epoch})")
                 lr = lr_at(step, total_steps, train_config.base_lr,
                            train_config.warmup_ratio)
-                flat.check(grads)
+                flat.check()
                 if peer is None:
                     flat.step(0, flat.g.size, state, lr)
                 else:
@@ -183,26 +184,38 @@ def _entries(vec: np.ndarray, lo: int, hi: int, decay: int) -> dict[int, np.ndar
             for a, b in zip(cuts, cuts[1:])}
 
 
+def flat_views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of the 1-D vector `vec`, one per name of `shapes`, laid end to
+    end in that order and each reshaped to its shape."""
+    out, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = vec[offset:offset + size].reshape(shape)
+        offset += size
+    return out
+
+
 class Trainable:
-    """The tensors `train_loop` trains, moved into one float64 vector `w`:
-    every parameter, or under peft_mode the adapters' A and B only.  Matrices
-    come first, so `w[:decay]` is the part weight decay covers.  The entries
-    of `params` and the adapters' attributes become views of `w`, which
-    `tensors` names; the frozen tensors stay where they are.  `g` is a
-    gradient vector of the same layout, with views `grads`.  Both vectors
+    """The tensors `train_loop` trains (`model.trainable`), moved into one
+    float64 vector `w`.  Matrices come first, so `w[:decay]` is the part
+    weight decay covers.  The entries of `params` and the adapters'
+    attributes become views of `w`, which `tensors` names; the frozen
+    tensors stay where they are.  `g` is a gradient vector of the same
+    layout, with views `grads`, which each step zeroes and
+    `model.loss_and_grad` adds into (its `out`).  Both vectors
     are shared mappings (`_fork.shared`), so a peer forked afterwards reads
     and updates the same weights and gradients; `peer` is that peer, or
     None, and `mid` the first of its elements."""
 
     def __init__(self, params: EncoderParams, adapters: dict[str, LoraAdapter],
                  peft_mode: bool):
-        trainable = {**({} if peft_mode else params), **adapters_to_dict(adapters)}
+        trainable = model.trainable(params, adapters, peft_mode)
         shapes = {name: trainable[name].shape
                   for name in sorted(trainable, key=lambda k: trainable[k].ndim < 2)}
         size = sum(math.prod(shape) for shape in shapes.values())
         self.w, self.g = _fork.shared(size), _fork.shared(size)
-        self.tensors = model.flat_views(self.w, shapes)
-        self.grads = model.flat_views(self.g, shapes)
+        self.tensors = flat_views(self.w, shapes)
+        self.grads = flat_views(self.g, shapes)
         for name, view in self.tensors.items():
             np.copyto(view, trainable[name])
         params.update({name: self.tensors[name] for name in params if name in shapes})
@@ -212,17 +225,11 @@ class Trainable:
         self.decay = sum(t.size for t in self.tensors.values() if t.ndim >= 2)
         self.mid, self.peer = size // 2, None
 
-    def check(self, grads: dict[str, np.ndarray]) -> None:
-        """Raises unless `grads` names every trainable tensor and no other,
-        and `g` holds only finite values: one `isfinite` pass over `g`, and
-        only on failure `check_grads` in the gradients' order, to name the
-        tensor."""
-        if grads.keys() == self.grads.keys() and np.isfinite(self.g).all():
-            return
-        missing = [name for name in self.grads if name not in grads]
-        if missing:
-            raise ValueError(f"no gradient for {missing[0]!r}; step aborted")
-        check_grads(self.tensors, grads)
+    def check(self) -> None:
+        """Raises unless `g` is all finite: one `isfinite` pass, and only on
+        failure `check_grads` over `grads`, in order, to name the tensor."""
+        if not np.isfinite(self.g).all():
+            check_grads(self.tensors, self.grads)
 
     def step(self, lo: int, hi: int, state: OptimizerState, lr: float) -> None:
         """One `adamw_step` call over elements [lo, hi) of `w` and `g`."""
@@ -237,20 +244,21 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     """Moves the trainable tensors into a `Trainable` and yields it for
     `train_loop`, with a forked peer as its `peer` or none (run inline).  It
     forks only for steps that span two sub-batches, where per_device_batch x
-    grad_accum_steps rows of the longest example leave `model.fits_budget`,
-    with 2 usable CPUs (`_fork.usable_cpus`), and
-    where `_fork.one_blas_thread` can pin numpy's OpenBLAS to one thread.
+    grad_accum_steps rows of the longest example, trimmed as the cut trims
+    it (`model._real_lengths`), leave `model.fits_budget`, with 2 usable
+    CPUs (`_fork.usable_cpus`), and where `_fork.one_blas_thread` can pin
+    numpy's OpenBLAS to one thread.
 
     The frozen tensors stay private; the fork's copy-on-write snapshot holds
     them.  The peer serves four requests: the first part of a step's
     sub-batches ("grads", which replies with their losses and hits, then
-    "add", one vector add into the gradient store), the first part of an
+    "add", one vector add into the gradient vector), the first part of an
     eval pass ("logits"), and AdamW on the elements from `mid` on
     ("adamw").  It is reaped when the block ends, by success or error.
     """
     adapters = adapters or {}
     flat = Trainable(params, adapters, peft_mode)
-    longest = max(int(np.sum(mask)) for _, mask, _ in examples)
+    longest = int(model._real_lengths(model._stack(examples)[1]).max())
     if (model.fits_budget(train_config.per_device_batch * train_config.grad_accum_steps,
                           longest, config.d_model) or _fork.usable_cpus() < 2):
         yield flat
@@ -259,7 +267,7 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
         if not pinned:
             yield flat
             return
-        flat.peer = _fork.Peer(_peer_handlers(flat, params, adapters, config, peft_mode))
+        flat.peer = _fork.Peer(lambda: _peer_handlers(flat, params, adapters, config, peft_mode))
         try:
             yield flat
         finally:
@@ -267,20 +275,22 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
 
 
 def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode):
-    """The requests a `paired` peer serves.  `flat` holds the shared weight
-    and gradient vectors; the peer builds each first part's gradients in a
-    private vector of their layout, adds it into `flat.g` in one vector add,
-    and updates the elements from `flat.mid` on with its own moments."""
-    state, pending, store = OptimizerState(), {}, model.GradStore(flat.g, flat.grads)
+    """The requests a `paired` peer serves, built in the peer after the fork.
+    Each first part's gradients go into the peer's own vector of `flat.g`'s
+    layout, made here once and zeroed per request, which "add" adds into
+    `flat.g`; AdamW updates the elements from `flat.mid` on."""
+    state, scratch = OptimizerState(), np.empty_like(flat.g)
+    views = flat_views(scratch, {name: g.shape for name, g in flat.grads.items()})
 
     def grads(ids, mask, labels, weights, subs):
         nll, hits = np.empty(len(labels)), np.empty(len(labels), dtype=bool)
-        pending["grads"] = _accumulate(ids, mask, labels, weights, subs, params, config,
-                                       adapters, peft_mode, store.scratch(), nll, hits)
+        scratch.fill(0.0)
+        _accumulate(ids, mask, labels, weights, subs, params, config, adapters, peft_mode,
+                    views, nll, hits)
         return nll, hits
 
     def add():
-        flat.g += pending.pop("grads").vec
+        flat.g += scratch
 
     def adamw(hyper, lr):
         state.hyper = hyper

@@ -33,10 +33,11 @@ def usable_cpus() -> int:
 class Peer:
     """A forked process that answers each `send(name, *args)` with
     `handlers[name](*args)`, which the next `recv()` returns (or raises, with
-    its type and message); `handlers` may also be a function that the peer
-    calls once, after the fork, for that dict.  Requests and replies
-    alternate strictly, so neither process can block on a full pipe while
-    the other writes.  A peer that has ended (killed, say) fails the next
+    its type and message).  The peer calls `make_handlers()` for that dict at
+    its first request, so what it allocates is its own; an error there is
+    that request's reply, and the next request calls it again.  Requests and
+    replies alternate strictly, so neither process can block on a full pipe
+    while the other writes.  A peer that has ended (killed, say) fails the next
     `send` or `recv` with a RuntimeError naming it, and is reaped then.
     `close()` ends and reaps it: the peer reads the end of its request pipe,
     or fails to write a reply nobody will read, and exits.  Close peers that
@@ -44,7 +45,7 @@ class Peer:
     peer forked before it, so an elder peer closed first would wait for an
     end still open in a younger one, and its reap would hang."""
 
-    def __init__(self, handlers):
+    def __init__(self, make_handlers):
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
         pid = os.fork()
@@ -52,8 +53,7 @@ class Peer:
             try:
                 os.close(req_w)
                 os.close(rep_r)
-                _serve(handlers() if callable(handlers) else handlers,
-                       os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                _serve(make_handlers, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
             finally:
                 os._exit(0)
         os.close(req_r)
@@ -99,14 +99,17 @@ class Peer:
             self._status = os.waitpid(self.pid, 0)[1]
 
 
-def _serve(handlers: dict, requests, replies) -> None:
+def _serve(make_handlers, requests, replies) -> None:
     """The peer's loop, until its parent closes the request pipe."""
+    handlers = None
     while True:
         try:
             name, args = pickle.load(requests)
         except EOFError:
             return
         try:
+            if handlers is None:
+                handlers = make_handlers()
             value = handlers[name](*args)
         except BaseException as exc:
             value = exc

@@ -166,7 +166,7 @@ def _in_ranges(fn, bounds: list[int]) -> list:
     peers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            peers.append(_fork.Peer({"run": fn}))
+            peers.append(_fork.Peer(lambda: {"run": fn}))
             peers[-1].send("run", lo, hi)
         return [fn(bounds[0], bounds[1])] + [peer.recv() for peer in peers]
     finally:

@@ -258,7 +258,7 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     """
     adapters = adapters or {}
     flat = Trainable(params, adapters, peft_mode)
-    longest = int(model._real_lengths(model._stack(examples)[1]).max())
+    longest = max(int(model._real_lengths(np.atleast_2d(mask))[0]) for _, mask, _ in examples)
     if (model.fits_budget(train_config.per_device_batch * train_config.grad_accum_steps,
                           longest, config.d_model) or _fork.usable_cpus() < 2):
         yield flat
@@ -275,7 +275,7 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
 
 
 def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode):
-    """The requests a `paired` peer serves, built in the peer after the fork.
+    """The requests a `paired` peer serves, built in the peer (`Peer`).
     Each first part's gradients go into the peer's own vector of `flat.g`'s
     layout, made here once and zeroed per request, which "add" adds into
     `flat.g`; AdamW updates the elements from `flat.mid` on."""

@@ -7,8 +7,8 @@ encoder_long's (d_model 128, 4 layers, max_seq_len 64, full fine-tune).
 Only calls that exist at older commits too are used, so the same file
 times a parent checkout for a before/after comparison; the one exception
 is `test_adamw_step`, which times one optimizer step as `train_loop` takes
-it inline (`train.Trainable`: the gradient check and one `adamw_step` call
-over the flat vector of every trainable element) and skips itself where
+it inline (`train.Trainable.step`: the gradient check and one `adamw_step`
+call over the flat vector of every trainable element) and skips itself where
 that store does not exist.
 
 `test_loss_and_grad_peak` records, in each benchmark's `extra_info`, the
@@ -28,7 +28,6 @@ import pytest
 from finsent.encoder import (
     AdamWConfig,
     EncoderConfig,
-    OptimizerState,
     batch_loss,
     init_adapters,
     init_params,
@@ -114,14 +113,8 @@ def test_adamw_step(benchmark, name):
     if not hasattr(train, "Trainable"):
         pytest.skip("no flat trainable store at this commit")
     config, params, adapters, _ = _setup(name, 1)
-    flat = train.Trainable(params, adapters or {}, adapters is not None)
+    flat = train.Trainable(params, adapters or {}, adapters is not None, AdamWConfig())
     flat.g[:] = np.random.default_rng(3).normal(scale=1e-3, size=flat.g.size)
-    state = OptimizerState(hyper=AdamWConfig(lr=2e-4))
-
-    def step():
-        flat.check()
-        flat.step(0, flat.g.size, state, 2e-4)
-
-    benchmark(step)
+    benchmark(flat.step, 2e-4)
     benchmark.extra_info["trainable_elements"] = int(flat.w.size)
-    assert state.step > 0 and np.isfinite(flat.w).all()
+    assert flat.state.step > 0 and np.isfinite(flat.w).all()

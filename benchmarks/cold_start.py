@@ -7,7 +7,8 @@ perfbench runs a whole sequence in one process, so it pays for
 `import finsent.cli` once, as `setup_s`.  A user runs every subcommand as its
 own process and pays for it every time.  This script times a bare
 `python3 -c "import finsent.cli"` and then each of the nine commands of the
-criterion-12 sequence, from `ingest` to `compare`, as a
+criterion-12 sequence, from `ingest` to `compare`, as perfbench's
+paper_pipeline workload lists them (`perfbench/workloads.py`), each as a
 `python3 -m finsent.cli` process on the bundled sample, in a fresh run
 directory per repetition.  It runs on the working tree; with `--parent REV`
 it also runs on the committed files of REV, extracted with `git archive`
@@ -29,23 +30,21 @@ from pathlib import Path
 
 from ab import ROOT, export
 
-# (label, argv without --out); "{out}" stands for the run directory.
-SEQUENCE = [
-    ("ingest", ["ingest"]),
-    ("split", ["split", "--train-total", "45", "--test-total", "45", "--seed", "7"]),
-    ("augment", ["augment", "--seed", "7"]),
-    ("train-encoder", ["train-encoder", "--peft", "--epochs", "30", "--seed", "7",
-                       "--train", "{out}/train_augmented.csv"]),
-    ("predict", ["predict", "--backend", "encoder"]),
-    ("evaluate encoder", ["evaluate", "--name", "encoder"]),
-    ("train-linear", ["train-linear", "--seed", "7", "--train",
-                      "{out}/train_augmented.csv", "--test", "{out}/test.csv"]),
-    ("evaluate linear", ["evaluate", "--name", "linear",
-                         "--pred", "{out}/linear_predictions.csv"]),
-    ("compare", ["compare", "--reports", "linear={out}/report_linear.json",
-                 "encoder={out}/report_encoder.json"]),
-]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+PIPELINE = workloads.WORKLOADS["paper_pipeline"]
 IMPORT = "import finsent.cli"
+
+
+def label(argv: list[str]) -> str:
+    """A command's row: its subcommand, and for `evaluate` the model's name."""
+    return argv[0] + (f" {argv[argv.index('--name') + 1]}" if argv[0] == "evaluate" else "")
+
+
+def sequence(plan: dict, out: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each command of the sequence, run in `out`."""
+    return [(label(argv), argv) for argv in workloads.argv_list(PIPELINE, plan, out)]
 
 
 def timed(tree: Path, argv: list[str]) -> float:
@@ -62,14 +61,14 @@ def timed(tree: Path, argv: list[str]) -> float:
     return elapsed
 
 
-def one_rep(tree: Path, scratch: Path) -> dict[str, float]:
+def one_rep(tree: Path, scratch: Path, plan: dict) -> dict[str, float]:
     """Seconds of the bare import and of each command of one fresh sequence."""
     out = Path(tempfile.mkdtemp(prefix="run-", dir=scratch))
     times = {IMPORT: timed(tree, ["-c", IMPORT])}
-    for label, argv in SEQUENCE:
-        argv = [a.replace("{out}", str(out)) for a in argv]
-        times[label] = timed(tree, ["-m", "finsent.cli", *argv, "--out", str(out)])
-    times["sequence"] = sum(times[label] for label, _ in SEQUENCE)
+    commands = sequence(plan, out)
+    for name, argv in commands:
+        times[name] = timed(tree, ["-m", "finsent.cli", *argv])
+    times["sequence"] = sum(times[name] for name, _ in commands)
     return times
 
 
@@ -87,22 +86,23 @@ def main(argv=None) -> int:
             trees["parent"] = Path(tmp) / "parent"
             trees["parent"].mkdir()
             export(args.parent, trees["parent"])
+        plan = workloads.prepare(PIPELINE, ROOT, Path(tmp) / "inputs", seed=0)
         for tree in trees.values():
             timed(tree, ["-c", IMPORT])
         runs: dict[str, list[dict[str, float]]] = {side: [] for side in trees}
         for rep in range(args.reps):
             order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
             for side in (side for side in order if side in trees):
-                runs[side].append(one_rep(trees[side], Path(tmp)))
+                runs[side].append(one_rep(trees[side], Path(tmp), plan))
                 print(f"rep {rep} {side}: {runs[side][-1]['sequence']:.2f} s",
                       file=sys.stderr, flush=True)
 
     sides = [side for side in ("parent", "change") if side in runs]
     print(f"median seconds over {args.reps} rep(s), Python {sys.version.split()[0]}")
     print(f"{'command':<20}" + "".join(f"{side:>10}" for side in sides))
-    for label in [IMPORT] + [label for label, _ in SEQUENCE] + ["sequence"]:
-        print(f"{label:<20}" + "".join(
-            f"{statistics.median(r[label] for r in runs[side]):>10.3f}"
+    for row in [IMPORT] + [name for name, _ in sequence(plan, Path())] + ["sequence"]:
+        print(f"{row:<20}" + "".join(
+            f"{statistics.median(r[row] for r in runs[side]):>10.3f}"
             for side in sides))
     return 0
 

@@ -1,15 +1,15 @@
 """Work run in forked processes, and the BLAS thread count beside them.
 
 A `Peer` is a forked process that serves its parent's requests, one at a
-time, on a copy-on-write snapshot of the process, and sends back each pickled
-reply, or the exception a request raised.  It ends with `os._exit`, so it
-runs no exit handlers and flushes no buffer it inherited.  A peer inherits
-the parent's pipe ends of every peer forked before it, so peers that live
-at once are closed youngest first.  `augment` runs each record range after
-the first on a peer of its own, and `train_loop` shares its steps, eval
-passes and AdamW update with one (`finsent.encoder.train.paired`), with
-OpenBLAS at one thread (`one_blas_thread`).  Both size their work by
-`usable_cpus`.
+time, with handlers its parent built before the fork, on a copy-on-write
+snapshot of the process, and sends back each pickled reply, or the exception
+a request raised.  It ends with `os._exit`, so it runs no exit handlers and
+flushes no buffer it inherited.  A peer inherits the parent's pipe ends of
+every peer forked before it, so peers that live at once are closed youngest
+first.  `augment` runs each record range after the first on a peer of its
+own, and `train_loop` shares its steps, eval passes and AdamW update with
+one (`finsent.encoder.train.paired`), with OpenBLAS at one thread
+(`one_blas_thread`).  Both size their work by `usable_cpus`.
 """
 from __future__ import annotations
 
@@ -33,10 +33,9 @@ def usable_cpus() -> int:
 class Peer:
     """A forked process that answers each `send(name, *args)` with
     `handlers[name](*args)`, which the next `recv()` returns (or raises, with
-    its type and message).  The peer calls `make_handlers()` for that dict at
-    its first request, so what it allocates is its own; an error there is
-    that request's reply, and the next request calls it again.  Requests and
-    replies alternate strictly, so neither process can block on a full pipe
+    its type and message).  The fork copies the handlers and all they hold,
+    so what is private here stays private there.  Requests and replies
+    alternate strictly, so neither process can block on a full pipe
     while the other writes.  A peer that has ended (killed, say) fails the next
     `send` or `recv` with a RuntimeError naming it, and is reaped then.
     `close()` ends and reaps it: the peer reads the end of its request pipe,
@@ -45,7 +44,7 @@ class Peer:
     peer forked before it, so an elder peer closed first would wait for an
     end still open in a younger one, and its reap would hang."""
 
-    def __init__(self, make_handlers):
+    def __init__(self, handlers: dict):
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
         pid = os.fork()
@@ -53,7 +52,7 @@ class Peer:
             try:
                 os.close(req_w)
                 os.close(rep_r)
-                _serve(make_handlers, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                _serve(handlers, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
             finally:
                 os._exit(0)
         os.close(req_r)
@@ -99,17 +98,15 @@ class Peer:
             self._status = os.waitpid(self.pid, 0)[1]
 
 
-def _serve(make_handlers, requests, replies) -> None:
-    """The peer's loop, until its parent closes the request pipe."""
-    handlers = None
+def _serve(handlers: dict, requests, replies) -> None:
+    """The peer's loop, until its parent closes the request pipe: each
+    request's reply is its handler's value, or the exception it raised."""
     while True:
         try:
             name, args = pickle.load(requests)
         except EOFError:
             return
         try:
-            if handlers is None:
-                handlers = make_handlers()
             value = handlers[name](*args)
         except BaseException as exc:
             value = exc

@@ -424,8 +424,7 @@ def cmd_train_encoder(args, cfg, out):
     section = cfg["encoder"]
     train_config = _build("encoder.train", enc.TrainConfig, **dict(
         section["train"], epochs=args.epochs, seed=args.seed))
-    adamw = _build("encoder.adamw", enc.AdamWConfig, lr=train_config.base_lr,
-                   **section["adamw"])
+    adamw = _build("encoder.adamw", enc.AdamWConfig, **section["adamw"])
 
     train_ds = _load_canonical(args.train)
     vocab = _vocabulary(cfg, train_ds)

@@ -62,6 +62,7 @@ def init_adapters(config, targets=DEFAULT_TARGETS, rank: int = 4,
     """One adapter per requested weight, keyed by flat parameter name.
 
     Per-layer targets apply to every layer; 'W_o' targets the output head.
+    Targets that attach to no weight are an error.
     """
     for t in targets:
         if t not in VALID_TARGETS:
@@ -72,6 +73,9 @@ def init_adapters(config, targets=DEFAULT_TARGETS, rank: int = 4,
              for t in targets if t != "W_o"]
     if "W_o" in targets:
         names.append("W_o")
+    if not names:
+        raise ValueError(f"targets {list(targets)} attach to no weight of "
+                         f"{config.n_layers} layers")
     adapters: dict[str, LoraAdapter] = {}
     for counter, name in enumerate(names):
         rng = substream(seed, OP_ADAPTER_INIT, counter)

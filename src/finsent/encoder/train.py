@@ -6,8 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -57,20 +57,13 @@ class TraceRow:
     val_acc: float | None = None
 
 
-TRACE_HEADER = ("step", "epoch", "lr", "loss", "train_acc", "val_loss", "val_acc")
-
-
 def trace_to_csv(rows: list[TraceRow]) -> str:
+    """One line per row under a header of `TraceRow`'s field names; floats in
+    full (`repr`), an unset field empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.step, r.epoch, repr(r.lr), repr(r.loss),
-            "" if r.train_acc is None else repr(r.train_acc),
-            "" if r.val_loss is None else repr(r.val_loss),
-            "" if r.val_acc is None else repr(r.val_acc),
-        ])
+    writer.writerow(f.name for f in fields(TraceRow))
+    writer.writerows(["" if v is None else repr(v) for v in astuple(r)] for r in rows)
     return buf.getvalue()
 
 
@@ -101,14 +94,13 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     recorded on that row, a train_acc in place of the counted one.
     The trainable tensors train as one flat vector (`Trainable`, which
     `paired` builds).  Each step zeroes the gradient vector of the same
-    layout, `loss_and_grad` adds the step's gradients into its views, one
-    `isfinite` pass checks it (`Trainable.check`), and one `adamw_step`
-    call runs over the vector's entries, with flat moments.  When
+    layout, `loss_and_grad` adds the step's gradients into its views, and
+    `Trainable.step` checks it and runs AdamW (`adamw`) over it.  When
     `paired` forks a peer, each step's sub-batches and each eval pass are
-    shared with it (`loss_and_grad`, `batch_logits`), and after the check
-    the two processes update the two halves of the vector, split at its
-    middle element, each with its own moments.  The trace and the weights
-    are the same bits either way, and the same as per-tensor AdamW's.
+    shared with it (`loss_and_grad`, `batch_logits`), and the two processes
+    update the two halves of the vector, each with its own moments.  The
+    trace and the weights are the same bits either way, and the same as
+    per-tensor AdamW's.
     """
     examples = list(examples)
     if not examples:
@@ -122,9 +114,8 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
     steps_per_epoch = math.ceil(micro_per_epoch / train_config.grad_accum_steps)
     total_steps = train_config.epochs * steps_per_epoch
 
-    with paired(examples, params, config, train_config, adapters, peft_mode) as flat:
+    with paired(examples, params, config, train_config, adapters, peft_mode, adamw) as flat:
         peer = flat.peer
-        state = OptimizerState(hyper=adamw or AdamWConfig(lr=train_config.base_lr))
 
         def logits(ids, mask):
             return batch_logits(ids, mask, params, config, adapters, peer=peer)
@@ -151,13 +142,7 @@ def train_loop(examples, params: EncoderParams, config: EncoderConfig,
                                      f"step {step} (epoch {epoch})")
                 lr = lr_at(step, total_steps, train_config.base_lr,
                            train_config.warmup_ratio)
-                flat.check()
-                if peer is None:
-                    flat.step(0, flat.g.size, state, lr)
-                else:
-                    peer.send("adamw", state.hyper, lr)
-                    flat.step(0, flat.mid, state, lr)
-                    peer.recv()
+                flat.step(lr)
                 trace.append(TraceRow(step=step, epoch=epoch, lr=lr, loss=loss))
             last = trace[-1]
             last.train_acc = epoch_hits / n
@@ -197,18 +182,18 @@ def flat_views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str,
 
 class Trainable:
     """The tensors `train_loop` trains (`model.trainable`), moved into one
-    float64 vector `w`.  Matrices come first, so `w[:decay]` is the part
-    weight decay covers.  The entries of `params` and the adapters'
-    attributes become views of `w`, which `tensors` names; the frozen
-    tensors stay where they are.  `g` is a gradient vector of the same
-    layout, with views `grads`, which each step zeroes and
-    `model.loss_and_grad` adds into (its `out`).  Both vectors
-    are shared mappings (`_fork.shared`), so a peer forked afterwards reads
-    and updates the same weights and gradients; `peer` is that peer, or
-    None, and `mid` the first of its elements."""
+    float64 vector `w`, with their AdamW `state`.  Matrices come first, so
+    `w[:decay]` is the part weight decay covers.  The entries of `params`
+    and the adapters' attributes become views of `w`, which `tensors` names.
+    `g` is a gradient vector of the same layout, with views `grads`, which
+    each step zeroes and `model.loss_and_grad` adds into (its `out`).  Both
+    vectors are shared mappings (`_fork.shared`), so a peer forked afterwards
+    updates the same weights and gradients; the state stays each process's
+    own.  `peer` is that peer, or None, and `mid` the first element it
+    updates (`size` inline)."""
 
     def __init__(self, params: EncoderParams, adapters: dict[str, LoraAdapter],
-                 peft_mode: bool):
+                 peft_mode: bool, adamw: AdamWConfig | None = None):
         trainable = model.trainable(params, adapters, peft_mode)
         shapes = {name: trainable[name].shape
                   for name in sorted(trainable, key=lambda k: trainable[k].ndim < 2)}
@@ -223,24 +208,31 @@ class Trainable:
             ad.A, ad.B = (self.tensors[f"adapters.{target}.A"],
                           self.tensors[f"adapters.{target}.B"])
         self.decay = sum(t.size for t in self.tensors.values() if t.ndim >= 2)
-        self.mid, self.peer = size // 2, None
+        self.state = OptimizerState(hyper=adamw or AdamWConfig())
+        self.mid, self.peer = size, None
 
-    def check(self) -> None:
-        """Raises unless `g` is all finite: one `isfinite` pass, and only on
-        failure `check_grads` over `grads`, in order, to name the tensor."""
+    def step(self, lr: float) -> None:
+        """Raises unless `g` is all finite (one `isfinite` pass, and only on
+        failure `check_grads`, to name the tensor); then AdamW on [0, mid)
+        here while the peer, if any, runs it on [mid, size)."""
         if not np.isfinite(self.g).all():
             check_grads(self.tensors, self.grads)
+        if self.peer is not None:
+            self.peer.send("adamw", lr)
+        self.adamw(0, self.mid, lr)
+        if self.peer is not None:
+            self.peer.recv()
 
-    def step(self, lo: int, hi: int, state: OptimizerState, lr: float) -> None:
+    def adamw(self, lo: int, hi: int, lr: float) -> None:
         """One `adamw_step` call over elements [lo, hi) of `w` and `g`."""
         adamw_step(_entries(self.w, lo, hi, self.decay),
-                   _entries(self.g, lo, hi, self.decay), state, lr=lr)
+                   _entries(self.g, lo, hi, self.decay), self.state, lr=lr)
 
 
 @contextmanager
 def paired(examples, params: EncoderParams, config: EncoderConfig,
            train_config: TrainConfig, adapters: dict[str, LoraAdapter] | None,
-           peft_mode: bool):
+           peft_mode: bool, adamw: AdamWConfig | None = None):
     """Moves the trainable tensors into a `Trainable` and yields it for
     `train_loop`, with a forked peer as its `peer` or none (run inline).  It
     forks only for steps that span two sub-batches, where per_device_batch x
@@ -249,37 +241,33 @@ def paired(examples, params: EncoderParams, config: EncoderConfig,
     CPUs (`_fork.usable_cpus`), and where `_fork.one_blas_thread` can pin
     numpy's OpenBLAS to one thread.
 
-    The frozen tensors stay private; the fork's copy-on-write snapshot holds
-    them.  The peer serves four requests: the first part of a step's
-    sub-batches ("grads", which replies with their losses and hits, then
-    "add", one vector add into the gradient vector), the first part of an
-    eval pass ("logits"), and AdamW on the elements from `mid` on
-    ("adamw").  It is reaped when the block ends, by success or error.
+    All the peer uses is built before the fork, so an error there raises
+    with no process forked: `mid`, the middle element, its handlers
+    (`_peer_handlers`) and the AdamW state its copy of the `Trainable` keeps.
+    The fork's copy-on-write snapshot holds the frozen tensors.  The peer is
+    reaped and the pin undone when the block ends, by success or error.
     """
     adapters = adapters or {}
-    flat = Trainable(params, adapters, peft_mode)
+    flat = Trainable(params, adapters, peft_mode, adamw)
     longest = max(int(model._real_lengths(np.atleast_2d(mask))[0]) for _, mask, _ in examples)
-    if (model.fits_budget(train_config.per_device_batch * train_config.grad_accum_steps,
-                          longest, config.d_model) or _fork.usable_cpus() < 2):
+    with ExitStack() as stack:
+        if (not model.fits_budget(train_config.per_device_batch
+                                  * train_config.grad_accum_steps, longest, config.d_model)
+                and _fork.usable_cpus() >= 2
+                and stack.enter_context(_fork.one_blas_thread())):
+            flat.mid = flat.g.size // 2
+            flat.peer = _fork.Peer(_peer_handlers(flat, params, adapters, config, peft_mode))
+            stack.callback(flat.peer.close)
         yield flat
-        return
-    with _fork.one_blas_thread() as pinned:
-        if not pinned:
-            yield flat
-            return
-        flat.peer = _fork.Peer(lambda: _peer_handlers(flat, params, adapters, config, peft_mode))
-        try:
-            yield flat
-        finally:
-            flat.peer.close()
 
 
-def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode):
-    """The requests a `paired` peer serves, built in the peer (`Peer`).
-    Each first part's gradients go into the peer's own vector of `flat.g`'s
-    layout, made here once and zeroed per request, which "add" adds into
-    `flat.g`; AdamW updates the elements from `flat.mid` on."""
-    state, scratch = OptimizerState(), np.empty_like(flat.g)
+def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode) -> dict:
+    """A `paired` peer's requests: the first part of a step's sub-batches
+    ("grads", replying with their losses and hits, then "add"), of an eval
+    pass ("logits"), and AdamW from `flat.mid` on ("adamw").  "grads" zeroes
+    a scratch vector of `flat.g`'s layout, whose pages `np.empty_like` left
+    unwritten in the parent, and "add" adds it into `flat.g`."""
+    scratch = np.empty_like(flat.g)
     views = flat_views(scratch, {name: g.shape for name, g in flat.grads.items()})
 
     def grads(ids, mask, labels, weights, subs):
@@ -292,12 +280,9 @@ def _peer_handlers(flat: Trainable, params, adapters, config, peft_mode):
     def add():
         flat.g += scratch
 
-    def adamw(hyper, lr):
-        state.hyper = hyper
-        flat.step(flat.mid, flat.g.size, state, lr)
-
     def logits(ids, mask, subs):
         return _forward(ids, mask, subs, params, config, adapters,
                         np.empty((len(ids), config.n_classes)))
 
-    return {"grads": grads, "add": add, "adamw": adamw, "logits": logits}
+    return {"grads": grads, "add": add, "logits": logits,
+            "adamw": lambda lr: flat.adamw(flat.mid, flat.g.size, lr)}

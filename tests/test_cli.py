@@ -140,6 +140,9 @@ class TestConfig:
         # fields of the template file are `prompt` keys
         ({"paths": {"embeddings": "vectors.txt"}}, ["featurize"]),
         ({"prompt": {"template": "template.yaml"}}, ["ingest"]),
+        # adapter targets that attach to no weight of the encoder
+        ({"encoder": {"n_layers": 0, "peft": {"targets": ["W_Q"]}}},
+         ["train-encoder", "--peft"]),
     ])
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys,
                                                    override, argv):

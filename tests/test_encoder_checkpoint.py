@@ -117,8 +117,8 @@ class TestRoundTrip:
         params = init_params(config, seed=0)
         for name, tensor in params.items():
             params[name] = data.draw(hnp.arrays(np.float64, tensor.shape, elements=finite))
-        adapters = init_adapters(config, targets=targets, rank=rank, alpha=alpha,
-                                 seed=1) or None
+        adapters = (init_adapters(config, targets=targets, rank=rank, alpha=alpha, seed=1)
+                    if "W_o" in targets or (targets and n_layers) else None)
         for ad in (adapters or {}).values():
             ad.A[:] = data.draw(hnp.arrays(np.float64, ad.A.shape, elements=finite))
             ad.B[:] = data.draw(hnp.arrays(np.float64, ad.B.shape, elements=finite))

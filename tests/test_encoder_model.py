@@ -670,6 +670,14 @@ class TestLora:
         with pytest.raises(ValueError, match="unknown adapter target"):
             init_adapters(TINY, targets=("W_X",))
 
+    @pytest.mark.parametrize("n_layers, targets", [(0, ("W_Q", "W1")), (2, ())])
+    def test_init_adapters_that_attach_nowhere_raise(self, n_layers, targets):
+        config = dataclasses.replace(TINY, n_layers=n_layers)
+        with pytest.raises(ValueError, match="attach to no weight"):
+            init_adapters(config, targets=targets)
+        assert set(init_adapters(config, targets=targets + ("W_o",))) \
+            == {"W_o"} | {f"layers.{li}.{t}" for li in range(n_layers) for t in targets}
+
 
 class TestParamsContainer:
     def test_to_dict_returns_references(self):

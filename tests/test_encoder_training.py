@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -167,9 +168,24 @@ class TestAdamW:
             adamw_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
 
 
+class InProcess:
+    """Serves `handlers` in this process, in the order a forked `_fork.Peer`
+    would."""
+
+    def __init__(self, handlers):
+        self.handlers = handlers
+
+    def send(self, name, *args):
+        self.reply = self.handlers[name](*args)
+
+    def recv(self):
+        return self.reply
+
+
 class TestFlatStep:
-    """`train_loop`'s AdamW: one `adamw_step` call over entries of the flat
-    vector (`train.Trainable.step`), in two ranges as parent and peer run it."""
+    """`train_loop`'s AdamW (`train.Trainable.step`): one `adamw_step` call
+    over entries of the flat vector in each of two ranges, [0, mid) with the
+    `Trainable`'s state and [mid, size) with its peer's copy of it."""
 
     VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
                        st.floats(-10.0, 10.0, allow_nan=False, width=64))
@@ -188,12 +204,16 @@ class TestFlatStep:
 
         params = {f"t{i}": tensor(shape) for i, shape in enumerate(shapes)}
         want = {name: t.copy() for name, t in params.items()}
-        flat = train_mod.Trainable(params, {}, False)
-        size = flat.w.size
-        split = data.draw(st.integers(0, size), label="split")
-        chunk = data.draw(st.integers(1, size + 1), label="chunk")
         hyper = AdamWConfig(lr=0.5, weight_decay=data.draw(st.sampled_from([0.0, 0.05])))
-        ref, parent, peer = (OptimizerState(hyper=hyper) for _ in range(3))
+        flat = train_mod.Trainable(params, {}, False, hyper)
+        size = flat.w.size
+        flat.mid = data.draw(st.integers(0, size), label="split")
+        chunk = data.draw(st.integers(1, size + 1), label="chunk")
+        # What a fork gives the peer: the same shared vectors, its own state.
+        twin = copy.copy(flat)
+        twin.state = copy.deepcopy(flat.state)
+        flat.peer = InProcess(train_mod._peer_handlers(twin, params, {}, TINY, False))
+        ref = OptimizerState(hyper=hyper)
         with mock.patch.object(train_mod, "ADAMW_CHUNK", chunk):
             for t in range(1, 4):
                 grads = {name: tensor(x.shape) for name, x in want.items()}
@@ -201,13 +221,13 @@ class TestFlatStep:
                 adamw_step(want, grads, ref, lr=lr)
                 for name, g in grads.items():
                     flat.grads[name][...] = g
-                flat.step(0, split, parent, lr)
-                flat.step(split, size, peer, lr)
+                flat.step(lr)
         for name, t in want.items():
             assert params[name] is flat.tensors[name]
             assert params[name].tobytes() == t.tobytes(), name
         for moment in ("m", "v"):
-            got = [getattr(state, moment)[offset].ravel() for state in (parent, peer)
+            got = [getattr(state, moment)[offset].ravel()
+                   for state in (flat.state, twin.state)
                    for offset in sorted(getattr(state, moment))]
             assert (np.concatenate(got).tobytes() == np.concatenate(
                 [getattr(ref, moment)[name].ravel() for name in flat.tensors]).tobytes())
@@ -478,6 +498,23 @@ class TestPaired:
         params, _ = self.model_state(False)
         with train_mod.paired(examples, params, TINY, cfg, None, False) as flat:
             assert flat.peer is not None
+
+    def test_an_error_before_the_fork_leaves_nothing_behind(self, paired_inputs,
+                                                            monkeypatch):
+        def no_room(*args):
+            raise MemoryError("no room for the scratch")
+
+        monkeypatch.setattr(train_mod, "_peer_handlers", no_room)
+        blas = _fork._openblas_threads()
+        threads = blas and blas[0]()
+        params, _ = self.model_state(False)
+        with pytest.raises(MemoryError, match="no room for the scratch"):
+            with train_mod.paired(paired_inputs, params, TINY, self.CFG, None, False):
+                pass
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if blas is not None:
+            assert blas[0]() == threads
 
     @pytest.mark.parametrize("peft", [False, True])
     def test_only_trainable_tensors_move_to_the_shared_store(self, paired_inputs, peft):

@@ -28,7 +28,7 @@ def pid():
 
 @pytest.fixture
 def peer():
-    served = _fork.Peer(lambda: {"double": double, "fail": fail, "pid": pid})
+    served = _fork.Peer({"double": double, "fail": fail, "pid": pid})
     yield served
     served.close()
     with pytest.raises(ChildProcessError):
@@ -62,28 +62,8 @@ class TestPeer:
         with pytest.raises(RuntimeError, match=message):
             peer.send("double", 1)
 
-    def test_the_handlers_are_built_in_the_peer_and_their_error_raised_here(self):
-        built_in = []
-
-        def make_handlers():
-            built_in.append(os.getpid())
-            if len(built_in) == 1:
-                raise MemoryError("no room for the scratch")
-            return {"built_in": lambda: built_in}
-
-        served = _fork.Peer(make_handlers)
-        try:
-            served.send("built_in")
-            with pytest.raises(MemoryError, match="no room for the scratch"):
-                served.recv()
-            served.send("built_in")
-            assert served.recv() == [served.pid, served.pid]
-        finally:
-            served.close()
-        assert built_in == []
-
     def test_close_ends_an_idle_peer(self):
-        served = _fork.Peer(dict)
+        served = _fork.Peer({})
         served.close()
         served.close()
         with pytest.raises(ChildProcessError):
@@ -100,7 +80,7 @@ class TestShared:
         def fill(value):
             b[:] = value
 
-        served = _fork.Peer(lambda: {"fill": fill})
+        served = _fork.Peer({"fill": fill})
         try:
             served.send("fill", 2.5)
             served.recv()

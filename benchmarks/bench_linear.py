@@ -10,9 +10,13 @@ runs the CLI default: full batch, 150 epochs, lr 0.5, l2 1e-4.
 Augmentation runs the CLI default (one copy per record, bundled thesaurus)
 on the first 12,000 training headlines, whose words are replaced by
 thesaurus headwords so that the synonym operators have work to do; it
-forks one worker per usable CPU where the code under test does.  Only calls
-that exist at older commits too are used, so the same file times a parent
-checkout for a before/after comparison.
+forks one worker per usable CPU where the code under test does.  The whole
+`train-linear` stage runs through `finsent.cli.main`, with the CLI defaults,
+on a training file of 24,000 records of which 18% repeat an earlier one
+(the share in linear_bulk's `train_augmented.csv`: 4,406 of 24,000 at seed
+12), scored on the held-out headlines.  Only calls that exist at older
+commits too are used, so the same file times a parent checkout for a
+before/after comparison.
 
     python -m pytest benchmarks/bench_linear.py --benchmark-json=bench.json
 """
@@ -21,7 +25,8 @@ import pytest
 
 from finsent.analysis import feature_matrix
 from finsent.augment import AugmentConfig, augment_dataset, bundled_lexicon
-from finsent.corpus import LABELS, Dataset, HeadlineRecord
+from finsent.cli import main
+from finsent.corpus import LABELS, Dataset, HeadlineRecord, write_corpus
 from finsent.features import build_vocabulary, tfidf
 from finsent.linear_model import LinearTrainConfig, train
 
@@ -29,6 +34,7 @@ TRAIN_RECORDS = 24000
 HELD_OUT_RECORDS = 11000
 AUGMENT_RECORDS = 12000
 WORDS = 700
+REPEATED_SHARE = 0.18
 CLI_DEFAULT = LinearTrainConfig(lr=0.5, epochs=150, batch_size=0, l2=1e-4, seed=7)
 
 
@@ -57,6 +63,25 @@ def corpora():
     return train_ds, held_out, vocab
 
 
+def _with_repeats(ds, share, seed):
+    """`ds` with its last `share` of records swapped for copies of the others,
+    all shuffled."""
+    rng = np.random.default_rng(seed)
+    kept = ds.records[:len(ds) - round(share * len(ds))]
+    copies = [kept[i] for i in rng.integers(0, len(kept), size=len(ds) - len(kept))]
+    records = kept + tuple(copies)
+    return Dataset(tuple(records[i] for i in rng.permutation(len(records))))
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory, corpora):
+    train_ds, held_out, _ = corpora
+    work = tmp_path_factory.mktemp("train_linear")
+    write_corpus(_with_repeats(train_ds, REPEATED_SHARE, seed=3), work / "train.csv")
+    write_corpus(held_out, work / "test.csv")
+    return work
+
+
 @pytest.mark.parametrize("which", ["train", "held_out"])
 def test_tfidf(benchmark, corpora, which):
     train_ds, held_out, vocab = corpora
@@ -78,6 +103,13 @@ def test_train(benchmark, corpora):
     y = np.array([rec.label.index for rec in train_ds], dtype=np.int64)
     params, trace = benchmark.pedantic(train, (X, y, CLI_DEFAULT), rounds=3, iterations=1)
     assert len(trace) == CLI_DEFAULT.epochs and trace[-1] < trace[0]
+
+
+def test_train_linear_stage(benchmark, stage_files):
+    argv = ["train-linear", "--train", str(stage_files / "train.csv"),
+            "--test", str(stage_files / "test.csv"), "--out", str(stage_files / "run")]
+    status = benchmark.pedantic(main, (argv,), rounds=5, iterations=1)
+    assert status == 0 and (stage_files / "run" / "linear_predictions.csv").exists()
 
 
 def test_augment_dataset(benchmark, corpora):

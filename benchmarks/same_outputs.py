@@ -10,12 +10,18 @@ into a temporary directory, and the working tree.  Every command runs in a
 fresh `python -m finsent.cli` process, as a user runs it, on that side's
 sources and inputs.  The two run directories are then compared byte for
 byte.  Each file that differs, or that only one side wrote, is printed; the
-exit status is 1 if there is any, else 0.
+exit status is 1 if there is any, else 0.  For a differing JSON or CSV file
+of the same shape on both sides (the same keys and list lengths, or the same
+number of cells in each row), the largest absolute difference between its
+numeric values is printed beside it, with the count of other values that
+differ (hashes, say).
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +59,55 @@ def differing(a: Path, b: Path) -> list[str]:
                           and filecmp.cmp(a / f, b / f, shallow=False)))
 
 
+def _shape_and_values(path: Path) -> tuple[list, list]:
+    """A JSON document's container keys and lengths and its leaves, in order;
+    or a CSV file's row lengths and its cells."""
+    if path.suffix == ".csv":
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        return [len(row) for row in rows], [cell for row in rows for cell in row]
+    shape, values = [], []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            shape.append(list(node) if isinstance(node, dict) else len(node))
+            for child in (node.values() if isinstance(node, dict) else node):
+                walk(child)
+        else:
+            values.append(node)
+
+    walk(json.loads(path.read_text(encoding="utf-8")))
+    return shape, values
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def size_of_difference(a: Path, b: Path) -> str:
+    """How far two versions of a JSON or CSV file lie apart, or "" for other files."""
+    if a.suffix not in (".json", ".csv"):
+        return ""
+    (shape_a, values_a), (shape_b, values_b) = _shape_and_values(a), _shape_and_values(b)
+    if shape_a != shape_b:
+        return "shapes differ"
+    largest, other = 0.0, 0
+    for x, y in zip(values_a, values_b):
+        if x != y:
+            nx, ny = _number(x), _number(y)
+            if nx is None or ny is None:
+                other += 1
+            else:
+                largest = max(largest, abs(nx - ny))
+    return (f"largest numeric difference {largest:.3g}"
+            + (f", {other} other values differ" if other else ""))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -76,7 +131,10 @@ def main(argv=None) -> int:
             print(f"{name} seed {args.seed}: {len(list(runs[1].iterdir()))} files, "
                   + (f"{len(diff)} differ" if diff else "all the same"))
             for path in diff:
-                print(f"  differs: {path}")
+                sides = [run / path for run in runs]
+                size = (size_of_difference(*sides) if all(p.is_file() for p in sides)
+                        else "only one side wrote it")
+                print(f"  differs: {path}" + (f" ({size})" if size else ""))
     return 1 if found else 0
 
 

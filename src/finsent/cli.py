@@ -387,13 +387,30 @@ def _read_predictions(path: Path) -> list[SentimentLabel | None]:
     return predictions
 
 
+def _distinct_train_tfidf(cfg, train_ds: Dataset):
+    """The TF-IDF rows and labels of the training set's distinct (text, label)
+    records, each record's row, and the vocabulary of all records.
+
+    Each text gets an int, so that the key is an int too: a dict keyed by
+    (text, label) pairs would lift this stage above featurize's memory peak."""
+    docs = features_mod.token_lists(train_ds)
+    vocab = _vocabulary(cfg, docs)
+    labels = _labels_to_indices(train_ds)
+    text_ids: dict[str, int] = {}
+    keys = np.fromiter((text_ids.setdefault(rec.text, len(text_ids)) for rec in train_ds),
+                       dtype=np.int64, count=len(train_ds)) * len(LABELS) + labels
+    del text_ids
+    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    X = features_mod.tfidf([docs[i] for i in first], vocab).matrix
+    return X, labels[first], rows, vocab
+
+
 def cmd_train_linear(args, cfg, out):
     hyper = _build("linear", linear_mod.LinearTrainConfig, **cfg["linear"],
                    seed=args.seed)
     train_ds = _load_canonical(args.train)
-    vocab, train_tfidf = _train_tfidf(cfg, train_ds)
-    params, trace = linear_mod.train(train_tfidf.matrix, _labels_to_indices(train_ds),
-                                     hyper)
+    X, y, rows, vocab = _distinct_train_tfidf(cfg, train_ds)
+    params, trace = linear_mod.train(X, y, hyper, rows)
 
     model_path = out / "linear.json"
     linear_mod.save_checkpoint(params, model_path)

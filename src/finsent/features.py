@@ -69,12 +69,18 @@ class Vocabulary:
 
 
 def token_lists(corpus) -> list[list[str]]:
-    """Tokens of each record of a Dataset (equal tokens share one string, to
-    keep a large corpus small); a list of token lists passes through."""
+    """Tokens of each record of a Dataset; a list of token lists passes through.
+
+    Each distinct text is tokenized once and equal texts share one list, as
+    equal tokens share one string, to keep a large corpus small: read the
+    lists, never change them."""
     if not isinstance(corpus, Dataset):
         return corpus
     shared: dict[str, str] = {}
-    return [[shared.setdefault(t, t) for t in tokenize(rec.text)] for rec in corpus]
+    by_text = dict.fromkeys(rec.text for rec in corpus)
+    for text in by_text:
+        by_text[text] = [shared.setdefault(t, t) for t in tokenize(text)]
+    return [by_text[rec.text] for rec in corpus]
 
 
 def build_vocabulary(corpus, min_df: int = 1,

@@ -1,8 +1,10 @@
 """Multinomial logistic regression over sparse TF-IDF rows.
 
 Plain gradient descent with optional L2 penalty from zero initialization.
-Full batch (`batch_size` 0) takes one `loss_and_grad` per epoch and draws no
-permutation, so its runs are seed-free; mini-batch permutes every epoch.
+Training takes each distinct row once, with `rows` mapping every record to
+its row: full batch (`batch_size` 0) weights each row by its count, takes one
+`loss_and_grad` per epoch and draws no permutation, so its runs are
+seed-free; mini-batch permutes the records every epoch.
 """
 from __future__ import annotations
 
@@ -30,9 +32,10 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
         return softmax(np.ascontiguousarray(z.T), axis=0).T
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 @dataclass
@@ -69,11 +72,15 @@ def forward(params: LinearParams, features) -> tuple[np.ndarray, np.ndarray]:
     return logits, probs
 
 
-def loss_and_grad(params: LinearParams, X, y, l2: float = 0.0):
-    """Mean cross-entropy and its exact gradients over a batch.
+def loss_and_grad(params: LinearParams, X, y, l2: float = 0.0, weights=None):
+    """Cross-entropy and its exact gradients over a batch, each row's term
+    weighted by `weights` (default: the mean, 1/N each).
 
-    X: (N, dim) sparse or dense; y: integer class indices (N,).
-    With l2 > 0 the penalty l2 * ||W||^2 (and its gradient) is added.
+    X: (N, dim) sparse or dense; y: integer class indices (N,); weights:
+    (N,) floats, `counts / counts.sum()` to stand for rows repeated `counts`
+    times.  With l2 > 0 the penalty l2 * ||W||^2 (and its gradient) is added.
+    Logits, probabilities and their gradient are held class-major, (3, N)
+    and contiguous: reductions over a 3-wide last axis are slow.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
@@ -83,15 +90,20 @@ def loss_and_grad(params: LinearParams, X, y, l2: float = 0.0):
     if X.shape[1] != params.dim:
         raise ValueError(f"feature dim {X.shape[1]} != model dim {params.dim}")
 
-    logits = np.asarray(X @ params.W.T + params.b)
-    probs = softmax(logits, axis=1)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-
-    g = probs.copy()
-    g[np.arange(n), y] -= 1.0
-    g /= n
-    dW = np.asarray((X.T @ g).T)
-    db = g.sum(axis=0)
+    g = softmax(np.asarray(X @ params.W.T + params.b), axis=1).T  # (3, N), contiguous
+    at_label = y * n + np.arange(n)  # flat indices of each row's label entry
+    g_flat = g.reshape(-1)
+    log_p = np.log(g_flat[at_label])
+    g_flat[at_label] -= 1.0
+    if weights is None:
+        loss = -float(np.mean(log_p))
+        g /= n
+    else:  # no BLAS dot: waking its threads costs more than the sum
+        weights = np.asarray(weights, dtype=np.float64)
+        loss = -float(np.sum(log_p * weights))
+        g *= weights
+    dW = np.asarray(X.T @ g.T).T
+    db = g.sum(axis=1)
     if l2:
         loss += l2 * float(np.sum(params.W ** 2))
         dW = dW + 2.0 * l2 * params.W
@@ -113,20 +125,32 @@ class LinearTrainConfig:
             raise ValueError("epochs, batch_size and l2 must be non-negative")
 
 
-def train(X, y, hyper: LinearTrainConfig) -> tuple[LinearParams, list[float]]:
-    """Gradient descent from zero init.
+def train(X, y, hyper: LinearTrainConfig,
+          rows=None) -> tuple[LinearParams, list[float]]:
+    """Gradient descent from zero init over records that may repeat.
 
-    Returns the trained parameters and the full-training-set loss recorded
-    at the end of every epoch.  Full batch ignores the permutation: the
-    full-set `loss_and_grad` that ends one epoch also gives the next epoch's
-    step, epochs + 1 calls in all.  Mini-batch steps over a seeded per-epoch
-    permutation, then recomputes the full-set loss.
+    X and y hold the distinct rows, and record i is row `rows[i]` (default:
+    every row one record).  Returns the trained parameters and the loss over
+    all records recorded at the end of every epoch.  Full batch weights each
+    row by its share of the records, so one pass over the distinct rows gives
+    the mean over all records, summed in another order; the full-set
+    `loss_and_grad` that ends one epoch also gives the next epoch's step,
+    epochs + 1 calls in all, and no permutation is drawn.  Mini-batch steps
+    over a seeded per-epoch permutation of the records, gathering each
+    batch's rows, so its steps are those of the expanded matrix; then it
+    recomputes the full-set loss.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n != len(y):
-        raise ValueError(f"{n} feature rows vs {len(y)} labels")
+    if X.shape[0] != len(y):
+        raise ValueError(f"{X.shape[0]} feature rows vs {len(y)} labels")
+    weights = None
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 0 or rows.min() < 0 or rows.max() >= len(y):
+            raise ValueError(f"record rows must be a non-empty list of 0..{len(y) - 1}")
+        weights = np.bincount(rows, minlength=len(y)) / len(rows)
+    n = len(y) if rows is None else len(rows)
 
     params = LinearParams.zeros(X.shape[1])
     batch = hyper.batch_size
@@ -135,14 +159,16 @@ def train(X, y, hyper: LinearTrainConfig) -> tuple[LinearParams, list[float]]:
     for epoch in range(hyper.epochs):
         if batch > 0:  # lazy, so that each batch's gradient sees the last step
             order = substream(hyper.seed, OP_LINEAR_TRAIN, epoch).permutation(n)
+            if rows is not None:
+                order = rows[order]
             steps = (loss_and_grad(params, X[idx], y[idx], hyper.l2)
                      for idx in (order[s:s + batch] for s in range(0, n, batch)))
         else:
-            steps = [full or loss_and_grad(params, X, y, hyper.l2)]
+            steps = [full or loss_and_grad(params, X, y, hyper.l2, weights)]
         for _, dW, db in steps:
             params.W -= hyper.lr * dW
             params.b -= hyper.lr * db
-        full = loss_and_grad(params, X, y, hyper.l2)
+        full = loss_and_grad(params, X, y, hyper.l2, weights)
         trace.append(full[0])
     return params, trace
 

@@ -341,6 +341,49 @@ class TestTrainPredictEvaluate:
         rep = json.loads((out / "report_linear.json").read_text())
         assert 0.0 <= rep["accuracy"] <= 1.0
 
+    def test_linear_trains_on_repeated_records_as_on_all_of_them(self, tmp_path, capsys):
+        """Repeated records, and one text under two labels: train-linear fits
+        each distinct (text, label) once, yet its vocabulary is featurize's,
+        its model and predictions are those of training on every record, and
+        its message counts every record."""
+        from finsent import features, linear_model
+        from finsent.corpus import Dataset, HeadlineRecord, write_corpus
+
+        out = tmp_path / "run"
+        cfg = tiny_config(tmp_path)
+        run_cli("ingest", "--out", out)
+        records = load_corpus(out / "dataset.csv", format="csv_headered",
+                              encoding="utf8").records
+        base = records[:20]
+        relabelled = HeadlineRecord(base[0].text,
+                                    next(lab for lab in LABELS if lab != base[0].label))
+        train = Dataset(base + base[:8] + base[3:5] * 3 + (relabelled,))
+        test = Dataset(records[20:40])
+        write_corpus(train, out / "train.csv")
+        write_corpus(test, out / "test.csv")
+        assert run_cli("featurize", "--config", cfg, "--out", out) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("train-linear", "--config", cfg, "--out", out,
+                       "--test", out / "test.csv") == EXIT_OK
+        assert f"trained on {len(train)} records" in capsys.readouterr().out
+        assert ((out / "linear_vocab.json").read_bytes()
+                == (out / "vocabulary.json").read_bytes())
+
+        manifest = json.loads((out / "manifest_train_linear.json").read_text())
+        assert (manifest["inputs"]["train"]["sha256"]
+                == hashlib.sha256((out / "train.csv").read_bytes()).hexdigest())
+        vocab = features.Vocabulary.from_dict(json.loads((out / "vocabulary.json").read_text()))
+        want, _ = linear_model.train(
+            features.tfidf(train, vocab).matrix,
+            np.array([rec.label.index for rec in train]),
+            linear_model.LinearTrainConfig(**manifest["params"]))
+        got = linear_model.load_checkpoint(out / "linear.json")
+        np.testing.assert_allclose(got.W, want.W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+        preds = linear_model.predict(want, features.tfidf(test, vocab).matrix)
+        assert ((out / "linear_predictions.csv").read_text().splitlines()[1:]
+                == [LABELS[i].value for i in preds])
+
     def test_encoder_peft_flow(self, tmp_path):
         out = tmp_path / "run"
         cfg = tiny_config(tmp_path)

@@ -224,6 +224,15 @@ class TestTfidfProperties:
         np.testing.assert_array_equal(tfidf(docs, vocab).to_dense(),
                                       tfidf(ds, vocab).to_dense())
 
+    def test_equal_texts_share_one_token_list_tokenized_once(self):
+        ds = corpus_of("Profit up", "EPS down", "Profit up", "profit UP", "EPS down")
+        with mock.patch.object(features, "tokenize", wraps=features.tokenize) as spy:
+            docs = token_lists(ds)
+        assert spy.call_count == 3
+        assert docs[0] is docs[2] and docs[1] is docs[4]
+        assert docs[3] is not docs[0]
+        assert docs == [tokenize(rec.text) for rec in ds]
+
     def test_empty_corpus_gives_empty_matrix(self):
         vocab = build_vocabulary(corpus_of("a b"), min_df=1)
         mat = tfidf([], vocab)

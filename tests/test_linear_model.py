@@ -333,3 +333,91 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def repeated_problem(seed, n_rows=40, n_records=90, sparse=True):
+    """Distinct rows, and the records that repeat them unevenly: record i is
+    row `rows[i]`, and some rows are no record at all."""
+    X, y = random_problem(seed, n=n_rows, sparse=sparse)
+    rows = np.random.default_rng(seed + 100).integers(0, n_rows, size=n_records)
+    return X, y, rows
+
+
+class TestWeightedRows:
+    """Training on distinct rows with `rows` is training on the records."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("l2", [0.0, 0.003])
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 17])
+    def test_full_batch_matches_the_expanded_matrix(self, seed, l2, epochs):
+        X, y, rows = repeated_problem(seed, sparse=seed != 2)
+        hyper = LinearTrainConfig(lr=0.7, epochs=epochs, batch_size=0, l2=l2, seed=seed)
+        got, trace = train(X, y, hyper, rows)
+        want, want_trace = train(X[rows], y[rows], hyper)
+        assert len(trace) == epochs
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.W, want.W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 60, 200])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_mini_batch_bit_identical_to_the_expanded_matrix(self, batch_size, l2):
+        X, y, rows = repeated_problem(5)
+        hyper = LinearTrainConfig(lr=0.4, epochs=4, batch_size=batch_size, l2=l2, seed=9)
+        got, trace = train(X, y, hyper, rows)
+        want, want_trace = train(X[rows], y[rows], hyper)
+        np.testing.assert_array_equal(got.W, want.W)
+        np.testing.assert_array_equal(got.b, want.b)
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("l2", [0.0, 0.003])
+    def test_count_weights_give_the_mean_over_the_records(self, sparse, l2):
+        X, y, rows = repeated_problem(6, sparse=sparse)
+        rng = np.random.default_rng(7)
+        params = LinearParams(W=rng.normal(size=(3, X.shape[1])), b=rng.normal(size=3))
+        counts = np.bincount(rows, minlength=len(y))
+        loss, dW, db = loss_and_grad(params, X, y, l2, weights=counts / counts.sum())
+        want_loss, want_dW, want_db = loss_and_grad(params, X[rows], y[rows], l2)
+        assert loss == pytest.approx(want_loss, rel=0, abs=1e-15)
+        np.testing.assert_allclose(dW, want_dW, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+           batch_size=st.sampled_from([0, 1, 3, 8]), seed=st.integers(0, 2 ** 16))
+    def test_any_repeat_pattern_trains_as_its_records(self, counts, batch_size, seed):
+        X, y = random_problem(seed, n=len(counts), dim=6)
+        rows = np.random.default_rng(seed).permutation(
+            np.repeat(np.arange(len(counts)), counts))
+        hyper = LinearTrainConfig(lr=0.5, epochs=3, batch_size=batch_size, l2=0.001,
+                                  seed=seed)
+        got, trace = train(X, y, hyper, rows)
+        want, want_trace = train(X[rows], y[rows], hyper)
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+        if batch_size:
+            np.testing.assert_array_equal(got.W, want.W)
+            np.testing.assert_array_equal(got.b, want.b)
+        else:
+            np.testing.assert_allclose(got.W, want.W, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+
+    def test_full_batch_takes_the_distinct_rows_once_per_epoch(self):
+        X, y, rows = repeated_problem(3)
+        with mock.patch.object(linear_model, "loss_and_grad",
+                               wraps=linear_model.loss_and_grad) as spy:
+            train(X, y, LinearTrainConfig(lr=0.5, epochs=4, batch_size=0), rows)
+        assert spy.call_count == 5
+        assert all(call.args[1].shape[0] == 40 for call in spy.call_args_list)
+
+    @pytest.mark.parametrize("rows", [[], [0, 40], [-1, 2]])
+    def test_rows_must_name_distinct_rows(self, rows):
+        X, y, _ = repeated_problem(3)
+        with pytest.raises(ValueError):
+            train(X, y, LinearTrainConfig(lr=0.5, epochs=1), rows)
+
+    def test_non_finite_logits_rejected(self):
+        X = np.array([[np.inf, 0.0], [1.0, 0.0]])
+        params = LinearParams(W=np.ones((3, 2)), b=np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite logits"):
+            loss_and_grad(params, X, np.array([0, 1]))

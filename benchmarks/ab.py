@@ -2,6 +2,8 @@
 
     python3 benchmarks/ab.py --number <n> --workload linear_bulk --seed 23 --pairs 10 \\
         --claim train_samples_per_s --note "what the change does"
+    python3 benchmarks/ab.py --number <n> --workload linear_bulk --seed 23 --pairs 10 \\
+        --claim train_samples_per_s --aa
 
 The parent's committed files (`--parent`, default HEAD: the commit the working
 tree is based on) are extracted with `git archive` into a temporary
@@ -20,7 +22,11 @@ repository root, as one section:
   unscaled wall-clock counterpart moved the same way;
 - `all_workloads` (`--workload all`): the same statistics for every workload;
 - `traced_per_layer` (`--trace 1`): the per-layer metrics of each workload
-  that either side reports as non-zero.
+  that either side reports as non-zero;
+- `aa` (`--aa`): an A/A run, whose two sides are both `git archive` copies
+  of `--parent`, run for every pair with no early stop: the same statistics,
+  and with `--claim`, whether the claim rule would hold between identical
+  trees.  It shows how far the two sides of a pair drift with no change.
 
 perfbench scales its end-to-end timings by the host speed it samples, and
 prints the unscaled ones (`WALL`) only in its report lines.  Untraced
@@ -137,25 +143,34 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD", help="commit to compare against")
     ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
     ap.add_argument("--note", help="one line on what the change does")
+    ap.add_argument("--aa", action="store_true",
+                    help="A/A run: both sides are copies of --parent")
     args = ap.parse_args(argv)
     if args.claim and (args.claim not in END_TO_END or args.workload == "all"
                        or args.trace or args.pairs < 2):
         ap.error("--claim takes an end-to-end metric, one workload, --trace 0 "
                  "and at least 2 pairs")
+    if args.aa and (args.trace or args.pairs < 2):
+        ap.error("--aa takes --trace 0 and at least 2 pairs")
 
     parent_commit = git("rev-parse", args.parent)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     hosts: dict[str, dict] = {}
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp,
+          tempfile.TemporaryDirectory(prefix="ab-twin-") as twin):
         export(parent_commit, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
+        if args.aa:
+            export(parent_commit, Path(twin))
+            trees["change"] = Path(twin)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 host, results = perfbench(trees[side], args)
                 hosts.setdefault(side, host)
-                if len(hosts) == 2 and (hosts["parent"].get("src_sha256_16")
-                                        == hosts["change"].get("src_sha256_16")):
+                if not args.aa and len(hosts) == 2 and (
+                        hosts["parent"].get("src_sha256_16")
+                        == hosts["change"].get("src_sha256_16")):
                     sys.exit(f"the parent {parent_commit[:12]} has the same sources "
                              f"as the working tree: pass --parent")
                 runs[side].append(results)
@@ -184,7 +199,19 @@ def main(argv=None) -> int:
     section = {"command": command, "pairs": args.pairs,
                "order": "alternating, parent first in even pairs",
                "incorrect_runs": incorrect}
-    if args.claim:
+    if args.aa:
+        key = "aa"
+        section = {"workload": args.workload, "parent": parent_commit, **section,
+                   "sides": "both git archive copies of the parent", "medians": table}
+        if args.claim:
+            wl = workloads[0]
+            parent, change = series("parent", wl, args.claim), series("change", wl, args.claim)
+            section["claim_rule_holds"] = {
+                "metric": args.claim,
+                "met": claim_holds(args.claim, parent, change,
+                                   table[wl][args.claim]["change_wins"]),
+                "ratio_of_medians": ratio_of_medians(args.claim, parent, change)}
+    elif args.claim:
         wl = workloads[0]
         parent, change = series("parent", wl, args.claim), series("change", wl, args.claim)
         met = claim_holds(args.claim, parent, change, table[wl][args.claim]["change_wins"])
@@ -214,11 +241,12 @@ def main(argv=None) -> int:
         doc["change"] = args.note
     doc["host"] = {k: v for k, v in hosts["change"].items()
                    if k not in ("commit", "src_sha256_16")}
-    doc["parent"] = {"commit": parent_commit,
-                     "src_sha256_16": hosts["parent"].get("src_sha256_16")}
-    doc["change_tree"] = {"based_on": git("rev-parse", "HEAD"),
-                          "uncommitted_changes": bool(git("status", "--porcelain")),
-                          "src_sha256_16": hosts["change"].get("src_sha256_16")}
+    if not args.aa:  # an A/A section names its parent itself
+        doc["parent"] = {"commit": parent_commit,
+                         "src_sha256_16": hosts["parent"].get("src_sha256_16")}
+        doc["change_tree"] = {"based_on": git("rev-parse", "HEAD"),
+                              "uncommitted_changes": bool(git("status", "--porcelain")),
+                              "src_sha256_16": hosts["change"].get("src_sha256_16")}
     doc[key] = section
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote section {key} of {out}", file=sys.stderr)

@@ -14,7 +14,9 @@ forks one worker per usable CPU where the code under test does.  The whole
 `train-linear` stage runs through `finsent.cli.main`, with the CLI defaults,
 on a training file of 24,000 records of which 18% repeat an earlier one
 (the share in linear_bulk's `train_augmented.csv`: 4,406 of 24,000 at seed
-12), scored on the held-out headlines.  Only calls that exist at older
+12), scored on the held-out headlines, once with 1 usable CPU and once with
+2 (`_fork.usable_cpus` patched; on a host with 1 CPU, the second case runs
+two processes on it).  Only calls that exist at older
 commits too are used, so the same file times a parent checkout for a
 before/after comparison.
 
@@ -23,6 +25,7 @@ before/after comparison.
 import numpy as np
 import pytest
 
+from finsent import _fork
 from finsent.analysis import feature_matrix
 from finsent.augment import AugmentConfig, augment_dataset, bundled_lexicon
 from finsent.cli import main
@@ -105,7 +108,9 @@ def test_train(benchmark, corpora):
     assert len(trace) == CLI_DEFAULT.epochs and trace[-1] < trace[0]
 
 
-def test_train_linear_stage(benchmark, stage_files):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_linear_stage(benchmark, stage_files, monkeypatch, cpus):
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     argv = ["train-linear", "--train", str(stage_files / "train.csv"),
             "--test", str(stage_files / "test.csv"), "--out", str(stage_files / "run")]
     status = benchmark.pedantic(main, (argv,), rounds=5, iterations=1)

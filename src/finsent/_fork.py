@@ -9,7 +9,10 @@ every peer forked before it, so peers that live at once are closed youngest
 first.  `augment` runs each record range after the first on a peer of its
 own, and `train_loop` shares its steps, eval passes and AdamW update with
 one (`finsent.encoder.train.paired`), with OpenBLAS at one thread
-(`one_blas_thread`).  Both size their work by `usable_cpus`.
+(`one_blas_thread`).  `train-linear` (`finsent.cli.cmd_train_linear`) cuts
+a large training set in two halves and serves the second on a peer, or
+`InProcess` where `usable_cpus` finds one CPU, asking both halves each
+request with `ask`.  All size their work by `usable_cpus`.
 """
 from __future__ import annotations
 
@@ -96,6 +99,30 @@ class Peer:
                 except BrokenPipeError:  # unflushed bytes for an ended peer
                     pass
             self._status = os.waitpid(self.pid, 0)[1]
+
+
+class InProcess:
+    """Serves `handlers` in this process, in the order a `Peer` would:
+    `send(name, *args)` runs `handlers[name](*args)`, and raises what it
+    raises; the next `recv()` returns its value."""
+
+    def __init__(self, handlers: dict):
+        self.handlers = handlers
+
+    def send(self, name: str, *args) -> None:
+        self._reply = self.handlers[name](*args)
+
+    def recv(self):
+        return self._reply
+
+
+def ask(servers, name: str, *args) -> list:
+    """Each server's reply to the request `(name, *args)`, in order.  The
+    request goes to the last server first, so that a peer works while a
+    server `InProcess` runs it."""
+    for server in reversed(servers):
+        server.send(name, *args)
+    return [server.recv() for server in servers]
 
 
 def _serve(handlers: dict, requests, replies) -> None:

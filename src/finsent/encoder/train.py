@@ -7,7 +7,8 @@ import csv
 import io
 import math
 from contextlib import ExitStack, contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,10 +61,12 @@ class TraceRow:
 def trace_to_csv(rows: list[TraceRow]) -> str:
     """One line per row under a header of `TraceRow`'s field names; floats in
     full (`repr`), an unset field empty."""
+    names = [f.name for f in fields(TraceRow)]
+    values = attrgetter(*names)  # read in place: `astuple` deep-copies each row
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in fields(TraceRow))
-    writer.writerows(["" if v is None else repr(v) for v in astuple(r)] for r in rows)
+    writer.writerow(names)
+    writer.writerows(["" if v is None else repr(v) for v in values(r)] for r in rows)
     return buf.getvalue()
 
 

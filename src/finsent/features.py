@@ -83,24 +83,49 @@ def token_lists(corpus) -> list[list[str]]:
     return [by_text[rec.text] for rec in corpus]
 
 
+@dataclass(frozen=True)
+class DocumentFrequencies:
+    """How many of `n_documents` documents hold each token; the frequencies
+    of two corpora add up to those of both."""
+
+    counts: Counter[str]
+    n_documents: int
+
+    def __add__(self, other: "DocumentFrequencies") -> "DocumentFrequencies":
+        return DocumentFrequencies(self.counts + other.counts,
+                                   self.n_documents + other.n_documents)
+
+
+def document_frequencies(corpus, repeats=None) -> DocumentFrequencies:
+    """The document frequencies of a Dataset or its `token_lists`; with
+    `repeats` (ints), token list i stands for `repeats[i]` documents."""
+    docs = token_lists(corpus)
+    sets = map(set, docs)
+    if repeats is not None:
+        sets = chain.from_iterable(map(repeat, sets, repeats))
+    return DocumentFrequencies(Counter(chain.from_iterable(sets)),
+                               len(docs) if repeats is None else sum(repeats))
+
+
 def build_vocabulary(corpus, min_df: int = 1,
                      max_size: int | None = None) -> Vocabulary:
-    """Tokens of a Dataset (or its `token_lists`) with document frequency >=
-    min_df, ranked by (df desc, token asc)."""
+    """Tokens of a Dataset (or its `token_lists`, or their
+    `DocumentFrequencies`) with document frequency >= min_df, ranked by
+    (df desc, token asc)."""
     if min_df < 1:
         raise ValueError("min_df must be at least 1")
-    if len(corpus) == 0:
+    freq = (corpus if isinstance(corpus, DocumentFrequencies)
+            else document_frequencies(corpus))
+    if freq.n_documents == 0:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
-    df: Counter[str] = Counter()
-    for tokens in token_lists(corpus):
-        df.update(set(tokens))
+    df = freq.counts
     kept = sorted((t for t, c in df.items() if c >= min_df),
                   key=lambda t: (-df[t], t))
     if max_size is not None:
         kept = kept[:max_size]
     return Vocabulary(index={t: i for i, t in enumerate(kept)},
                       document_frequency={t: df[t] for t in kept},
-                      n_documents=len(corpus))
+                      n_documents=freq.n_documents)
 
 
 TRIPLET_SLICE = 4096  # entries `to_triplet_csv` turns into Python objects at once

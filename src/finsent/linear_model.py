@@ -4,7 +4,9 @@ Plain gradient descent with optional L2 penalty from zero initialization.
 Training takes each distinct row once, with `rows` mapping every record to
 its row: full batch (`batch_size` 0) weights each row by its count, takes one
 `loss_and_grad` per epoch and draws no permutation, so its runs are
-seed-free; mini-batch permutes the records every epoch.
+seed-free; mini-batch permutes the records every epoch.  Full batch also
+takes rows cut in `Halves`, each held by a server that may be a forked
+peer: each epoch's loss and gradients are then the sums of the halves'.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from . import _fork
 from ._rng import OP_LINEAR_TRAIN, substream
 
 N_CLASSES = 3
@@ -102,12 +105,34 @@ def loss_and_grad(params: LinearParams, X, y, l2: float = 0.0, weights=None):
         weights = np.asarray(weights, dtype=np.float64)
         loss = -float(np.sum(log_p * weights))
         g *= weights
-    dW = np.asarray(X.T @ g.T).T
-    db = g.sum(axis=1)
+    return _with_l2(params, l2, loss, np.asarray(X.T @ g.T).T, g.sum(axis=1))
+
+
+def _with_l2(params: LinearParams, l2: float, loss: float, dW, db):
+    """(loss, dW, db) with the penalty l2 * ||W||^2 and its gradient added."""
     if l2:
         loss += l2 * float(np.sum(params.W ** 2))
         dW = dW + 2.0 * l2 * params.W
     return loss, dW, db
+
+
+@dataclass(frozen=True)
+class Halves:
+    """Distinct rows cut in two for full-batch training, each half held by
+    one of two servers (a `_fork.Peer`, or `_fork.InProcess` for a half held
+    here) that answers `send("grad", W, b)` with `loss_and_grad` over its
+    rows, each weighted by its share of all the records, l2 left out.
+    `shape` is that of all the rows, the first server's first."""
+
+    servers: tuple
+    shape: tuple[int, int]
+
+    def loss_and_grad(self, params: LinearParams, l2: float = 0.0):
+        """`loss_and_grad` over all the rows: the halves' sums, the penalty
+        added once."""
+        (loss, dW, db), (loss2, dW2, db2) = _fork.ask(self.servers, "grad",
+                                                      params.W, params.b)
+        return _with_l2(params, l2, loss + loss2, dW + dW2, db + db2)
 
 
 @dataclass(frozen=True)
@@ -135,12 +160,17 @@ def train(X, y, hyper: LinearTrainConfig,
     row by its share of the records, so one pass over the distinct rows gives
     the mean over all records, summed in another order; the full-set
     `loss_and_grad` that ends one epoch also gives the next epoch's step,
-    epochs + 1 calls in all, and no permutation is drawn.  Mini-batch steps
-    over a seeded per-epoch permutation of the records, gathering each
-    batch's rows, so its steps are those of the expanded matrix; then it
-    recomputes the full-set loss.
+    epochs + 1 calls in all, and no permutation is drawn.  X may be
+    `Halves` (full batch only), whose servers hold their own labels and
+    weights; y and rows then only size the set.  Mini-batch steps over a
+    seeded per-epoch permutation of the records, gathering each batch's
+    rows, so its steps are those of the expanded matrix; then it recomputes
+    the full-set loss.
     """
-    X = _as_2d(X)
+    if not isinstance(X, Halves):
+        X = _as_2d(X)
+    elif hyper.batch_size:
+        raise ValueError("rows cut in halves train full batch only")
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != len(y):
         raise ValueError(f"{X.shape[0]} feature rows vs {len(y)} labels")
@@ -153,6 +183,12 @@ def train(X, y, hyper: LinearTrainConfig,
     n = len(y) if rows is None else len(rows)
 
     params = LinearParams.zeros(X.shape[1])
+
+    def whole():
+        if isinstance(X, Halves):
+            return X.loss_and_grad(params, hyper.l2)
+        return loss_and_grad(params, X, y, hyper.l2, weights)
+
     batch = hyper.batch_size
     trace: list[float] = []
     full = None  # (loss, dW, db) over the whole set at the current params
@@ -164,11 +200,11 @@ def train(X, y, hyper: LinearTrainConfig,
             steps = (loss_and_grad(params, X[idx], y[idx], hyper.l2)
                      for idx in (order[s:s + batch] for s in range(0, n, batch)))
         else:
-            steps = [full or loss_and_grad(params, X, y, hyper.l2, weights)]
+            steps = [full or whole()]
         for _, dW, db in steps:
             params.W -= hyper.lr * dW
             params.b -= hyper.lr * db
-        full = loss_and_grad(params, X, y, hyper.l2, weights)
+        full = whole()
         trace.append(full[0])
     return params, trace
 

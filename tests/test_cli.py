@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -692,27 +693,28 @@ class TestTrainPredictEvaluate:
         assert not (out / "manifest_compare.json").exists()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes forked during a test; all reaped at its end."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestPairedTraining:
     """`train-encoder` with a forked peer (forced by a small SUB_BATCH_BUDGET
     and 2 usable CPUs) gives the inline stage's outputs and errors, pins
     OpenBLAS to one thread for the stage, and leaves no process behind."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Pids of the processes forked during a test; all reaped at its end."""
-        pids, real_fork = [], os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        yield pids
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
 
     @staticmethod
     def cpus(monkeypatch, n):
@@ -893,6 +895,139 @@ class TestPairedTraining:
             "(killed by signal 9)")
         assert not facts["left"] and len(facts["pids"]) == 1
         assert facts["steps"] in (2, 3)  # failed at its next exchange, not later
+
+
+class TestLinearHalves:
+    """`train-linear` over at least LINEAR_HALVES_MIN_ROWS distinct rows
+    (lowered here) cuts them and the test records in two halves, the second
+    on a forked peer with 2 usable CPUs and inline with 1: the vocabulary
+    and predictions keep one pass's bytes, the model its values within
+    1e-12, and the bits do not depend on the CPUs."""
+
+    OUTPUTS = ("linear.json", "linear_trace.csv", "linear_vocab.json",
+               "linear_predictions.csv")
+
+    @staticmethod
+    def data(tmp_path, **overrides):
+        """Repeated records and one text under two labels (31 distinct
+        rows), and 60 test records."""
+        from finsent.corpus import Dataset, HeadlineRecord, write_corpus
+        cfg = tiny_config(tmp_path, **overrides)
+        data = tmp_path / "data"
+        run_cli("ingest", "--out", data)
+        records = load_corpus(data / "dataset.csv", format="csv_headered",
+                              encoding="utf8").records
+        base = records[::3]  # the bundled corpus lists each label's 30 in a block
+        relabelled = HeadlineRecord(base[0].text,
+                                    next(lab for lab in LABELS if lab != base[0].label))
+        write_corpus(Dataset(base + base[:8] + base[3:5] * 3 + (relabelled,)),
+                     data / "train.csv")
+        # training texts among unseen ones, so that the predictions vary
+        write_corpus(Dataset(tuple(rec for pair in zip(records[::3], records[1::3])
+                                   for rec in pair)), data / "test.csv")
+        return cfg, data
+
+    @staticmethod
+    def run(cfg, data, out, test=True):
+        flags = ("--test", data / "test.csv") if test else ()
+        return run_cli("train-linear", "--config", cfg, "--out", out,
+                       "--train", data / "train.csv", *flags)
+
+    def runs(self, tmp_path, monkeypatch, forks, sides, **overrides):
+        """Each side's outputs and the forks it made, for (min_rows, cpus) sides."""
+        cfg, data = self.data(tmp_path, **overrides)
+        outputs = {}
+        for min_rows, cpus in sides:
+            monkeypatch.setattr(cli_mod, "LINEAR_HALVES_MIN_ROWS", min_rows)
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            before = len(forks)
+            out = tmp_path / f"run_{min_rows}_{cpus}"
+            assert self.run(cfg, data, out) == EXIT_OK
+            outputs[min_rows, cpus] = ({name: (out / name).read_bytes() for name in self.OUTPUTS},
+                                       len(forks) - before)
+        return outputs
+
+    def test_halves_give_one_pass_on_one_or_two_cpus(self, tmp_path, monkeypatch, forks):
+        runs = self.runs(tmp_path, monkeypatch, forks, [(32, 2), (31, 1), (31, 2)])
+        (one, one_forks), (inline, inline_forks), (paired, paired_forks) = runs.values()
+        assert (one_forks, inline_forks, paired_forks) == (0, 0, 1)
+        assert inline == paired
+        for name in ("linear_vocab.json", "linear_predictions.csv"):
+            assert paired[name] == one[name], name
+        got = json.loads(paired["linear.json"])
+        want = json.loads(one["linear.json"])
+        np.testing.assert_allclose(got["W"], want["W"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got["b"], want["b"], rtol=0, atol=1e-12)
+        got, want = (np.loadtxt(io.BytesIO(run["linear_trace.csv"]), delimiter=",",
+                                skiprows=1) for run in (paired, one))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_below_the_constant_one_pass_forks_nothing(self, tmp_path, monkeypatch, forks):
+        """31 distinct rows under a constant of 32: the model has the bits of
+        `linear_model.train` on the distinct rows' TF-IDF, whatever the CPUs."""
+        from finsent import features, linear_model
+        runs = self.runs(tmp_path, monkeypatch, forks, [(32, 1), (32, 2)])
+        (one, one_forks), (two, two_forks) = runs.values()
+        assert one == two and one_forks == two_forks == 0
+        train_ds = load_corpus(tmp_path / "data" / "train.csv", format="csv_headered",
+                               encoding="utf8")
+        pairs = list(dict.fromkeys((rec.text, rec.label) for rec in train_ds))
+        pairs.sort(key=lambda pair: ([rec.text for rec in train_ds].index(pair[0]),
+                                     pair[1].index))
+        rows = [pairs.index((rec.text, rec.label)) for rec in train_ds]
+        vocab = features.Vocabulary.from_dict(json.loads(one["linear_vocab.json"]))
+        X = features.tfidf([features.tokenize(text) for text, _ in pairs], vocab).matrix
+        want, _ = linear_model.train(X, np.array([label.index for _, label in pairs]),
+                                     linear_model.LinearTrainConfig(lr=0.5, epochs=40,
+                                                                    l2=0.0001, seed=7), rows)
+        got = json.loads(one["linear.json"])
+        assert got["W"] == want.W.tolist() and got["b"] == want.b.tolist()
+
+    def test_mini_batch_never_cuts(self, tmp_path, monkeypatch, forks):
+        runs = self.runs(tmp_path, monkeypatch, forks, [(31, 2), (10 ** 9, 2)],
+                         linear={"batch_size": 4})
+        (cut, cut_forks), (one, one_forks) = runs.values()
+        assert cut == one and cut_forks == one_forks == 0
+
+    def test_without_test_set(self, tmp_path, monkeypatch, forks):
+        cfg, data = self.data(tmp_path)
+        monkeypatch.setattr(cli_mod, "LINEAR_HALVES_MIN_ROWS", 31)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        assert self.run(cfg, data, tmp_path / "run", test=False) == EXIT_OK
+        assert len(forks) == 1 and not (tmp_path / "run" / "linear_predictions.csv").exists()
+
+    def test_a_test_file_that_does_not_parse_fails_after_the_model(
+            self, tmp_path, monkeypatch, capsys, forks):
+        """As in one pass: the model, vocabulary and trace are written, then
+        the test file fails the stage with exit 3, and the peer is reaped."""
+        cfg, data = self.data(tmp_path)
+        (data / "test.csv").write_text('sentiment,headline\npositive,"Shares rise\n')
+        monkeypatch.setattr(cli_mod, "LINEAR_HALVES_MIN_ROWS", 31)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        assert self.run(cfg, data, tmp_path / "run") == EXIT_DATA
+        assert "malformed CSV" in capsys.readouterr().err
+        assert len(forks) == 1 and (tmp_path / "run" / "linear.json").exists()
+        assert not (tmp_path / "run" / "manifest_train_linear.json").exists()
+
+    @pytest.mark.parametrize("request_name", ["frequencies", "featurize", "grad", "predict"])
+    def test_an_error_in_the_peer_fails_the_stage_and_the_peer_is_reaped(
+            self, tmp_path, monkeypatch, capsys, forks, request_name):
+        cfg, data = self.data(tmp_path)
+        monkeypatch.setattr(cli_mod, "LINEAR_HALVES_MIN_ROWS", 31)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        parent, real = os.getpid(), getattr(cli_mod._LinearHalf, request_name)
+
+        def broken(self, *args):
+            if os.getpid() != parent:
+                raise ValueError(f"half broken at {request_name}")
+            return real(self, *args)
+
+        monkeypatch.setattr(cli_mod._LinearHalf, request_name, broken)
+        assert self.run(cfg, data, tmp_path / "run") == EXIT_DATA
+        assert f"half broken at {request_name}" in capsys.readouterr().err
+        assert len(forks) == 1
+        for name in ("linear_predictions.csv", "manifest_train_linear.json"):
+            assert not (tmp_path / "run" / name).exists()
 
 
 class TestMergedExport:

@@ -168,20 +168,6 @@ class TestAdamW:
             adamw_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
 
 
-class InProcess:
-    """Serves `handlers` in this process, in the order a forked `_fork.Peer`
-    would."""
-
-    def __init__(self, handlers):
-        self.handlers = handlers
-
-    def send(self, name, *args):
-        self.reply = self.handlers[name](*args)
-
-    def recv(self):
-        return self.reply
-
-
 class TestFlatStep:
     """`train_loop`'s AdamW (`train.Trainable.step`): one `adamw_step` call
     over entries of the flat vector in each of two ranges, [0, mid) with the
@@ -212,7 +198,7 @@ class TestFlatStep:
         # What a fork gives the peer: the same shared vectors, its own state.
         twin = copy.copy(flat)
         twin.state = copy.deepcopy(flat.state)
-        flat.peer = InProcess(train_mod._peer_handlers(twin, params, {}, TINY, False))
+        flat.peer = _fork.InProcess(train_mod._peer_handlers(twin, params, {}, TINY, False))
         ref = OptimizerState(hyper=hyper)
         with mock.patch.object(train_mod, "ADAMW_CHUNK", chunk):
             for t in range(1, 4):
@@ -637,3 +623,13 @@ class TestTraceCsv:
         assert lines[0] == "step,epoch,lr,loss,train_acc,val_loss,val_acc"
         assert lines[1].endswith(",,,")
         assert "0.5" in lines[2]
+
+    def test_bytes_pinned(self):
+        from finsent.encoder import TraceRow
+        rows = [TraceRow(step=1, epoch=0, lr=1e-05, loss=1.0986122886681098),
+                TraceRow(step=2, epoch=1, lr=0.0002, loss=0.1, train_acc=0.5,
+                         val_loss=float("nan"), val_acc=1.0)]
+        assert trace_to_csv(rows) == ("step,epoch,lr,loss,train_acc,val_loss,val_acc\n"
+                                      "1,0,1e-05,1.0986122886681098,,,\n"
+                                      "2,1,0.0002,0.1,0.5,nan,1.0\n")
+        assert trace_to_csv([]) == "step,epoch,lr,loss,train_acc,val_loss,val_acc\n"

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,15 +14,17 @@ from finsent import features
 from finsent.corpus import EmptyCorpusError
 from finsent.features import (
     DocTermMatrix,
+    DocumentFrequencies,
     Vocabulary,
     build_vocabulary,
+    document_frequencies,
     pad_or_truncate,
     tfidf,
     token_lists,
     tokenize,
 )
 
-from conftest import NEU, POS, make_dataset
+from conftest import NEG, NEU, POS, make_dataset
 from oracles import tfidf_dense
 
 
@@ -232,6 +235,36 @@ class TestTfidfProperties:
         assert docs[0] is docs[2] and docs[1] is docs[4]
         assert docs[3] is not docs[0]
         assert docs == [tokenize(rec.text) for rec in ds]
+
+    def test_document_frequencies_count_repeats_and_add_up(self):
+        ds = corpus_of("a b a", "b c", "!!")
+        assert document_frequencies(ds) == DocumentFrequencies({"a": 1, "b": 2, "c": 1}, 3)
+        once = document_frequencies(ds, [2, 3, 1])
+        assert once == DocumentFrequencies({"a": 2, "b": 5, "c": 3}, 6)
+        assert once + document_frequencies(corpus_of("c d")) == DocumentFrequencies(
+            {"a": 2, "b": 5, "c": 4, "d": 1}, 7)
+        with pytest.raises(EmptyCorpusError):
+            build_vocabulary(document_frequencies([]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(TEXTS, st.sampled_from([POS, NEU]), st.integers(1, 4)),
+                         min_size=1, max_size=8, unique_by=lambda row: row[:2]),
+           cut=st.integers(0, 9), relabelled=st.integers(1, 3),
+           min_df=st.integers(1, 3), max_size=st.sampled_from([None, 2]))
+    def test_summed_half_frequencies_give_the_vocabulary_of_every_record(
+            self, rows, cut, relabelled, min_df, max_size):
+        """Distinct (text, label) rows, each repeated, one text under two
+        labels: the frequencies of any two halves of the rows, each row
+        counted once per record, add up to every record's vocabulary."""
+        rows = rows + [(rows[0][0], NEG, relabelled)]
+        records = make_dataset([(text, label) for text, label, k in rows for _ in range(k)])
+        halves = rows[:cut], rows[cut:]
+        freq = sum((document_frequencies(make_dataset([row[:2] for row in half]),
+                                         [k for _, _, k in half]) for half in halves),
+                   DocumentFrequencies(Counter(), 0))
+        want = build_vocabulary(records, min_df=min_df, max_size=max_size)
+        got = build_vocabulary(freq, min_df=min_df, max_size=max_size)
+        assert got == want and got.to_dict() == want.to_dict()
 
     def test_empty_corpus_gives_empty_matrix(self):
         vocab = build_vocabulary(corpus_of("a b"), min_df=1)

@@ -87,3 +87,35 @@ class TestShared:
         finally:
             served.close()
         assert list(b) == [2.5] * 4 and not a.any()
+
+
+class TestInProcessAndAsk:
+    def test_in_process_serves_here_and_raises_at_send(self):
+        served = _fork.InProcess({"double": double, "fail": fail, "pid": pid})
+        served.send("pid")
+        assert served.recv() == os.getpid()
+        served.send("double", 4)
+        assert served.recv() == 8
+        with pytest.raises(KeyError, match="no such tensor"):
+            served.send("fail", "no such tensor")
+
+    def test_ask_sends_last_first_and_replies_in_order(self):
+        order = []
+
+        def server(tag):
+            def note(x):
+                order.append(tag)
+                return (tag, x)
+            return _fork.InProcess({"note": note})
+
+        assert _fork.ask([server("a"), server("b"), server("c")], "note", 1) == [
+            ("a", 1), ("b", 1), ("c", 1)]
+        assert order == ["c", "b", "a"]
+
+    def test_ask_a_peer_and_this_process(self, peer):
+        here = _fork.InProcess({"pid": pid})
+        assert _fork.ask([here, peer], "pid") == [os.getpid(), peer.pid]
+        with pytest.raises(KeyError, match="in the peer"):
+            _fork.ask([_fork.InProcess({"fail": lambda m: None}), peer], "fail", "in the peer")
+        peer.send("double", 2)  # the peer still serves
+        assert peer.recv() == 4

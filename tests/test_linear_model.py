@@ -1,5 +1,7 @@
 import math
+import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from finsent import linear_model
+from finsent import _fork, linear_model
 from finsent._rng import OP_LINEAR_TRAIN, substream
 from finsent.linear_model import (
+    Halves,
     LinearParams,
     LinearTrainConfig,
     forward,
@@ -421,3 +424,87 @@ class TestWeightedRows:
         params = LinearParams(W=np.ones((3, 2)), b=np.zeros(3))
         with pytest.raises(ValueError, match="non-finite logits"):
             loss_and_grad(params, X, np.array([0, 1]))
+
+
+@contextmanager
+def halves_of(X, y, rows, forked, mid=None):
+    """`Halves` of a problem cut at row `mid` (default: the middle): the
+    first half served here, the second by a forked peer or here too."""
+    mid = len(y) // 2 if mid is None else mid
+    weights = np.bincount(rows, minlength=len(y)) / len(rows)
+
+    def handlers(part):
+        return {"grad": lambda W, b: linear_model.loss_and_grad(
+            LinearParams(W, b), X[part], y[part], 0.0, weights[part])}
+
+    second = (_fork.Peer if forked else _fork.InProcess)(handlers(slice(mid, None)))
+    try:
+        yield Halves((_fork.InProcess(handlers(slice(mid))), second), (len(y), X.shape[1]))
+    finally:
+        if forked:
+            second.close()
+
+
+class TestHalves:
+    """Full batch over rows cut in `Halves` is one pass over them, summed in
+    another order, whether the second half is served by a peer or here."""
+
+    @pytest.mark.parametrize("forked", [False, True])
+    @pytest.mark.parametrize("l2", [0.0, 0.003])
+    @pytest.mark.parametrize("epochs", [0, 1, 17])
+    def test_matches_one_pass(self, forked, l2, epochs):
+        X, y, rows = repeated_problem(epochs)
+        hyper = LinearTrainConfig(lr=0.7, epochs=epochs, batch_size=0, l2=l2)
+        with halves_of(X, y, rows, forked) as halves:
+            got, trace = train(halves, y, hyper, rows)
+        want, want_trace = train(X, y, hyper, rows)
+        assert len(trace) == epochs
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.W, want.W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mid", [1, 17, 39])
+    def test_a_peer_and_this_process_give_the_same_bits(self, mid):
+        X, y, rows = repeated_problem(4, sparse=False)
+        hyper = LinearTrainConfig(lr=0.5, epochs=9, batch_size=0, l2=0.003)
+        runs = []
+        for forked in (False, True):
+            with halves_of(X, y, rows, forked, mid) as halves:
+                params, trace = train(halves, y, hyper, rows)
+            runs.append((params.W.tobytes(), params.b.tobytes(), trace))
+        assert runs[0] == runs[1]
+
+    def test_no_epochs_no_requests(self):
+        X, y, rows = repeated_problem(3)
+        refuse = _fork.InProcess({})  # any request raises KeyError
+        params, trace = train(Halves((refuse, refuse), X.shape), y,
+                              LinearTrainConfig(lr=0.5, epochs=0), rows)
+        assert trace == [] and not params.W.any() and not params.b.any()
+
+    def test_one_request_per_half_and_epoch(self):
+        X, y, rows = repeated_problem(3)
+        with halves_of(X, y, rows, False) as halves:
+            with mock.patch.object(linear_model, "loss_and_grad",
+                                   wraps=linear_model.loss_and_grad) as spy:
+                train(halves, y, LinearTrainConfig(lr=0.5, epochs=4), rows)
+        assert [call.args[1].shape[0] for call in spy.call_args_list] == [20, 20] * 5
+
+    def test_mini_batch_refused(self):
+        X, y, rows = repeated_problem(3)
+        with halves_of(X, y, rows, False) as halves:
+            with pytest.raises(ValueError, match="full batch only"):
+                train(halves, y, LinearTrainConfig(lr=0.5, epochs=1, batch_size=4), rows)
+
+    def test_an_error_in_the_peer_reaches_train_and_the_peer_is_reaped(self):
+        X, y, rows = repeated_problem(3)
+        here = _fork.InProcess({"grad": lambda W, b: (0.0, np.zeros_like(W), np.zeros_like(b))})
+        peer = _fork.Peer({"grad": lambda W, b: loss_and_grad(LinearParams(W, b),
+                                                              X[:, :5], y)})
+        try:
+            with pytest.raises(ValueError, match="feature dim 5 != model dim 25"):
+                train(Halves((here, peer), X.shape), y,
+                      LinearTrainConfig(lr=0.5, epochs=2), rows)
+        finally:
+            peer.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(peer.pid, os.WNOHANG)
